@@ -4,7 +4,8 @@ Subcommands: poly, factor, converge (mbonacci | general), scan, grid,
 bound, mann. Data goes to stdout (or --output), diagnostics to stderr.
 Numeric fields in machine-readable output are exact decimal strings,
 never binary floats. Exit codes: 0 success, 2 usage error, 3 for a
-classification failure or a periodicity violation.
+classification failure, a periodicity violation or a root iteration that
+did not converge.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Optional, Sequence
 from .coxeter import StarTree, coxeter_polynomial, p_polynomial, qrs_blocks
 from .factorize import (
     CYCLOTOMIC_ONLY,
+    ORDER_BOUND_FACTOR,
     CertificationError,
     ClassificationError,
     factor_coxeter,
@@ -26,7 +28,13 @@ from .factorize import (
     salem_degree_lower_bound,
     verify_mann,
 )
-from .roots import NoSignChange, certify_tree, converge_general, converge_mbonacci
+from .roots import (
+    NoSignChange,
+    NonConvergence,
+    certify_tree,
+    converge_general,
+    converge_mbonacci,
+)
 from .scan import PeriodicityViolation, grid_verify, periodicity_scan
 
 USAGE_ERROR = 2
@@ -210,7 +218,7 @@ def _cmd_converge(args, parser) -> int:
 def _cmd_scan(args, parser) -> int:
     k_max = args.k_max
     if args.full_bound:
-        k_max = 420 * (args.eta + args.a0 - 1)
+        k_max = ORDER_BOUND_FACTOR * (args.eta + args.a0 - 1)
     records = periodicity_scan(args.a0, args.eta, k_max, _parse_range(args.a1))
     rows = [
         [args.a0, args.eta, rec.arms[1], rec.k, rec.a1_mod_k, int(rec.divides)]
@@ -333,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--digits must be at least 10")
     try:
         return args.func(args, parser)
-    except (ClassificationError, PeriodicityViolation) as exc:
+    except (ClassificationError, PeriodicityViolation, NonConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except (ValueError, CertificationError) as exc:

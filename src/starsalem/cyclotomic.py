@@ -18,6 +18,10 @@ should instantiate their own table.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from .intpoly import IntPoly
 
 
@@ -44,13 +48,37 @@ def _compose_x_pow(f: IntPoly, k: int) -> IntPoly:
     return IntPoly.from_coeffs(cs)
 
 
+def _phi_sieve(size: int) -> np.ndarray:
+    """phi(k) for k = 0..size-1 (phi(0) slot is 0).
+
+    Starts from phi(k) = k and applies phi(k) -= phi(k) / p once for every
+    prime p dividing k; each division is exact whatever the order in which
+    the primes are applied. Primes up to sqrt(size) update all their
+    multiples by slicing; a larger prime divides k at most once, so those
+    are applied one cofactor m at a time, to all p*m < size together.
+    """
+    phi = np.arange(size, dtype=np.int64)
+    is_prime = np.ones(size, dtype=bool)
+    is_prime[:2] = False
+    root = math.isqrt(size - 1) if size > 1 else 0
+    for p in range(2, root + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+            phi[p::p] -= phi[p::p] // p
+    large = np.flatnonzero(is_prime[root + 1 :]) + root + 1
+    for m in range(1, (size - 1) // (root + 1) + 1):
+        ps = large[: np.searchsorted(large, (size - 1) // m, side="right")]
+        phi[ps * m] -= phi[ps * m] // ps
+    return phi
+
+
 class CyclotomicTable:
     """Memoized generator for cyclotomic polynomials and phi values."""
 
     def __init__(self) -> None:
         self._cache: dict[int, IntPoly] = {1: IntPoly.from_coeffs([-1, 1])}
-        self._phi_sums: list[int] = [0, 1]  # prefix sums, index B -> sum_{k<=B} phi(k)
-        self._phi_sieve: list[int] = [0, 1]
+        self._phi_sieve = np.array([0, 1], dtype=np.int64)
+        self._phi_sums = np.cumsum(self._phi_sieve)  # index B -> sum_{k<=B} phi(k)
 
     # ------------------------------------------------------------------
     def cyclotomic(self, n: int) -> IntPoly:
@@ -86,19 +114,11 @@ class CyclotomicTable:
         if b < len(self._phi_sums):
             return
         size = max(b, 2 * (len(self._phi_sieve) - 1)) + 1
-        phi = list(range(size))
-        for p in range(2, size):
-            if phi[p] == p:  # p prime
-                for k in range(p, size, p):
-                    phi[k] -= phi[k] // p
-        self._phi_sieve = phi
-        sums = [0] * size
-        for k in range(1, size):
-            sums[k] = sums[k - 1] + phi[k]
-        self._phi_sums = sums
+        self._phi_sieve = _phi_sieve(size)
+        self._phi_sums = np.cumsum(self._phi_sieve)
 
-    def phi_values(self, b: int) -> list[int]:
-        """phi(k) for k = 0..b as a list (phi(0) slot is 0)."""
+    def phi_values(self, b: int) -> np.ndarray:
+        """phi(k) for k = 0..b as an int64 array (phi(0) slot is 0)."""
         self._grow_phi(b)
         return self._phi_sieve[: b + 1]
 
@@ -107,7 +127,7 @@ class CyclotomicTable:
         if b < 1:
             raise ValueError("bound must be >= 1")
         self._grow_phi(b)
-        return self._phi_sums[b]
+        return int(self._phi_sums[b])
 
     def divides_coxeter(self, k: int, f: IntPoly) -> bool:
         """True when Phi_k divides f.

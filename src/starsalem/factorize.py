@@ -3,14 +3,18 @@
 ``factor_coxeter`` splits R_T into a product of cyclotomic polynomials
 times a remainder and classifies the remainder (Salem, quadratic Pisot,
 cyclotomic-only, or outside the strictly-ordered hypotheses). The sieve
-tries every order k up to the bound 420*(a2 - a1 + a0 - 1), which is
-where any root of unity killing P must live for strictly ordered
-three-arm trees.
+caps orders at the bound 420*(a2 - a1 + a0 - 1), which is where any root
+of unity killing P must live for strictly ordered three-arm trees.
 
-The sieve is exact: a fast floating-point screen discards orders whose
-evaluation at a primitive root is provably nonzero (the screen carries a
-rigorous rounding-error bound), and every surviving candidate is settled
-by exact integer division. Outcomes never depend on the float path.
+Every question of the form "which orders k have Phi_k | f" goes through
+one primitive, ``cyclotomic_divisors``, used by the sieve, by
+``first_cyclotomic_divisor``, by the periodicity scan and by
+``verify_mann``. Its candidates are the orders under the cap with
+phi(k) <= deg f, read off the phi sieve. One vectorised float screen
+evaluates f at every candidate's primitive root and discards the orders
+whose value is provably nonzero (it carries a rigorous rounding-error
+bound), and every survivor is settled by exact integer division.
+Outcomes never depend on the float path.
 
 ``multiplicity_bound`` certifies the effectively computable bound m on
 root multiplicities of P on the unit circle: a positive rational lower
@@ -131,21 +135,42 @@ def order_bound(a0: int, a1: int, a2: int) -> int:
     return ORDER_BOUND_FACTOR * (a2 - a1 + a0 - 1)
 
 
-def _certified_nonzero_at_root(f: IntPoly, k: int) -> bool:
-    """True when f(zeta_k) != 0 is provable in float arithmetic.
+def cyclotomic_divisors(
+    f: IntPoly, max_order: int, table: CyclotomicTable | None = None
+) -> list[int]:
+    """Every order k <= max_order with Phi_k | f, ascending.
 
-    Two error sources, both rigorously dominated by the bound below:
-    Horner rounding at |z| = 1 (~2*deg*ulp*l1(f)) and the few-ulp
-    perturbation of the evaluation point off the true root of unity
-    (amplified by at most sum k|c_k| <= deg*l1). A value exceeding a
-    wide multiple of the bound cannot be a true zero. False means
-    "inconclusive", never "zero".
+    Screen, then settle:
+
+    1. Orders with phi(k) > deg f cannot divide; the candidates are read
+       off the table's phi sieve. Since phi(k) >= sqrt(k/2), none lies
+       above 2*deg^2.
+    2. f is evaluated at exp(2*pi*i/k) for every candidate in one
+       ``np.polyval`` call. An order is discarded only when the value
+       exceeds a rigorous bound on the float error: Horner rounding at
+       |z| = 1 (~2*deg*ulp*l1(f)) plus the few-ulp perturbation of the
+       evaluation point off the true root of unity (amplified by at most
+       sum j|c_j| <= deg*l1), with a wide margin. Above height 2^40 the
+       coefficients lose that headroom and no order is discarded.
+    3. Every survivor is settled by exact integer division.
+
+    Floats only discard orders; exact division decides every outcome.
     """
-    if f.height() > 1 << 40:  # float conversion would lose exactness headroom
-        return False
-    val = abs(f.eval_complex(cmath.exp(2j * cmath.pi / k)))
-    err = (4 * len(f.coeffs) + 8) * 2.0**-52 * f.l1()
-    return val > max(64.0 * err, 1e-9)
+    if f.is_zero():
+        raise ValueError("cannot sieve the zero polynomial")
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
+    table = table or default_table()
+    deg = f.degree()
+    cap = min(max_order, 2 * deg * deg)
+    orders = np.flatnonzero(table.phi_values(cap)[1:] <= deg) + 1
+    if orders.size and f.height() <= 1 << 40:
+        vals = np.abs(
+            np.polyval(np.array(f.coeffs[::-1], dtype=float), np.exp(2j * np.pi / orders))
+        )
+        err = (4 * len(f.coeffs) + 8) * 2.0**-52 * f.l1()
+        orders = orders[~(vals > max(64.0 * err, 1e-9))]
+    return [k for k in orders.tolist() if table.divides_coxeter(k, f)]
 
 
 def extract_cyclotomic(
@@ -154,34 +179,22 @@ def extract_cyclotomic(
     """Divide out every cyclotomic factor of order <= max_order.
 
     Returns (multiplicities, remainder) with
-    prod_k Phi_k^[m_k] * remainder == f exactly. Orders with
-    phi(k) > deg(remainder) cannot divide and are skipped outright.
+    prod_k Phi_k^[m_k] * remainder == f exactly. The orders come from one
+    ``cyclotomic_divisors`` call on f (the remainder divides f, so no
+    order outside that list can divide it); each is then divided out as
+    often as it goes.
     """
-    if f.is_zero():
-        raise ValueError("cannot sieve the zero polynomial")
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
     table = table or default_table()
-    phis = table.phi_values(max_order)
     mults: dict[int, int] = {}
     rem = f
-    for k in range(1, max_order + 1):
-        deg = rem.degree()
-        if deg < 1:
-            break
-        if phis[k] > deg:
-            continue
-        if _certified_nonzero_at_root(rem, k):
-            continue
+    for k in cyclotomic_divisors(f, max_order, table):
         phi_k = table.cyclotomic(k)
-        while True:
+        while rem.degree() >= phi_k.degree():
             try:
                 rem = rem.exact_div(phi_k)
             except NotDivisible:
                 break
             mults[k] = mults.get(k, 0) + 1
-            if rem.degree() < phis[k]:
-                break
     return mults, rem
 
 
@@ -189,17 +202,8 @@ def first_cyclotomic_divisor(
     f: IntPoly, max_order: int, table: CyclotomicTable | None = None
 ) -> Optional[int]:
     """Smallest order k <= max_order with Phi_k | f, or None."""
-    table = table or default_table()
-    phis = table.phi_values(max_order)
-    deg = f.degree()
-    for k in range(1, max_order + 1):
-        if phis[k] > deg:
-            continue
-        if _certified_nonzero_at_root(f, k):
-            continue
-        if table.cyclotomic(k).divides(f):
-            return k
-    return None
+    orders = cyclotomic_divisors(f, max_order, table)
+    return orders[0] if orders else None
 
 
 def _quadratic_has_root_above_one(f: IntPoly) -> bool:
@@ -435,16 +439,15 @@ def verify_mann(
     q: int,
     search_order: int,
     table: CyclotomicTable | None = None,
-    tol: float = 1e-9,
 ) -> list[tuple[int, complex]]:
-    """Brute-force roots of unity with a*z^p + b*z^q + c == 0.
+    """Roots of unity of order <= search_order with a*z^p + b*z^q + c == 0.
 
-    Scans every primitive root of each order n <= search_order in floats,
-    then confirms each candidate order exactly: z^p collapses to
-    z^(p mod n), so the sum vanishes at a primitive n-th root iff Phi_n
-    divides a*x^(p mod n) + b*x^(q mod n) + c over Z. Returns one
-    (order, root) pair per confirmed primitive root. Every returned
-    order divides 6*gcd(p, q).
+    Clearing negative exponents gives the integer polynomial
+    g = x^(-min(p, q, 0)) * (a*x^p + b*x^q + c), which vanishes at a
+    primitive n-th root exactly when Phi_n divides it; the orders come
+    from ``cyclotomic_divisors``. Returns one (order, root) pair per
+    primitive root of each such order. Every returned order divides
+    6*gcd(p, q).
     """
     if a == 0 or b == 0 or c == 0:
         raise ValueError("a, b, c must be nonzero")
@@ -452,24 +455,18 @@ def verify_mann(
         raise ValueError("(p, q) = (0, 0) is excluded")
     if search_order < 1:
         raise ValueError("search_order must be >= 1")
-    table = table or default_table()
-    witnesses: list[tuple[int, complex]] = []
-    for n in range(1, search_order + 1):
-        confirmed: Optional[bool] = None
-        for j in range(n):
-            if math.gcd(j, n) != 1 and n > 1:
-                continue
-            zeta = cmath.exp(2j * cmath.pi * j / n)
-            if abs(a * zeta**p + b * zeta**q + c) >= tol:
-                continue
-            if confirmed is None:
-                g = IntPoly.from_terms({p % n: a}) + IntPoly.from_terms(
-                    {q % n: b}
-                ) + IntPoly.from_coeffs([c])
-                confirmed = g.is_zero() or table.cyclotomic(n).divides(g)
-            if confirmed:
-                witnesses.append((n, zeta))
-    return witnesses
+    low = min(p, q, 0)
+    g = (
+        IntPoly.monomial(p - low, a)
+        + IntPoly.monomial(q - low, b)
+        + IntPoly.monomial(-low, c)
+    )
+    return [
+        (n, cmath.exp(2j * cmath.pi * j / n))
+        for n in cyclotomic_divisors(g, search_order, table)
+        for j in range(n)
+        if math.gcd(j, n) == 1
+    ]
 
 
 def verify_order_bound(

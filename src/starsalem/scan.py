@@ -2,10 +2,13 @@
 
 ``periodicity_scan`` tests, for fixed a0 and fixed gap eta = a2 - a1,
 which cyclotomic orders k divide the Coxeter polynomial as a1 varies.
-Whether Phi_k divides depends only on a1 mod k within such a family;
-the scan verifies that residue-class law on every record and aborts
-loudly if it ever failed, since that would falsify the underlying
-block-shift identity.
+For each a1 one ``cyclotomic_divisors`` call answers all orders up to
+k_max at once (orders with phi(k) > deg R_T are dropped, a float screen
+discards most others, exact division settles the rest), and a record is
+written for every (a1, k). Whether Phi_k divides depends only on a1 mod k
+within such a family; the scan verifies that residue-class law on every
+record and aborts loudly if it ever failed, since that would falsify the
+underlying block-shift identity.
 
 ``grid_verify`` sweeps a triple grid and re-checks every certified
 bound: the cyclotomic order cap, the multiplicity bound, the Salem
@@ -26,6 +29,7 @@ from .factorize import (
     CertificationError,
     CoxeterFactorization,
     MultiplicityBoundTrace,
+    cyclotomic_divisors,
     factor_coxeter,
     multiplicity_bound,
     order_bound,
@@ -67,10 +71,11 @@ def periodicity_scan(
     records: list[ScanRecord] = []
     seen: dict[tuple[int, int], tuple[bool, int]] = {}
     for a1 in range(lo, hi + 1):
-        rt = coxeter_polynomial(StarTree((a0, a1, a1 + eta)))
+        arms = (a0, a1, a1 + eta)
+        hits = set(cyclotomic_divisors(coxeter_polynomial(StarTree(arms)), k_max, table))
         for k in range(1, k_max + 1):
-            div = table.divides_coxeter(k, rt)
-            rec = ScanRecord(arms=(a0, a1, a1 + eta), k=k, divides=div, a1_mod_k=a1 % k)
+            div = k in hits
+            rec = ScanRecord(arms=arms, k=k, divides=div, a1_mod_k=a1 % k)
             key = (k, a1 % k)
             if key in seen:
                 prev_div, prev_a1 = seen[key]

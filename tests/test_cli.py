@@ -185,6 +185,19 @@ def test_output_to_file(tmp_path, capsys):
     assert json.loads(target.read_text())["m"] == 37
 
 
+def test_root_nonconvergence_is_a_data_error(capsys, monkeypatch):
+    import starsalem.roots as roots
+
+    def stalled(f, *args, **kwargs):
+        raise roots.NonConvergence("Aberth iteration stalled")
+
+    monkeypatch.setattr(roots, "aberth_roots", stalled)
+    rc, out, err = run(capsys, "factor", "2", "3", "7")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: Aberth iteration stalled")
+
+
 def test_digits_floor():
     with pytest.raises(SystemExit) as exc:
         main(["factor", "2", "3", "7", "--digits", "5"])

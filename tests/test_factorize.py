@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starsalem import (
     CYCLOTOMIC_ONLY,
@@ -14,6 +17,7 @@ from starsalem import (
     OrderError,
     StarTree,
     coxeter_polynomial,
+    cyclotomic_divisors,
     extract_cyclotomic,
     factor_coxeter,
     first_cyclotomic_divisor,
@@ -24,7 +28,7 @@ from starsalem import (
     verify_mann,
     verify_order_bound,
 )
-from starsalem.cyclotomic import default_table
+from starsalem.cyclotomic import CyclotomicTable, default_table
 from starsalem.factorize import classify_remainder
 
 from oracles import divides_poly
@@ -112,6 +116,125 @@ def test_remainder_purity():
             assert not divides_poly(
                 list(table.cyclotomic(k).coeffs), list(fz.salem_factor.coeffs)
             ), (arms, k)
+
+
+def brute_divisors(f, cap, table):
+    return [k for k in range(1, cap + 1) if table.cyclotomic(k).divides(f)]
+
+
+def full_cap(f):
+    # every order with phi(k) <= deg f lies below 2*deg^2; look a bit past it
+    return 2 * f.degree() ** 2 + 8
+
+
+def test_cyclotomic_divisors_grid_trees_match_brute_force():
+    table = default_table()
+    trees = [StarTree(arms) for arms in itertools.combinations(range(2, 11), 3)]
+    trees += [StarTree(arms) for arms in [(3, 3, 5), (2, 2, 2), (2, 4, 10, 11), (2, 3)]]
+    for tree in trees:
+        f = coxeter_polynomial(tree)
+        cap = full_cap(f)
+        assert cyclotomic_divisors(f, cap, table) == brute_divisors(f, cap, table), tree.arms
+
+
+def test_cyclotomic_divisors_respects_max_order():
+    f = coxeter_polynomial(StarTree((2, 3, 6)))  # Phi_1^2 Phi_2 Phi_3 Phi_5
+    assert cyclotomic_divisors(f, 100) == [1, 2, 3, 5]
+    assert cyclotomic_divisors(f, 4) == [1, 2, 3]
+    assert cyclotomic_divisors(f, 1) == [1]
+
+
+def test_cyclotomic_divisors_small_edges():
+    assert cyclotomic_divisors(poly(1, 1), 10) == [2]  # k = 2 = 2*deg^2
+    assert cyclotomic_divisors(poly(-1, 1), 10) == [1]
+    assert cyclotomic_divisors(poly(5), 10) == []
+    with pytest.raises(ValueError):
+        cyclotomic_divisors(IntPoly.zero(), 10)
+    with pytest.raises(ValueError):
+        cyclotomic_divisors(poly(1, 1), 0)
+
+
+@pytest.mark.parametrize("g", [poly(1), poly(-3), poly(2, 1), poly(1, 0, 0, 2)])
+def test_cyclotomic_divisors_planted_factor_at_phi_edge(g):
+    table = default_table()
+    f = table.cyclotomic(240) * g  # phi(240) = 64
+    cap = 480
+    found = cyclotomic_divisors(f, cap, table)
+    assert 240 in found
+    assert found == brute_divisors(f, cap, table)
+
+
+def counting_table():
+    table = CyclotomicTable()
+    settled = []
+    original = table.divides_coxeter
+
+    def divides_coxeter(k, f):
+        settled.append(k)
+        return original(k, f)
+
+    table.divides_coxeter = divides_coxeter
+    return table, settled
+
+
+def test_cyclotomic_divisors_screen_discards_most_orders():
+    table, settled = counting_table()
+    f = coxeter_polynomial(StarTree((2, 5, 40)))
+    assert cyclotomic_divisors(f, 5000, table) == [2, 5]
+    phis = table.phi_values(5000)
+    candidates = [k for k in range(1, 5001) if phis[k] <= f.degree()]
+    assert len(candidates) == 88
+    assert len(settled) < len(candidates) // 4
+
+
+def test_cyclotomic_divisors_tall_input_is_settled_exactly():
+    table, settled = counting_table()
+    tall = poly(1, 1 << 45, 0, 1)  # height > 2^40: the float screen abstains
+    f = table.cyclotomic(7) * table.cyclotomic(12) ** 2 * tall
+    cap = full_cap(f)
+    assert cyclotomic_divisors(f, cap, table) == [7, 12]
+    phis = table.phi_values(cap)
+    assert settled == [k for k in range(1, cap + 1) if phis[k] <= f.degree()]
+    assert brute_divisors(f, cap, table) == [7, 12]
+    mults, rem = extract_cyclotomic(f, cap, table)
+    assert mults == {7: 1, 12: 2} and rem == tall
+
+
+def test_cyclotomic_divisors_near_the_height_limit():
+    # the float residual at a true root grows with the height; the screen
+    # must still keep every true divisor just below 2^40
+    table = default_table()
+    rng = random.Random(5)
+    for k in (7, 60, 105, 210):
+        bound = (1 << 40) // table.cyclotomic(k).l1()
+        g = IntPoly.from_coeffs([rng.randint(-bound, bound) for _ in range(40)] + [1])
+        f = table.cyclotomic(k) * g
+        assert f.height() <= 1 << 40
+        assert cyclotomic_divisors(f, 250, table) == brute_divisors(f, 250, table) == [k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    planted=st.lists(
+        st.tuples(st.integers(1, 60), st.integers(1, 3)), max_size=4, unique_by=lambda t: t[0]
+    ),
+    g=st.lists(st.integers(-3, 3), min_size=1, max_size=7).filter(lambda cs: cs[-1] != 0),
+)
+def test_cyclotomic_divisors_random_products_match_brute_force(planted, g):
+    table = default_table()
+    f = IntPoly.from_coeffs(g)
+    for k, m in planted:
+        f = f * table.cyclotomic(k) ** m
+    cap = min(full_cap(f), 400)
+    found = cyclotomic_divisors(f, cap, table)
+    assert found == brute_divisors(f, cap, table)
+    assert {k for k, _ in planted} <= set(found)
+    mults, rem = extract_cyclotomic(f, cap, table)
+    assert sorted(mults) == found
+    prod = rem
+    for k, m in mults.items():
+        prod = prod * table.cyclotomic(k) ** m
+    assert prod == f
 
 
 # ----------------------------------------------------------------------
