@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: poly, factor, converge (mbonacci | general), scan, grid,
-bound, mann. Data goes to stdout (or --output), diagnostics to stderr.
+bound, mann. ``factor`` takes a tree with any number of arms: its sieve
+needs no order cap. Data goes to stdout (or --output), diagnostics to stderr.
 Numeric fields in machine-readable output are exact decimal strings,
 never binary floats. Exit codes: 0 success, 2 usage error, 3 for a
 classification failure, a periodicity violation or a root iteration that
@@ -125,10 +126,7 @@ def _cmd_poly(args, parser) -> int:
 
 def _cmd_factor(args, parser) -> int:
     tree = _parse_arms(args.arms, parser)
-    max_order = args.max_order
-    if tree.r != 2 and max_order is None:
-        parser.error("trees with more or fewer than three arms need --max-order")
-    fz = factor_coxeter(tree, max_order=max_order)
+    fz = factor_coxeter(tree)
     degree_lower = None
     if tree.r == 2 and tree.strictly_ordered and not tree.excluded:
         try:
@@ -172,7 +170,7 @@ def _cmd_factor(args, parser) -> int:
             or "none"
         ),
         f"remainder (degree {fz.salem_factor.degree()}): {fz.salem_factor}",
-        f"order bound used: {fz.order_bound_used}",
+        f"order bound: {fz.proven_order_bound or 'none'}",
         f"unramified: {fz.unramified}",
         f"degree lower bound: {degree_lower}",
     ]
@@ -277,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="factor R_T and certify the dominant root")
     p.add_argument("arms", nargs="+")
     p.add_argument("--digits", type=int, default=30)
-    p.add_argument("--max-order", type=int, default=None, help="sieve cap (required for r != 2)")
     p.add_argument("--json", dest="format", action="store_const", const="json")
     add_common(p)
     p.set_defaults(func=_cmd_factor)

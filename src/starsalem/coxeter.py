@@ -99,13 +99,11 @@ class BlockDecomposition:
         return self.q.shift(self.shifts[0]) + self.r.shift(self.shifts[1]) + self.s
 
 
-def p_polynomial(tree: StarTree) -> IntPoly:
-    """Exact expansion of (z-1)^(r+1) * R_T from the arm lengths."""
-    arms = tree.arms
+def _arm_product_and_sum(arms: tuple[int, ...]) -> tuple[IntPoly, IntPoly]:
+    """prod_i (z^{a_i}-1) and z sum_i (z^{a_i-1}-1) prod_{j!=i} (z^{a_j}-1)."""
     prod_all = IntPoly.one()
     for a in arms:
         prod_all = prod_all * IntPoly.x_pow_minus_one(a)
-    total = prod_all * IntPoly.from_coeffs([1, 1])
     acc = IntPoly.zero()
     for i, a in enumerate(arms):
         term = IntPoly.x_pow_minus_one(a - 1)
@@ -113,7 +111,13 @@ def p_polynomial(tree: StarTree) -> IntPoly:
             if j != i:
                 term = term * IntPoly.x_pow_minus_one(b)
         acc = acc + term
-    return total - acc.shift(1)
+    return prod_all, acc.shift(1)
+
+
+def p_polynomial(tree: StarTree) -> IntPoly:
+    """Exact expansion of (z-1)^(r+1) * R_T from the arm lengths."""
+    prod_all, arm_sum = _arm_product_and_sum(tree.arms)
+    return prod_all * IntPoly.from_coeffs([1, 1]) - arm_sum
 
 
 def coxeter_polynomial(tree: StarTree) -> IntPoly:
@@ -129,6 +133,21 @@ def coxeter_polynomial(tree: StarTree) -> IntPoly:
     return rt
 
 
+def block_polys(a0: int, delta: int) -> tuple[IntPoly, IntPoly, IntPoly]:
+    """The Q, R, S blocks, which depend only on a0 and delta = a2 - a1."""
+    q = IntPoly.monomial(a0 + 1) + IntPoly.monomial(a0, -2) + IntPoly.one()
+    # built by polynomial addition: the exponents delta and a0-1 may
+    # coincide, and the colliding terms must cancel
+    r = (
+        IntPoly.monomial(delta + a0 - 1)
+        + IntPoly.monomial(delta, -1)
+        + IntPoly.monomial(a0 - 1)
+        - IntPoly.one()
+    )
+    s = IntPoly.monomial(a0 + 1, -1) + IntPoly.monomial(1, 2) - IntPoly.one()
+    return q, r, s
+
+
 def qrs_blocks(tree: StarTree) -> BlockDecomposition:
     """Closed-form Q, R, S blocks for a strictly ordered three-arm tree."""
     if tree.r != 2:
@@ -136,16 +155,7 @@ def qrs_blocks(tree: StarTree) -> BlockDecomposition:
     if not tree.strictly_ordered:
         raise OrderError(f"arms must satisfy a0 < a1 < a2, got {tree.arms}")
     a0, a1, a2 = tree.arms
-    q = IntPoly.monomial(a0 + 1) + IntPoly.monomial(a0, -2) + IntPoly.one()
-    # built by polynomial addition: the exponents a2-a1 and a0-1 may
-    # coincide, and the colliding terms must cancel
-    r = (
-        IntPoly.monomial(a2 - a1 + a0 - 1)
-        + IntPoly.monomial(a2 - a1, -1)
-        + IntPoly.monomial(a0 - 1)
-        - IntPoly.one()
-    )
-    s = IntPoly.monomial(a0 + 1, -1) + IntPoly.monomial(1, 2) - IntPoly.one()
+    q, r, s = block_polys(a0, a2 - a1)
     blocks = BlockDecomposition(q=q, r=r, s=s, shifts=(a1 + a2, a1 + 1))
     if blocks.reconstruct() != p_polynomial(tree):
         raise InternalInconsistency(f"block identity failed for arms {tree.arms}")
@@ -172,17 +182,8 @@ def limit_polynomial(prefix_arms: tuple[int, ...], r: int) -> IntPoly:
         raise ValueError("arm lengths must be >= 2")
     if any(a >= b for a, b in zip(prefix, prefix[1:])):
         raise OrderError(f"prefix arms must be strictly increasing, got {prefix}")
-    first = IntPoly.from_coeffs([1 - r + k, 1])
-    for a in prefix:
-        first = first * IntPoly.x_pow_minus_one(a)
-    acc = IntPoly.zero()
-    for i, a in enumerate(prefix):
-        term = IntPoly.x_pow_minus_one(a - 1)
-        for j, b in enumerate(prefix):
-            if j != i:
-                term = term * IntPoly.x_pow_minus_one(b)
-        acc = acc + term
-    return first - acc.shift(1)
+    prod_all, arm_sum = _arm_product_and_sum(prefix)
+    return prod_all * IntPoly.from_coeffs([1 - r + k, 1]) - arm_sum
 
 
 def mbonacci_poly(m: int) -> IntPoly:

@@ -38,6 +38,28 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+def phi_inverse_bound(d: int) -> int:
+    """An upper bound, exact and float-free, on every k with phi(k) <= d.
+
+    Let p_1 < p_2 < ... be the primes and w the largest count with
+    prod_{i<=w} (p_i - 1) <= d; the bound is d * prod p_i // prod (p_i - 1).
+    Proof: if k has s distinct primes q_1 < ... < q_s, then
+    d >= phi(k) >= prod (q_i - 1) >= prod_{i<=s} (p_i - 1), so s <= w; and
+    k = phi(k) * prod q_i/(q_i - 1) <= d * prod_{i<=w} p_i/(p_i - 1), since
+    p/(p-1) > 1 falls as p grows.
+    """
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    num = den = 1
+    p = 2
+    while den * (p - 1) <= d:
+        num, den = num * p, den * (p - 1)
+        p += 1
+        while _factorize(p) != {p: 1}:
+            p += 1
+    return d * num // den
+
+
 def _compose_x_pow(f: IntPoly, k: int) -> IntPoly:
     """f(x^k): spreads coefficients, no arithmetic."""
     if k == 1:

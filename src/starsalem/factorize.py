@@ -3,18 +3,20 @@
 ``factor_coxeter`` splits R_T into a product of cyclotomic polynomials
 times a remainder and classifies the remainder (Salem, quadratic Pisot,
 cyclotomic-only, or outside the strictly-ordered hypotheses). The sieve
-caps orders at the bound 420*(a2 - a1 + a0 - 1), which is where any root
-of unity killing P must live for strictly ordered three-arm trees.
+takes no order cap: only orders with phi(k) <= deg R_T can divide, and
+they all lie under the exact bound ``phi_inverse_bound(deg R_T)``. So the
+paper's order bound 420*(a2 - a1 + a0 - 1) for strictly ordered
+three-arm trees is checked against what the sieve finds
+(``verify_order_bound``), never used to limit it.
 
 Every question of the form "which orders k have Phi_k | f" goes through
-one primitive, ``cyclotomic_divisors``, used by the sieve, by
-``first_cyclotomic_divisor``, by the periodicity scan and by
-``verify_mann``. Its candidates are the orders under the cap with
-phi(k) <= deg f, read off the phi sieve. One vectorised float screen
-evaluates f at every candidate's primitive root and discards the orders
-whose value is provably nonzero (it carries a rigorous rounding-error
-bound), and every survivor is settled by exact integer division.
-Outcomes never depend on the float path.
+one primitive, ``cyclotomic_divisors``, used by the sieve, by the
+periodicity scan and by ``verify_mann``. Its candidates are the orders
+with phi(k) <= deg f (under an optional cap), read off the phi sieve.
+One vectorised float screen evaluates f at every candidate's primitive
+root and discards the orders whose value is provably nonzero (it carries
+a rigorous rounding-error bound), and every survivor is settled by exact
+integer division. Outcomes never depend on the float path.
 
 ``multiplicity_bound`` certifies the effectively computable bound m on
 root multiplicities of P on the unit circle: a positive rational lower
@@ -34,8 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cyclotomic import CyclotomicTable, default_table
-from .coxeter import ArityError, OrderError, StarTree, coxeter_polynomial
+from .cyclotomic import CyclotomicTable, default_table, phi_inverse_bound
+from .coxeter import ArityError, OrderError, StarTree, block_polys, coxeter_polynomial
 from .intpoly import IntPoly, NotDivisible
 
 ORDER_BOUND_FACTOR = 420
@@ -63,10 +65,15 @@ class CoxeterFactorization:
     cyclotomic_factors: dict[int, int]  # order -> multiplicity
     salem_factor: IntPoly
     classification: str
-    order_bound_used: int
     max_observed_order: int
     max_observed_multiplicity: int
     unramified: bool
+
+    @property
+    def proven_order_bound(self) -> Optional[int]:
+        """The paper's order bound for a2 > a1 > a0 > 1, else None."""
+        a = self.arms
+        return order_bound(*a) if len(a) == 3 and a[0] < a[1] < a[2] else None
 
     def to_json_dict(self, degree_lower_bound: Optional[int] = None) -> dict:
         return {
@@ -80,7 +87,7 @@ class CoxeterFactorization:
             "salem_degree": int(self.salem_factor.degree())
             if not self.salem_factor.is_zero()
             else 0,
-            "order_bound": self.order_bound_used,
+            "order_bound": self.proven_order_bound,
             "degree_lower_bound": degree_lower_bound,
             "unramified": self.unramified,
         }
@@ -118,6 +125,13 @@ class MultiplicityBoundTrace:
 
 
 def _fraction_str(x: Fraction, places: int = 12) -> str:
+    """Fixed-point decimal string, truncated toward zero.
+
+    ``eta_lower`` is a lower bound and must never print rounded up, so
+    this is kept apart from ``roots.fraction_to_decimal``, which rounds to
+    nearest: ``bound 2 1`` prints 0.997699028622, where rounding would
+    give 0.997699028623.
+    """
     scale = 10**places
     q, r = divmod(abs(x.numerator) * scale, x.denominator)
     sign = "-" if x < 0 else ""
@@ -136,15 +150,15 @@ def order_bound(a0: int, a1: int, a2: int) -> int:
 
 
 def cyclotomic_divisors(
-    f: IntPoly, max_order: int, table: CyclotomicTable | None = None
+    f: IntPoly, max_order: Optional[int] = None, table: CyclotomicTable | None = None
 ) -> list[int]:
-    """Every order k <= max_order with Phi_k | f, ascending.
+    """Every order k with Phi_k | f (and k <= max_order, if given), ascending.
 
     Screen, then settle:
 
     1. Orders with phi(k) > deg f cannot divide; the candidates are read
-       off the table's phi sieve. Since phi(k) >= sqrt(k/2), none lies
-       above 2*deg^2.
+       off the table's phi sieve, which never has to reach past
+       ``phi_inverse_bound(deg f)``.
     2. f is evaluated at exp(2*pi*i/k) for every candidate in one
        ``np.polyval`` call. An order is discarded only when the value
        exceeds a rigorous bound on the float error: Horner rounding at
@@ -158,11 +172,13 @@ def cyclotomic_divisors(
     """
     if f.is_zero():
         raise ValueError("cannot sieve the zero polynomial")
-    if max_order < 1:
+    if max_order is not None and max_order < 1:
         raise ValueError("max_order must be >= 1")
     table = table or default_table()
     deg = f.degree()
-    cap = min(max_order, 2 * deg * deg)
+    cap = phi_inverse_bound(deg)
+    if max_order is not None:
+        cap = min(cap, max_order)
     orders = np.flatnonzero(table.phi_values(cap)[1:] <= deg) + 1
     if orders.size and f.height() <= 1 << 40:
         vals = np.abs(
@@ -174,9 +190,9 @@ def cyclotomic_divisors(
 
 
 def extract_cyclotomic(
-    f: IntPoly, max_order: int, table: CyclotomicTable | None = None
+    f: IntPoly, table: CyclotomicTable | None = None
 ) -> tuple[dict[int, int], IntPoly]:
-    """Divide out every cyclotomic factor of order <= max_order.
+    """Divide out every cyclotomic factor of f.
 
     Returns (multiplicities, remainder) with
     prod_k Phi_k^[m_k] * remainder == f exactly. The orders come from one
@@ -187,7 +203,7 @@ def extract_cyclotomic(
     table = table or default_table()
     mults: dict[int, int] = {}
     rem = f
-    for k in cyclotomic_divisors(f, max_order, table):
+    for k in cyclotomic_divisors(f, table=table):
         phi_k = table.cyclotomic(k)
         while rem.degree() >= phi_k.degree():
             try:
@@ -196,14 +212,6 @@ def extract_cyclotomic(
                 break
             mults[k] = mults.get(k, 0) + 1
     return mults, rem
-
-
-def first_cyclotomic_divisor(
-    f: IntPoly, max_order: int, table: CyclotomicTable | None = None
-) -> Optional[int]:
-    """Smallest order k <= max_order with Phi_k | f, or None."""
-    orders = cyclotomic_divisors(f, max_order, table)
-    return orders[0] if orders else None
 
 
 def _quadratic_has_root_above_one(f: IntPoly) -> bool:
@@ -245,27 +253,12 @@ def classify_remainder(rem: IntPoly, strictly_ordered: bool = True) -> str:
 
 
 def factor_coxeter(
-    tree: StarTree,
-    max_order: Optional[int] = None,
-    table: CyclotomicTable | None = None,
+    tree: StarTree, table: CyclotomicTable | None = None
 ) -> CoxeterFactorization:
-    """Sieve R_T and classify what is left.
-
-    For strictly ordered three-arm trees the sieve cap is the proven
-    order bound. For every other tree a cap must be supplied by the
-    caller (three-arm trees with repeated lengths fall back to the same
-    formula on sorted arms, as a heuristic only).
-    """
+    """Sieve every cyclotomic factor out of R_T and classify what is left."""
     table = table or default_table()
-    if max_order is None:
-        if tree.r != 2:
-            raise ValueError(
-                "no proven order bound for r != 2; pass max_order explicitly"
-            )
-        s0, s1, s2 = sorted(tree.arms)
-        max_order = ORDER_BOUND_FACTOR * max(s2 - s1 + s0 - 1, 1)
     rt = coxeter_polynomial(tree)
-    mults, rem = extract_cyclotomic(rt, max_order, table)
+    mults, rem = extract_cyclotomic(rt, table)
     classification = classify_remainder(rem, tree.strictly_ordered)
     unramified = abs(rem.eval_int(1)) == 1 and abs(rem.eval_int(-1)) == 1
     return CoxeterFactorization(
@@ -273,7 +266,6 @@ def factor_coxeter(
         cyclotomic_factors=dict(sorted(mults.items())),
         salem_factor=rem,
         classification=classification,
-        order_bound_used=max_order,
         max_observed_order=max(mults, default=0),
         max_observed_multiplicity=max(mults.values(), default=0),
         unramified=unramified,
@@ -329,10 +321,6 @@ def _certified_circle_min(
     )
 
 
-def _z_minus_one() -> IntPoly:
-    return IntPoly.from_coeffs([-1, 1])
-
-
 def multiplicity_bound(
     a0: int,
     delta: int,
@@ -356,19 +344,8 @@ def multiplicity_bound(
         raise ValueError("a0 must be >= 2")
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    one = _z_minus_one()
-    q_block = IntPoly.monomial(a0 + 1) + IntPoly.monomial(a0, -2) + IntPoly.one()
-    # exponents delta and a0-1 may coincide; build by addition so they cancel
-    r_block = (
-        IntPoly.monomial(delta + a0 - 1)
-        + IntPoly.monomial(delta, -1)
-        + IntPoly.monomial(a0 - 1)
-        - IntPoly.one()
-    )
-    s_block = IntPoly.monomial(a0 + 1, -1) + IntPoly.monomial(1, 2) - IntPoly.one()
-    q_tilde = q_block.exact_div(one)
-    r_tilde = r_block.exact_div(one)
-    s_tilde = s_block.exact_div(one)
+    one = IntPoly.from_coeffs([-1, 1])
+    q_tilde, r_tilde, s_tilde = (b.exact_div(one) for b in block_polys(a0, delta))
 
     eta_lower, grid_points = _certified_circle_min(q_tilde, start_grid, max_grid)
     f0_upper = r_tilde.l1()
@@ -472,7 +449,10 @@ def verify_mann(
 def verify_order_bound(
     tree: StarTree, table: CyclotomicTable | None = None
 ) -> bool:
-    """True when every cyclotomic order found in R_T obeys the cap."""
+    """True when every cyclotomic order found in R_T obeys the paper's bound.
+
+    The sieve looks at every order that could divide, so this can fail.
+    """
     if tree.r != 2 or not tree.strictly_ordered:
         raise OrderError("order bound is proven only for a2 > a1 > a0 > 1")
     if tree.excluded:

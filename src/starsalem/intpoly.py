@@ -213,28 +213,34 @@ class IntPoly:
     # ------------------------------------------------------------------
     # evaluation and calculus
     # ------------------------------------------------------------------
-    def eval_int(self, v: Rational) -> Rational:
-        """Exact Horner evaluation at an integer or Fraction point."""
-        acc: Rational = 0
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
-
-    def sign_at(self, v: Rational) -> int:
-        """Exact sign of the value at a rational point (-1, 0 or 1).
-
-        Works in pure integer arithmetic: the value is scaled by the
-        (positive) denominator power, which preserves the sign.
-        """
-        x = Fraction(v)
-        p, q = x.numerator, x.denominator
+    def _scaled_value(self, p: int, q: int) -> tuple[int, int]:
+        """(q^deg * f(p/q), q^deg) for q > 0, by integer Horner steps."""
         if not self.coeffs:
-            return 0
+            return 0, 1
         acc = self.coeffs[-1]
         qq = 1
         for c in reversed(self.coeffs[:-1]):
             qq *= q
             acc = acc * p + c * qq
+        return acc, qq
+
+    def eval_int(self, v: Rational) -> Rational:
+        """Exact value at an integer or Fraction point.
+
+        A Fraction point is evaluated in integers and normalized once at
+        the end, not once per Horner step.
+        """
+        acc, qq = self._scaled_value(v.numerator, v.denominator)
+        return acc if isinstance(v, int) else Fraction(acc, qq)
+
+    def sign_at(self, v: Rational) -> int:
+        """Exact sign of the value at a rational point (-1, 0 or 1).
+
+        The value is scaled by the (positive) denominator power, which
+        preserves the sign.
+        """
+        x = Fraction(v)
+        acc, _ = self._scaled_value(x.numerator, x.denominator)
         return (acc > 0) - (acc < 0)
 
     def eval_complex(self, z: complex) -> complex:

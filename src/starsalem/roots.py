@@ -84,19 +84,6 @@ def _decimal_clip(x: Fraction, places: int) -> Fraction:
     return Fraction(round(x * scale), scale)
 
 
-def _eval_fraction(f: IntPoly, x: Fraction) -> Fraction:
-    """Exact f(x) with a single rational normalization at the end."""
-    if not f.coeffs:
-        return Fraction(0)
-    p, q = x.numerator, x.denominator
-    acc = f.coeffs[-1]
-    qq = 1
-    for c in reversed(f.coeffs[:-1]):
-        qq *= q
-        acc = acc * p + c * qq
-    return Fraction(acc, qq)
-
-
 def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     """The real root of f in (1, infinity), to ``digits`` decimal places.
 
@@ -150,10 +137,10 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     df = f.derivative(1)
     x = (lo + hi) / 2
     for _ in range(120):
-        fx = _eval_fraction(f, x)
+        fx = f.eval_int(x)
         if fx == 0:
             return x, (x, x)
-        dfx = _eval_fraction(df, x)
+        dfx = df.eval_int(x)
         nxt = x - fx / dfx if dfx else None
         if nxt is None or not (lo < nxt < hi):
             exact = bisect_once()
@@ -201,6 +188,11 @@ def _resolved_places(width: Fraction) -> int:
     return k
 
 
+def _describe(f: IntPoly) -> str:
+    """Short name for f in messages: its degree and height, not its terms."""
+    return f"a degree-{f.degree()} polynomial of height {f.height()}"
+
+
 def aberth_roots(f: IntPoly, tol: float = 1e-13, max_iter: int = 500) -> np.ndarray:
     """All complex roots via simultaneous Aberth iteration, double precision.
 
@@ -228,7 +220,7 @@ def aberth_roots(f: IntPoly, tol: float = 1e-13, max_iter: int = 500) -> np.ndar
         if np.all(np.abs(w) <= tol * (1.0 + np.abs(z))):
             break
     else:
-        raise NonConvergence(f"Aberth iteration stalled on {f}")
+        raise NonConvergence(f"Aberth iteration stalled on {_describe(f)}")
     for _ in range(3):
         fz = np.polyval(cs, z)
         dfz = np.polyval(dcs, z)
@@ -236,7 +228,7 @@ def aberth_roots(f: IntPoly, tol: float = 1e-13, max_iter: int = 500) -> np.ndar
         z = z - fz / dfz
     scale = float(f.l1()) * np.maximum(1.0, np.abs(z)) ** deg
     if np.any(np.abs(np.polyval(cs, z)) > 1e-10 * scale):
-        raise NonConvergence(f"root residuals above tolerance for {f}")
+        raise NonConvergence(f"root residuals above tolerance for {_describe(f)}")
     return z
 
 

@@ -11,7 +11,8 @@ record and aborts loudly if it ever failed, since that would falsify the
 underlying block-shift identity.
 
 ``grid_verify`` sweeps a triple grid and re-checks every certified
-bound: the cyclotomic order cap, the multiplicity bound, the Salem
+bound: the paper's cyclotomic order bound (against the orders an uncapped
+sieve finds, so the check can fail), the multiplicity bound, the Salem
 degree lower bound (when it is informative), and the bridge
 sqrt(tau) + 1/sqrt(tau) = lambda between the dominant root and the
 tree's spectral radius.

@@ -21,9 +21,9 @@ from starsalem import (
     coxeter_polynomial,
     converge_general,
     converge_mbonacci,
+    cyclotomic_divisors,
     dominant_root,
     factor_coxeter,
-    first_cyclotomic_divisor,
     multiplicity_bound,
     order_bound,
     p_polynomial,
@@ -74,9 +74,8 @@ def test_criterion_02_decomposition_exact(grid_data):
             prod = prod * table.cyclotomic(k) ** mult
         assert prod == rt, f"reassembly failed for {arms}"
         assert (
-            first_cyclotomic_divisor(fz.salem_factor, fz.order_bound_used, table)
-            is None
-        ), f"remainder of {arms} still divisible below {fz.order_bound_used}"
+            cyclotomic_divisors(fz.salem_factor, table=table) == []
+        ), f"remainder of {arms} still has a cyclotomic factor"
     elapsed = time.perf_counter() - start + grid_data["factor_seconds"]
     assert elapsed < 300.0, f"decomposition work took {elapsed:.1f}s, budget 300s"
     _ok(
@@ -160,9 +159,8 @@ def test_criterion_05_lambda_tau_bridge(grid_data):
 def test_criterion_06_order_bound(grid_data):
     max_seen = 0
     for arms, fz in grid_data["factorizations"].items():
-        bound = order_bound(*arms)
-        assert fz.order_bound_used == bound
-        assert fz.max_observed_order <= bound, arms
+        # the sieve takes no cap, so this compares found orders with the bound
+        assert fz.max_observed_order <= order_bound(*arms), arms
         max_seen = max(max_seen, fz.max_observed_order)
     _ok(6, f"zero violations; largest observed cyclotomic order = {max_seen}")
 

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -96,12 +98,14 @@ def test_factor_text(capsys):
     rc, out, _ = run(capsys, "factor", "2", "3", "7")
     assert rc == 0
     assert "tau: 1.176280818" in out
+    assert "order bound: 2100\n" in out
 
 
-def test_factor_four_arms_needs_cap():
-    with pytest.raises(SystemExit) as exc:
-        main(["factor", "2", "4", "10", "11"])
-    assert exc.value.code == 2
+def test_factor_four_arms_needs_no_cap(capsys):
+    rc, out, _ = run(capsys, "factor", "2", "4", "10", "11")
+    assert rc == 0
+    assert "classification: Salem" in out
+    assert "order bound: none\n" in out
 
 
 def test_converge_mbonacci_csv(capsys):
@@ -196,6 +200,24 @@ def test_root_nonconvergence_is_a_data_error(capsys, monkeypatch):
     assert rc == 3
     assert out == ""
     assert err.startswith("error: Aberth iteration stalled")
+
+
+def readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("starsalem ")
+    ]
+
+
+def test_readme_command_examples_run(capsys):
+    commands = readme_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_digits_floor():

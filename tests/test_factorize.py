@@ -20,7 +20,6 @@ from starsalem import (
     cyclotomic_divisors,
     extract_cyclotomic,
     factor_coxeter,
-    first_cyclotomic_divisor,
     multiplicity_bound,
     order_bound,
     phi_sum,
@@ -28,7 +27,7 @@ from starsalem import (
     verify_mann,
     verify_order_bound,
 )
-from starsalem.cyclotomic import CyclotomicTable, default_table
+from starsalem.cyclotomic import CyclotomicTable, default_table, phi_inverse_bound
 from starsalem.factorize import classify_remainder
 
 from oracles import divides_poly
@@ -63,13 +62,13 @@ def test_order_bound_rejects_bad_ordering():
 # ----------------------------------------------------------------------
 
 def test_extract_simple():
-    mults, rem = extract_cyclotomic(poly(-1, 0, 1), 2)
+    mults, rem = extract_cyclotomic(poly(-1, 0, 1))
     assert mults == {1: 1, 2: 1}
     assert rem == IntPoly.one()
 
 
 def test_extract_lehmer_has_no_cyclotomic_part():
-    mults, rem = extract_cyclotomic(LEHMER, 2100)
+    mults, rem = extract_cyclotomic(LEHMER)
     assert mults == {}
     assert rem == LEHMER
 
@@ -77,18 +76,18 @@ def test_extract_lehmer_has_no_cyclotomic_part():
 def test_extract_excluded_triples():
     # frozen from an independent sieve run
     table = default_table()
-    mults, rem = extract_cyclotomic(coxeter_polynomial(StarTree((2, 3, 4))), 840, table)
+    mults, rem = extract_cyclotomic(coxeter_polynomial(StarTree((2, 3, 4))), table)
     assert mults == {2: 1, 18: 1} and rem == IntPoly.one()
-    mults, rem = extract_cyclotomic(coxeter_polynomial(StarTree((2, 3, 5))), 840, table)
+    mults, rem = extract_cyclotomic(coxeter_polynomial(StarTree((2, 3, 5))), table)
     assert mults == {30: 1} and rem == IntPoly.one()
-    mults, rem = extract_cyclotomic(coxeter_polynomial(StarTree((2, 3, 6))), 840, table)
+    mults, rem = extract_cyclotomic(coxeter_polynomial(StarTree((2, 3, 6))), table)
     assert mults == {1: 2, 2: 1, 3: 1, 5: 1} and rem == IntPoly.one()
 
 
 def test_extract_respects_multiplicity():
     table = default_table()
     f = table.cyclotomic(4) ** 3 * table.cyclotomic(5) * poly(-2, 0, 1)
-    mults, rem = extract_cyclotomic(f, 10, table)
+    mults, rem = extract_cyclotomic(f, table)
     assert mults == {4: 3, 5: 1}
     assert rem == poly(-2, 0, 1)
 
@@ -99,7 +98,7 @@ def test_extract_reassembles_exactly():
     for _ in range(15):
         arms = sorted(rng.sample(range(2, 20), 3))
         f = coxeter_polynomial(StarTree(tuple(arms)))
-        mults, rem = extract_cyclotomic(f, 500, table)
+        mults, rem = extract_cyclotomic(f, table)
         prod = rem
         for k, m in mults.items():
             prod = prod * table.cyclotomic(k) ** m
@@ -110,7 +109,7 @@ def test_remainder_purity():
     table = default_table()
     for arms in [(2, 3, 7), (2, 4, 9), (3, 7, 11)]:
         fz = factor_coxeter(StarTree(arms), table=table)
-        assert first_cyclotomic_divisor(fz.salem_factor, fz.order_bound_used, table) is None
+        assert cyclotomic_divisors(fz.salem_factor, table=table) == []
         # independent naive re-check on small orders
         for k in range(1, 40):
             assert not divides_poly(
@@ -127,19 +126,37 @@ def full_cap(f):
     return 2 * f.degree() ** 2 + 8
 
 
+def test_phi_inverse_bound_covers_every_inverse_phi():
+    # phi(k) >= sqrt(k/2), so a sieve to 2*500^2 sees every k with phi(k) <= 500
+    top = 500
+    phis = default_table().phi_values(2 * top * top)
+    largest = [0] * (top + 1)  # largest[d] = max{k : phi(k) == d}
+    for k in range(1, phis.size):
+        if phis[k] <= top:
+            largest[phis[k]] = k
+    worst = 0
+    for d in range(top + 1):
+        worst = max(worst, largest[d])  # now max{k : phi(k) <= d}
+        assert worst <= phi_inverse_bound(d) <= 1.5 * worst, d
+    assert phi_inverse_bound(58) == 253 and phi_inverse_bound(1048) == 5043
+    with pytest.raises(ValueError):
+        phi_inverse_bound(-1)
+
+
 def test_cyclotomic_divisors_grid_trees_match_brute_force():
     table = default_table()
     trees = [StarTree(arms) for arms in itertools.combinations(range(2, 11), 3)]
     trees += [StarTree(arms) for arms in [(3, 3, 5), (2, 2, 2), (2, 4, 10, 11), (2, 3)]]
     for tree in trees:
         f = coxeter_polynomial(tree)
-        cap = full_cap(f)
-        assert cyclotomic_divisors(f, cap, table) == brute_divisors(f, cap, table), tree.arms
+        brute = brute_divisors(f, full_cap(f), table)
+        assert cyclotomic_divisors(f, table=table) == brute, tree.arms
+        assert cyclotomic_divisors(f, full_cap(f), table) == brute, tree.arms
 
 
 def test_cyclotomic_divisors_respects_max_order():
     f = coxeter_polynomial(StarTree((2, 3, 6)))  # Phi_1^2 Phi_2 Phi_3 Phi_5
-    assert cyclotomic_divisors(f, 100) == [1, 2, 3, 5]
+    assert cyclotomic_divisors(f) == cyclotomic_divisors(f, 100) == [1, 2, 3, 5]
     assert cyclotomic_divisors(f, 4) == [1, 2, 3]
     assert cyclotomic_divisors(f, 1) == [1]
 
@@ -192,11 +209,11 @@ def test_cyclotomic_divisors_tall_input_is_settled_exactly():
     tall = poly(1, 1 << 45, 0, 1)  # height > 2^40: the float screen abstains
     f = table.cyclotomic(7) * table.cyclotomic(12) ** 2 * tall
     cap = full_cap(f)
-    assert cyclotomic_divisors(f, cap, table) == [7, 12]
+    assert cyclotomic_divisors(f, table=table) == [7, 12]
     phis = table.phi_values(cap)
     assert settled == [k for k in range(1, cap + 1) if phis[k] <= f.degree()]
     assert brute_divisors(f, cap, table) == [7, 12]
-    mults, rem = extract_cyclotomic(f, cap, table)
+    mults, rem = extract_cyclotomic(f, table)
     assert mults == {7: 1, 12: 2} and rem == tall
 
 
@@ -229,8 +246,9 @@ def test_cyclotomic_divisors_random_products_match_brute_force(planted, g):
     found = cyclotomic_divisors(f, cap, table)
     assert found == brute_divisors(f, cap, table)
     assert {k for k, _ in planted} <= set(found)
-    mults, rem = extract_cyclotomic(f, cap, table)
-    assert sorted(mults) == found
+    mults, rem = extract_cyclotomic(f, table)
+    assert sorted(mults) == cyclotomic_divisors(f, table=table)
+    assert [k for k in mults if k <= cap] == found
     prod = rem
     for k, m in mults.items():
         prod = prod * table.cyclotomic(k) ** m
@@ -246,7 +264,7 @@ def test_factor_lehmer_tree():
     assert fz.classification == SALEM
     assert fz.salem_factor == LEHMER
     assert fz.cyclotomic_factors == {}
-    assert fz.order_bound_used == 2100
+    assert fz.proven_order_bound == 2100
     assert fz.unramified  # |S(1)| = |S(-1)| = 1
     assert fz.max_observed_order == 0 and fz.max_observed_multiplicity == 0
 
@@ -261,13 +279,17 @@ def test_factor_excluded_triples_are_cyclotomic_only():
 def test_factor_repeated_arms_outside_hypotheses():
     fz = factor_coxeter(StarTree((3, 3, 5)))
     assert fz.classification == OUTSIDE_HYPOTHESES
+    assert fz.proven_order_bound is None
+    assert fz.to_json_dict()["order_bound"] is None
 
 
-def test_factor_general_r_needs_cap():
-    with pytest.raises(ValueError):
-        factor_coxeter(StarTree((2, 4, 10, 11)))
-    fz = factor_coxeter(StarTree((2, 4, 10, 11)), max_order=500)
+def test_factor_general_r_needs_no_cap():
+    fz = factor_coxeter(StarTree((2, 4, 10, 11)))
     assert fz.classification == SALEM
+    # the same factors the former explicit cap max_order=500 gave
+    assert fz.cyclotomic_factors == {2: 2}
+    assert fz.salem_factor.degree() == 22
+    assert fz.proven_order_bound is None
 
 
 def test_salem_shape_invariants():
@@ -296,7 +318,7 @@ def test_classify_remainder_shapes():
 def test_verify_order_bound():
     assert verify_order_bound(StarTree((2, 3, 7)))
     assert verify_order_bound(StarTree((2, 4, 5)))
-    # the one order observed for (2,4,5) sits far below the 840 cap
+    # the one order the uncapped sieve finds for (2,4,5) sits far below 840
     fz = factor_coxeter(StarTree((2, 4, 5)))
     assert fz.cyclotomic_factors == {2: 1}
     assert fz.max_observed_order == 2 <= order_bound(2, 4, 5)

@@ -7,6 +7,7 @@ import pytest
 from starsalem import (
     IntPoly,
     NoSignChange,
+    NonConvergence,
     StarTree,
     aberth_roots,
     certify_tree,
@@ -105,6 +106,14 @@ def test_aberth_against_companion_matrix():
         # nearest reference root instead
         for z in mine:
             assert np.min(np.abs(ref - z)) < 1e-8
+
+
+def test_aberth_nonconvergence_message_is_short():
+    f = mbonacci_poly(1000)
+    with pytest.raises(NonConvergence) as exc:
+        aberth_roots(f, max_iter=1)
+    assert len(str(exc.value)) < 200
+    assert "degree-1000" in str(exc.value)
 
 
 def test_lehmer_unit_residual():

@@ -1,7 +1,10 @@
 import pytest
 
-from starsalem import StarTree, coxeter_polynomial, grid_verify, periodicity_scan
+from dataclasses import replace
+
+from starsalem import StarTree, coxeter_polynomial, factor_coxeter, grid_verify, periodicity_scan
 from starsalem.cyclotomic import default_table
+from starsalem.scan import _check_order
 
 from oracles import divides_poly
 
@@ -64,6 +67,18 @@ def test_grid_verify_small():
     assert summary["max_observed_order"] >= 1
     # every triple got a bridge verdict
     assert summary["bridge_pass"] == 32
+
+
+def test_order_check_fails_on_an_order_past_the_bound():
+    tree = StarTree((2, 4, 5))  # order bound 840
+    fz = factor_coxeter(tree)
+    summary = {"order_bound_pass": 0, "order_bound_fail": 0, "failures": []}
+    _check_order(tree, fz, summary)
+    _check_order(tree, replace(fz, max_observed_order=840), summary)
+    assert summary["order_bound_pass"] == 2 and summary["failures"] == []
+    _check_order(tree, replace(fz, max_observed_order=841), summary)
+    assert summary["order_bound_fail"] == 1
+    assert summary["failures"] == [{"arms": [2, 4, 5], "check": "order_bound"}]
 
 
 def test_grid_verify_default_cli_grid():
