@@ -5,8 +5,8 @@ bound, mann. ``factor`` takes a tree with any number of arms: its sieve
 needs no order cap. Data goes to stdout (or --output), diagnostics to stderr.
 Numeric fields in machine-readable output are exact decimal strings,
 never binary floats. Exit codes: 0 success, 2 usage error, 3 for a
-classification failure, a periodicity violation or a root iteration that
-did not converge.
+classification failure, a periodicity violation, a root iteration that
+did not converge or a polynomial with no root above 1.
 """
 
 from __future__ import annotations
@@ -338,7 +338,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--digits must be at least 10")
     try:
         return args.func(args, parser)
-    except (ClassificationError, PeriodicityViolation, NonConvergence) as exc:
+    except (ClassificationError, PeriodicityViolation, NonConvergence, NoSignChange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except (ValueError, CertificationError) as exc:

@@ -213,8 +213,12 @@ class IntPoly:
     # ------------------------------------------------------------------
     # evaluation and calculus
     # ------------------------------------------------------------------
-    def _scaled_value(self, p: int, q: int) -> tuple[int, int]:
-        """(q^deg * f(p/q), q^deg) for q > 0, by integer Horner steps."""
+    def scaled_value(self, p: int, q: int) -> tuple[int, int]:
+        """(q^deg * f(p/q), q^deg) for q > 0, by integer Horner steps.
+
+        The first entry has the sign of f(p/q), and p/q need not be in
+        lowest terms.
+        """
         if not self.coeffs:
             return 0, 1
         acc = self.coeffs[-1]
@@ -230,7 +234,7 @@ class IntPoly:
         A Fraction point is evaluated in integers and normalized once at
         the end, not once per Horner step.
         """
-        acc, qq = self._scaled_value(v.numerator, v.denominator)
+        acc, qq = self.scaled_value(v.numerator, v.denominator)
         return acc if isinstance(v, int) else Fraction(acc, qq)
 
     def sign_at(self, v: Rational) -> int:
@@ -240,7 +244,7 @@ class IntPoly:
         preserves the sign.
         """
         x = Fraction(v)
-        acc, _ = self._scaled_value(x.numerator, x.denominator)
+        acc, _ = self.scaled_value(x.numerator, x.denominator)
         return (acc > 0) - (acc < 0)
 
     def eval_complex(self, z: complex) -> complex:

@@ -4,11 +4,14 @@
 bisection seeded at (1 + 2^-20, height + 2], interleaved with Newton
 steps whose endpoints are rounded to short decimals so the rationals
 stay small. Every bracket update is decided by an exact integer sign
-evaluation, so the returned enclosure is unconditional.
+evaluation, so the returned enclosure is unconditional. The Newton steps
+are formed from scaled integer values (``IntPoly.scaled_value``); only
+the bisection endpoints and the final enclosure are Fractions.
 
 ``unit_circle_residual`` measures how far the non-dominant spectrum of a
 Salem factor is from the unit circle, using simultaneous (Aberth-style)
-root iteration in double precision with a Newton polish.
+root iteration in double precision with a Newton polish and a residual
+guard compared in log space, so that it still fails at high degree.
 
 The convergence sweeps reproduce the limit behaviour of the Salem roots:
 with two arms growing they approach the m-bonacci number of the fixed
@@ -18,6 +21,7 @@ dominant root of the limit polynomial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -79,11 +83,6 @@ def fraction_to_decimal(x: Fraction, digits: int) -> str:
     return f"{sign}{units // 10**digits}.{str(units % 10**digits).zfill(digits)}"
 
 
-def _decimal_clip(x: Fraction, places: int) -> Fraction:
-    scale = 10**places
-    return Fraction(round(x * scale), scale)
-
-
 def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     """The real root of f in (1, infinity), to ``digits`` decimal places.
 
@@ -98,11 +97,17 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     finished by an exact sign check on a width-2*eps enclosure around the
     Newton limit. Bisection is the fallback whenever Newton leaves the
     bracket or fails to certify.
+
+    Only the bisection endpoints and the final enclosure are Fractions.
+    A Newton step at x = p/q works on the scaled integer values
+    A = q^d f(x) and B = q^(d-1) f'(x): the Newton point is
+    (pB - A)/(qB), the step is |A|/(q|B|), and the bracket tests and the
+    decimal rounding are integer cross-multiplications and one divmod.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if f.degree() < 1:
-        raise NoSignChange("constant polynomial has no dominant root")
+        raise NoSignChange(f"no dominant root: {_describe(f)} is constant")
     lo = Fraction((1 << 20) + 1, 1 << 20)
     hi = Fraction(f.height() + 2)
     s_lo = f.sign_at(lo)
@@ -112,10 +117,11 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     if s_hi == 0:
         return hi, (hi, hi)
     if s_lo == s_hi:
-        raise NoSignChange(f"no sign change in (1, {hi}] for {f}")
+        raise NoSignChange(f"no sign change in (1, {hi}] for {_describe(f)}")
 
     target = Fraction(1, 10 ** (digits + 5))
     eps = target / 4
+    inv_eps = eps.denominator
 
     def bisect_once() -> Optional[tuple[Fraction, tuple[Fraction, Fraction]]]:
         nonlocal lo, hi
@@ -129,33 +135,46 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
             hi = mid
         return None
 
+    def inside(num: int, den: int) -> bool:
+        """lo < num/den < hi, for den > 0."""
+        return (
+            lo.numerator * den < num * lo.denominator
+            and num * hi.denominator < hi.numerator * den
+        )
+
     while hi - lo > Fraction(1, 128):
         exact = bisect_once()
         if exact:
             return exact
 
     df = f.derivative(1)
-    x = (lo + hi) / 2
+    p, q = ((lo + hi) / 2).as_integer_ratio()
     for _ in range(120):
-        fx = f.eval_int(x)
+        fx, _ = f.scaled_value(p, q)
         if fx == 0:
+            x = Fraction(p, q)
             return x, (x, x)
-        dfx = df.eval_int(x)
-        nxt = x - fx / dfx if dfx else None
-        if nxt is None or not (lo < nxt < hi):
+        dfx, _ = df.scaled_value(p, q)
+        # the Newton point is num/den with den = q|B| > 0
+        num, den = (p * dfx - fx, q * dfx) if dfx > 0 else (fx - p * dfx, -q * dfx)
+        if not dfx or not inside(num, den):
             exact = bisect_once()
             if exact:
                 return exact
             if hi - lo <= target:
                 return (lo + hi) / 2, (lo, hi)
-            x = (lo + hi) / 2
+            p, q = ((lo + hi) / 2).as_integer_ratio()
             continue
-        step = abs(nxt - x)
-        places = min(2 * _resolved_places(step + eps) + 10, digits + 9)
-        x = _decimal_clip(nxt, places)
-        if not (lo < x < hi):
-            x = nxt
-        if step < eps / 4:
+        step_num = abs(fx)  # the Newton step is step_num/den
+        resolved = _resolved_digits(step_num * inv_eps + den, den * inv_eps)  # of step + eps
+        places = min(2 * resolved + 10, digits + 9)
+        scale = 10**places
+        p, q = _round_half_even(num * scale, den), scale
+        if not inside(p, q):
+            g = math.gcd(num, den)
+            p, q = num // g, den // g
+        if 4 * step_num * inv_eps < den:
+            x = Fraction(p, q)
             a, b = x - eps, x + eps
             if lo < a and b < hi:
                 sa = f.sign_at(a)
@@ -178,18 +197,38 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     return (lo + hi) / 2, (lo, hi)
 
 
-def _resolved_places(width: Fraction) -> int:
-    """Smallest k with width >= 10^-k (decimal places already resolved)."""
-    k = 0
-    w = width
-    while w < 1 and k < 10_000:
-        w *= 10
+def _round_half_even(num: int, den: int) -> int:
+    """num/den rounded to an integer, ties to even, as ``round(Fraction)`` does (den > 0)."""
+    units, rem = divmod(num, den)
+    if 2 * rem > den or (2 * rem == den and units % 2):
+        units += 1
+    return units
+
+
+_MAX_PLACES = 10_000
+
+
+def _resolved_digits(num: int, den: int) -> int:
+    """Smallest k >= 0 with num/den >= 10^-k, capped at 10 000 (num, den > 0).
+
+    These are the decimal places a width num/den has already resolved.
+    With m the bit length of den minus that of num, den/num > 2^(m-1),
+    so floor((m-1) * 0.30102) is at most the answer; exact comparisons
+    then raise the count by the last few places.
+    """
+    m = den.bit_length() - num.bit_length()
+    k = min(max(0, (m - 1) * 30102 // 100_000), _MAX_PLACES)
+    power = 10**k
+    while k < _MAX_PLACES and num * power < den:
+        power *= 10
         k += 1
     return k
 
 
 def _describe(f: IntPoly) -> str:
     """Short name for f in messages: its degree and height, not its terms."""
+    if f.is_zero():
+        return "the zero polynomial"
     return f"a degree-{f.degree()} polynomial of height {f.height()}"
 
 
@@ -226,10 +265,26 @@ def aberth_roots(f: IntPoly, tol: float = 1e-13, max_iter: int = 500) -> np.ndar
         dfz = np.polyval(dcs, z)
         dfz = np.where(dfz == 0, 1e-300, dfz)
         z = z - fz / dfz
-    scale = float(f.l1()) * np.maximum(1.0, np.abs(z)) ** deg
-    if np.any(np.abs(np.polyval(cs, z)) > 1e-10 * scale):
+    if not _residuals_small(f, z):
         raise NonConvergence(f"root residuals above tolerance for {_describe(f)}")
     return z
+
+
+def _residuals_small(f: IntPoly, z: np.ndarray) -> bool:
+    """|f(z)| <= 1e-10 * l1(f) * max(1, |z|)^deg at every z, compared in logs.
+
+    The right side overflows a double near degree 1000, so both sides are
+    taken as logarithms; a non-finite f(z) fails the check.
+    """
+    cs = np.array([float(c) for c in reversed(f.coeffs)])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fz = np.polyval(cs, z)
+        if not np.all(np.isfinite(fz)):
+            return False
+        log_residual = np.log(np.abs(fz))
+    log_scale = math.log(1e-10) + math.log(f.l1())
+    log_bound = log_scale + f.degree() * np.log(np.maximum(1.0, np.abs(z)))
+    return bool(np.all(log_residual <= log_bound))
 
 
 def unit_circle_residual(f: IntPoly, tau: Fraction | float) -> float:

@@ -123,3 +123,122 @@ def divides_poly(g, f) -> bool:
     """g | f over Q, naive remainder."""
     _, rem = pdivmod(f, g)
     return rem == []
+
+
+def eval_exact(cs, x: Fraction) -> Fraction:
+    """Exact value of the polynomial at a rational point."""
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def resolved_places(width: Fraction) -> int:
+    """Smallest k with width >= 10^-k, capped at 10 000."""
+    k = 0
+    w = width
+    while w < 1 and k < 10_000:
+        w *= 10
+        k += 1
+    return k
+
+
+def dominant_root_fraction(cs, digits: int, trace=None):
+    """Exact-sign bisection interleaved with Newton steps, all in Fractions.
+
+    The same iterates as the package's ``dominant_root``: bisect (1 + 2^-20,
+    height + 2] down to width 1/128, then Newton steps rounded to
+    ``min(2 * resolved_places(step + eps) + 10, digits + 9)`` decimal places,
+    finished by an exact sign check of (x - eps, x + eps). Returns
+    (root, (lo, hi)), or None when there is no sign change. When ``trace``
+    is a list, "sign" is appended to it for every exact sign evaluation and
+    the name of every fallback taken when it is taken.
+    """
+    def note(event):
+        if trace is not None:
+            trace.append(event)
+
+    def sign(x):
+        note("sign")
+        return eval_sign(cs, x)
+
+    dcs = [i * c for i, c in enumerate(cs)][1:]
+    lo = Fraction((1 << 20) + 1, 1 << 20)
+    hi = Fraction(max(abs(c) for c in cs) + 2)
+    s_lo = sign(lo)
+    if s_lo == 0:
+        return lo, (lo, lo)
+    s_hi = sign(hi)
+    if s_hi == 0:
+        return hi, (hi, hi)
+    if s_lo == s_hi:
+        return None
+    target = Fraction(1, 10 ** (digits + 5))
+    eps = target / 4
+
+    def bisect_once():
+        nonlocal lo, hi
+        mid = (lo + hi) / 2
+        s = sign(mid)
+        if s == 0:
+            note("bisection hit a root")
+            return mid, (mid, mid)
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+        return None
+
+    while hi - lo > Fraction(1, 128):
+        exact = bisect_once()
+        if exact:
+            return exact
+
+    x = (lo + hi) / 2
+    for _ in range(120):
+        fx = eval_exact(cs, x)
+        if fx == 0:
+            note("newton hit a root")
+            return x, (x, x)
+        dfx = eval_exact(dcs, x)
+        if dfx == 0:
+            note("zero derivative")
+        nxt = x - fx / dfx if dfx else None
+        if nxt is None or not (lo < nxt < hi):
+            if nxt is not None:
+                note("newton left the bracket")
+            exact = bisect_once()
+            if exact:
+                return exact
+            if hi - lo <= target:
+                return (lo + hi) / 2, (lo, hi)
+            x = (lo + hi) / 2
+            continue
+        step = abs(nxt - x)
+        places = min(2 * resolved_places(step + eps) + 10, digits + 9)
+        x = Fraction(round(nxt * 10**places), 10**places)
+        if not (lo < x < hi):
+            note("clip left the bracket")
+            x = nxt
+        if step < eps / 4:
+            a, b = x - eps, x + eps
+            if lo < a and b < hi:
+                sa = sign(a)
+                if sa == 0:
+                    return a, (a, a)
+                sb = sign(b)
+                if sb == 0:
+                    return b, (b, b)
+                if sa != sb:
+                    return x, (a, b)
+            note("enclosure failed")
+            exact = bisect_once()
+            if exact:
+                return exact
+
+    note("newton budget spent")
+    while hi - lo > target:
+        exact = bisect_once()
+        if exact:
+            return exact
+    return (lo + hi) / 2, (lo, hi)

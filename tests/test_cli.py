@@ -202,6 +202,14 @@ def test_root_nonconvergence_is_a_data_error(capsys, monkeypatch):
     assert err.startswith("error: Aberth iteration stalled")
 
 
+def test_no_root_above_one_is_a_data_error(capsys):
+    # the limit polynomial of prefix (2,) with r = 1 is x^3 - x^2
+    rc, out, err = run(capsys, "converge", "general", "--prefix", "2", "--r", "1", "--tails", "3")
+    assert rc == 3
+    assert out == ""
+    assert err == "error: no sign change in (1, 3] for a degree-3 polynomial of height 1\n"
+
+
 def readme_commands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]

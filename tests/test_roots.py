@@ -1,8 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from starsalem import (
     IntPoly,
@@ -21,8 +24,9 @@ from starsalem import (
     spectral_radius,
     unit_circle_residual,
 )
+from starsalem.roots import _residuals_small, _resolved_digits, _round_half_even
 
-from oracles import bisect_root
+from oracles import bisect_root, dominant_root_fraction, resolved_places
 
 LEHMER = IntPoly.from_coeffs((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 # 30 decimals, fixed beforehand by exact-sign bisection
@@ -86,6 +90,120 @@ def test_determinism():
     assert fraction_to_decimal(a[0], 30) == fraction_to_decimal(b[0], 30)
 
 
+def test_no_sign_change_messages_are_short():
+    for f, message in [
+        (poly(0, 0, -1, 1), "no sign change in (1, 3] for a degree-3 polynomial of height 1"),
+        (poly(7), "no dominant root: a degree-0 polynomial of height 7 is constant"),
+        (poly(), "no dominant root: the zero polynomial is constant"),
+    ]:
+        with pytest.raises(NoSignChange) as exc:
+            dominant_root(f, 15)
+        assert str(exc.value) == message
+
+
+# The Newton loop works on scaled integers; the oracle runs the same
+# iterates in Fractions, so (root, bracket) must agree exactly.
+ORACLE_CASES = (
+    [pytest.param(LEHMER, 30, id="lehmer-30")]
+    + [pytest.param(mbonacci_poly(m), 1000, id=f"mbonacci{m}-1000") for m in (2, 3, 4)]
+    + [
+        pytest.param(
+            factor_coxeter(StarTree(arms)).salem_factor, 15, id="T" + "-".join(map(str, arms)) + "-15"
+        )
+        for arms in list(itertools.combinations(range(2, 26), 3))[::97]
+        if not StarTree(arms).excluded
+    ]
+)
+
+
+@pytest.fixture
+def sign_at_calls(monkeypatch):
+    """Points at which IntPoly.sign_at is called during the test."""
+    calls = []
+    sign_at = IntPoly.sign_at
+
+    def counted(self, v):
+        calls.append(v)
+        return sign_at(self, v)
+
+    monkeypatch.setattr(IntPoly, "sign_at", counted)
+    return calls
+
+
+@pytest.mark.parametrize("f, digits", ORACLE_CASES)
+def test_dominant_root_matches_fraction_oracle(f, digits, sign_at_calls):
+    trace = []
+    assert dominant_root(f, digits) == dominant_root_fraction(list(f.coeffs), digits, trace)
+    assert len(sign_at_calls) == trace.count("sign")
+
+
+@pytest.mark.parametrize(
+    "coeffs, event",
+    [
+        ((-4, 2, -4, 6, 3, -1), "newton left the bracket"),
+        # (10^8 x - C)^3 - E: the first Newton point rounds onto C/10^8, where f' = 0
+        (
+            (
+                -(125749603**3) - 828737608474798,
+                3 * 10**8 * 125749603**2,
+                -3 * 10**16 * 125749603,
+                10**24,
+            ),
+            "zero derivative",
+        ),
+        # 10^40 x - C: the root sits just below a bisection endpoint, so
+        # the rounded Newton point falls outside (lo, hi); the unrounded
+        # one is the root itself
+        ((-13040815594454177918036756835092100713158, 10**40), "clip left the bracket"),
+        ((-13040815594454177918036756835092100713158, 10**40), "newton hit a root"),
+    ],
+)
+def test_dominant_root_fallbacks_match_fraction_oracle(coeffs, event, sign_at_calls):
+    trace = []
+    expected = dominant_root_fraction(list(coeffs), 12, trace)
+    assert event in trace
+    assert dominant_root(poly(*coeffs), 12) == expected
+    assert len(sign_at_calls) == trace.count("sign")
+
+
+WIDTHS = st.one_of(
+    st.builds(
+        lambda a, b, e: Fraction(a, b * 10**e),
+        st.integers(1, 10**60),
+        st.integers(1, 10**60),
+        st.integers(0, 300),
+    ),
+    # just above a power of two, where the bit-length estimate is least tight
+    st.builds(lambda n, j: Fraction(2**n - 1, 2 ** (n + j)), st.integers(1, 80), st.integers(0, 900)),
+    # at and next to a power of ten, where the count steps
+    st.builds(lambda k, d: Fraction(10**40 + d, 10 ** (40 + k)), st.integers(0, 900), st.integers(-1, 1)),
+)
+
+
+@given(WIDTHS)
+@example(Fraction(1))
+@example(Fraction(10**60))
+@example(Fraction(1, 10**300))
+def test_resolved_digits_matches_places_loop(width):
+    assert _resolved_digits(width.numerator, width.denominator) == resolved_places(width)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(1, 10**30), st.integers(1, 10**30), st.integers(9_990, 10_010))
+def test_resolved_digits_keeps_the_cap(a, b, e):
+    width = Fraction(a, b * 10**e)
+    assert _resolved_digits(width.numerator, width.denominator) == resolved_places(width)
+
+
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**20))
+@example(5, 2)
+@example(7, 2)
+@example(-5, 2)
+@example(-7, 2)
+def test_round_half_even_matches_fraction_round(num, den):
+    assert _round_half_even(num, den) == round(Fraction(num, den))
+
+
 def test_fraction_to_decimal():
     assert fraction_to_decimal(Fraction(2), 4) == "2.0000"
     assert fraction_to_decimal(Fraction(1, 3), 5) == "0.33333"
@@ -114,6 +232,17 @@ def test_aberth_nonconvergence_message_is_short():
         aberth_roots(f, max_iter=1)
     assert len(str(exc.value)) < 200
     assert "degree-1000" in str(exc.value)
+
+
+def test_residual_guard_can_fail_past_double_range():
+    # x^1099 (x - 2): max |z|^deg = 2^1100 overflows a double
+    f = IntPoly.monomial(1099) * poly(-2, 1)
+    roots = np.array([0.0] * 1099 + [2.0], dtype=complex)
+    assert _residuals_small(f, roots)
+    assert not _residuals_small(f, roots + 1e-6)
+    z = aberth_roots(LEHMER)
+    assert _residuals_small(LEHMER, z)
+    assert not _residuals_small(LEHMER, z + 1e-6)
 
 
 def test_lehmer_unit_residual():
