@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: poly, factor, converge (mbonacci | general), scan, grid,
-bound, mann. ``factor`` takes a tree with any number of arms: its sieve
-needs no order cap. Data goes to stdout (or --output), diagnostics to stderr.
+bound, mann. ``factor`` takes a tree with any number of arms, in any
+order: its sieve needs no order cap. Ranges are ``lo:hi`` with lo <= hi.
+Data goes to stdout (or --output), diagnostics to stderr.
 Numeric fields in machine-readable output are exact decimal strings,
 never binary floats. Exit codes: 0 success, 2 usage error, 3 for a
 classification failure, a periodicity violation, a root iteration that
@@ -35,6 +36,8 @@ from .roots import (
     certify_tree,
     converge_general,
     converge_mbonacci,
+    fraction_text,
+    fraction_to_decimal,
 )
 from .scan import PeriodicityViolation, grid_verify, periodicity_scan
 
@@ -63,8 +66,14 @@ def _parse_arms(values: Sequence[str], parser: argparse.ArgumentParser) -> StarT
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    """Integers "lo:hi" with lo <= hi; anything else raises ValueError."""
+    try:
+        lo, hi = map(int, text.split(":"))
+        if lo <= hi:
+            return lo, hi
+    except ValueError:
+        pass
+    raise ValueError(f"expected a range lo:hi of integers with lo <= hi, got {text!r}")
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -83,7 +92,7 @@ def _cmd_poly(args, parser) -> int:
     tree = _parse_arms(args.arms, parser)
     if not tree.strictly_ordered:
         print(
-            "warning: arm lengths are not strictly increasing; "
+            "warning: two arms have the same length; "
             "Salem classification guarantees do not apply",
             file=sys.stderr,
         )
@@ -148,12 +157,9 @@ def _cmd_factor(args, parser) -> int:
         if cert is not None:
             doc["certificate"] = {
                 "tau": cert.tau,
-                "lambda": repr(cert.lam),
+                "lambda": cert.lam,
                 "unit_residual": repr(cert.unit_residual),
-                "bracket": [
-                    f"{cert.bracket[0].numerator}/{cert.bracket[0].denominator}",
-                    f"{cert.bracket[1].numerator}/{cert.bracket[1].denominator}",
-                ],
+                "bracket": [fraction_text(x) for x in cert.bracket],
                 "classification": cert.classification_echo,
             }
         _emit(_dump_json(doc) + "\n", args.output)
@@ -177,7 +183,7 @@ def _cmd_factor(args, parser) -> int:
     if cert is not None:
         lines += [
             f"tau: {cert.tau}",
-            f"lambda: {cert.lam:.12f}",
+            f"lambda: {fraction_to_decimal(sum(cert.lam_bracket) / 2, 12)}",
             f"unit-circle residual: {cert.unit_residual:.3e}",
         ]
     _emit("\n".join(lines) + "\n", args.output)

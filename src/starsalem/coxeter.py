@@ -11,18 +11,22 @@ module produces is derived from the arm-length vector:
 * ``limit_polynomial``   the limit of the leading block when the last
                          r - k arms grow without bound
 * ``mbonacci_poly``      x^m - x^{m-1} - ... - x - 1
-* ``spectral_radius``    largest adjacency eigenvalue of the tree
+* ``characteristic_polynomial``  chi_T, the characteristic polynomial of
+                         the tree's adjacency matrix
 
-All computation is exact integer arithmetic except ``spectral_radius``,
-which is floating-point power iteration.
+All computation is exact integer arithmetic. R_T is symmetric in the
+arms, so a tree stores its arms in ascending order: T(7, 3, 2) and
+T(2, 3, 7) are the same tree and get the same answers.
+
+A'Campo's identity (A'Campo 1976) ties the two polynomials of a tree on
+n vertices together: R_T(z) = z^(n/2) chi_T(z^(1/2) + z^(-1/2)). So a
+root tau > 1 of R_T gives the eigenvalue sqrt(tau) + 1/sqrt(tau) > 2 of
+the adjacency matrix; ``scan.grid_verify`` checks the identity exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .intpoly import IntPoly, NotDivisible
 
@@ -43,17 +47,21 @@ class InternalInconsistency(AssertionError):
 
 @dataclass(frozen=True)
 class StarTree:
-    """Arm-length vector (a_0, ..., a_r); every a_i >= 2 and r >= 1."""
+    """Arm-length vector (a_0, ..., a_r); every a_i >= 2 and r >= 1.
+
+    The arms are stored sorted ascending: every polynomial of the tree is
+    symmetric in them.
+    """
 
     arms: tuple[int, ...]
 
     def __post_init__(self) -> None:
         arms = tuple(int(a) for a in self.arms)
-        object.__setattr__(self, "arms", arms)
         if len(arms) < 2:
             raise ValueError("a star-like tree needs at least two arms (r >= 1)")
         if any(a < 2 for a in arms):
             raise ValueError(f"every arm length must be >= 2, got {arms}")
+        object.__setattr__(self, "arms", tuple(sorted(arms)))
 
     @property
     def r(self) -> int:
@@ -61,6 +69,7 @@ class StarTree:
 
     @property
     def strictly_ordered(self) -> bool:
+        """No two arms are equal (the arms are sorted)."""
         return all(a < b for a, b in zip(self.arms, self.arms[1:]))
 
     @property
@@ -71,19 +80,6 @@ class StarTree:
     @property
     def vertex_count(self) -> int:
         return 1 + sum(a - 1 for a in self.arms)
-
-    def adjacency(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix; vertex 0 is the center."""
-        n = self.vertex_count
-        a = np.zeros((n, n))
-        idx = 1
-        for arm in self.arms:
-            prev = 0
-            for _ in range(arm - 1):
-                a[prev, idx] = a[idx, prev] = 1.0
-                prev = idx
-                idx += 1
-        return a
 
 
 @dataclass(frozen=True)
@@ -193,31 +189,26 @@ def mbonacci_poly(m: int) -> IntPoly:
     return IntPoly.from_coeffs([-1] * m + [1])
 
 
-def spectral_radius(tree: StarTree, tol: float = 1e-13, max_iter: int = 200_000) -> float:
-    """Largest adjacency eigenvalue via power iteration.
+def characteristic_polynomial(tree: StarTree) -> IntPoly:
+    """chi_T = det(x I - A) for the tree's adjacency matrix A, exactly.
 
-    Trees are bipartite, so the spectrum is symmetric and the unshifted
-    iteration would oscillate between +/- lambda; iterating A + I breaks
-    the tie while keeping the same Perron vector. Deterministic: starts
-    from the normalized all-ones vector (the Perron vector is positive)
-    and stops when the Rayleigh quotient is stable to ``tol`` over several
-    consecutive sweeps.
+    Expanding along the centre c, whose neighbours u_i start the arms:
+
+        chi_T = x chi(T - c) - sum_i chi(T - c - u_i),
+
+    where T - c is the disjoint union of the paths P_{a_i - 1} and
+    T - c - u_i swaps P_{a_i - 1} for P_{a_i - 2}. Path polynomials follow
+    chi_{P_m} = x chi_{P_{m-1}} - chi_{P_{m-2}} (chi_{P_0} = 1,
+    chi_{P_1} = x). The product and the sum of products are accumulated
+    arm by arm, like a product rule, with three multiplications per arm.
     """
-    a = tree.adjacency()
-    n = a.shape[0]
-    x = np.ones(n) / math.sqrt(n)
-    rq_prev = 0.0
-    stable = 0
-    rq = 0.0
-    for _ in range(max_iter):
-        y = a @ x + x
-        rq = float(x @ y)
-        x = y / np.linalg.norm(y)
-        if abs(rq - rq_prev) <= tol * max(rq, 1.0):
-            stable += 1
-            if stable >= 4:
-                break
-        else:
-            stable = 0
-        rq_prev = rq
-    return rq - 1.0
+    paths = [IntPoly.one(), IntPoly.x()]
+    for _ in range(2, tree.arms[-1]):
+        paths.append(paths[-1].shift(1) - paths[-2])
+    prod, rest = IntPoly.one(), IntPoly.zero()
+    for a in tree.arms:
+        # over the arms so far: prod = prod_j chi(P_{a_j - 1}) and
+        # rest = sum_i chi(P_{a_i - 2}) prod_{j != i} chi(P_{a_j - 1})
+        rest = rest * paths[a - 1] + prod * paths[a - 2]
+        prod = prod * paths[a - 1]
+    return prod.shift(1) - rest

@@ -62,6 +62,7 @@ class CertificationError(RuntimeError):
 @dataclass(frozen=True)
 class CoxeterFactorization:
     arms: tuple[int, ...]
+    rt: IntPoly  # R_T, the polynomial that was factored
     cyclotomic_factors: dict[int, int]  # order -> multiplicity
     salem_factor: IntPoly
     classification: str
@@ -263,6 +264,7 @@ def factor_coxeter(
     unramified = abs(rem.eval_int(1)) == 1 and abs(rem.eval_int(-1)) == 1
     return CoxeterFactorization(
         arms=tree.arms,
+        rt=rt,
         cyclotomic_factors=dict(sorted(mults.items())),
         salem_factor=rem,
         classification=classification,

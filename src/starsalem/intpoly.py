@@ -247,12 +247,6 @@ class IntPoly:
         acc, _ = self.scaled_value(x.numerator, x.denominator)
         return (acc > 0) - (acc < 0)
 
-    def eval_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
     def derivative(self, n: int = 1) -> "IntPoly":
         """Exact n-th derivative."""
         if n < 0:

@@ -8,6 +8,10 @@ evaluation, so the returned enclosure is unconditional. The Newton steps
 are formed from scaled integer values (``IntPoly.scaled_value``); only
 the bisection endpoints and the final enclosure are Fractions.
 
+``lambda_bracket`` maps the enclosure of tau to one of the tree's
+spectral radius lambda = sqrt(tau) + 1/sqrt(tau) in exact integer
+arithmetic (``math.isqrt`` on scaled integers, rounded outward).
+
 ``unit_circle_residual`` measures how far the non-dominant spectrum of a
 Salem factor is from the unit circle, using simultaneous (Aberth-style)
 root iteration in double precision with a Newton polish and a residual
@@ -28,13 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coxeter import (
-    StarTree,
-    coxeter_polynomial,
-    limit_polynomial,
-    mbonacci_poly,
-    spectral_radius,
-)
+from .coxeter import StarTree, coxeter_polynomial, limit_polynomial, mbonacci_poly
 from .cyclotomic import CyclotomicTable
 from .factorize import CYCLOTOMIC_ONLY, CoxeterFactorization, factor_coxeter
 from .intpoly import IntPoly
@@ -53,7 +51,8 @@ class RootCertificate:
     tau: str  # decimal string
     tau_value: Fraction
     bracket: tuple[Fraction, Fraction]
-    lam: float
+    lam: str  # decimal string, the midpoint of lam_bracket
+    lam_bracket: tuple[Fraction, Fraction]
     unit_residual: float
     classification_echo: str
 
@@ -69,6 +68,27 @@ class ConvergenceRecord:
     note: str = ""
 
 
+# 2000 bits is 603 decimal digits, under 640, the lowest int-to-str limit
+# Python accepts (sys.set_int_max_str_digits)
+_STR_BITS = 2000
+
+
+def _int_str(n: int) -> str:
+    """Decimal digits of n >= 0, converted in pieces that each stay under
+    the interpreter's int-to-str digit limit, which is left as it is."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+    high, low = divmod(n, 10**k)
+    return _int_str(high) + _int_str(low).zfill(k)
+
+
+def fraction_text(x: Fraction) -> str:
+    """x as the exact string "p/q", of any length."""
+    sign = "-" if x < 0 else ""
+    return f"{sign}{_int_str(abs(x.numerator))}/{_int_str(x.denominator)}"
+
+
 def fraction_to_decimal(x: Fraction, digits: int) -> str:
     """Fixed-point decimal string with ``digits`` places, rounded to nearest."""
     if digits < 0:
@@ -79,8 +99,9 @@ def fraction_to_decimal(x: Fraction, digits: int) -> str:
     if 2 * (scaled.numerator % scaled.denominator) >= scaled.denominator:
         units += 1
     if digits == 0:
-        return f"{sign}{units}"
-    return f"{sign}{units // 10**digits}.{str(units % 10**digits).zfill(digits)}"
+        return f"{sign}{_int_str(units)}"
+    whole, frac = divmod(units, 10**digits)
+    return f"{sign}{_int_str(whole)}.{_int_str(frac).zfill(digits)}"
 
 
 def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fraction, Fraction]]:
@@ -304,6 +325,46 @@ def unit_circle_residual(f: IntPoly, tau: Fraction | float) -> float:
     return float(max(abs(abs(z) - 1.0) for z in roots))
 
 
+def lambda_bracket(
+    tau_bracket: tuple[Fraction, Fraction], digits: int
+) -> tuple[Fraction, Fraction]:
+    """Enclosure of lambda = sqrt(tau) + 1/sqrt(tau) from one of tau > 1.
+
+    lambda^2 = h(tau) with h(t) = t + 2 + 1/t = (t + 1)^2 / t, which
+    increases for t > 1, so lambda lies in [sqrt(h(lo)), sqrt(h(hi))].
+    The two square roots are taken at scale S = 10^(digits + 5) with
+    ``math.isqrt`` on integers, the lower one rounded down and the upper
+    one rounded up. As d lambda / d tau < 1/5 for tau > 1, the result is
+    at most (hi - lo)/5 + 2/S wide.
+
+    lambda is the spectral radius of the tree: by A'Campo's identity
+    R_T(z) = z^(n/2) chi_T(z^(1/2) + z^(-1/2)), the root tau > 1 of R_T
+    makes lambda > 2 an eigenvalue of the adjacency matrix A. Deleting the
+    centre of a star-like tree leaves paths, whose eigenvalues
+    2 cos(j pi / (m + 1)) all lie in (-2, 2). By Cauchy interlacing the
+    second eigenvalue of A is at most the largest eigenvalue of that
+    principal submatrix, so A has at most one eigenvalue above 2, and
+    lambda is the largest one. ``scan.grid_verify`` checks all of this
+    exactly, tree by tree.
+    """
+    scale_sq = 10 ** (2 * (digits + 5))
+
+    def scaled_h(t: Fraction) -> tuple[int, int]:
+        """h(t) S^2 as (numerator, denominator)."""
+        n, d = t.numerator, t.denominator
+        return (n + d) ** 2 * scale_sq, n * d
+
+    num, den = scaled_h(tau_bracket[0])
+    low = math.isqrt(num // den)
+    num, den = scaled_h(tau_bracket[1])
+    top = -(-num // den)
+    high = math.isqrt(top)
+    if high * high < top:
+        high += 1
+    scale = 10 ** (digits + 5)
+    return Fraction(low, scale), Fraction(high, scale)
+
+
 def certify_tree(
     tree: StarTree,
     digits: int = 30,
@@ -311,7 +372,11 @@ def certify_tree(
     table: CyclotomicTable | None = None,
 ) -> Optional[RootCertificate]:
     """Full dominant-root certificate for a tree, or None when the
-    Coxeter polynomial is a pure product of cyclotomics."""
+    Coxeter polynomial is a pure product of cyclotomics.
+
+    The spectral radius lambda comes from tau's enclosure through
+    ``lambda_bracket``; no characteristic polynomial or matrix is built.
+    """
     fz = factorization or factor_coxeter(tree, table=table)
     if fz.classification == CYCLOTOMIC_ONLY or fz.salem_factor.degree() < 1:
         return None
@@ -321,12 +386,13 @@ def certify_tree(
         if fz.salem_factor.degree() >= 2
         else 0.0
     )
-    lam = spectral_radius(tree)
+    lam_bracket = lambda_bracket(bracket, digits)
     return RootCertificate(
         tau=fraction_to_decimal(tau, digits),
         tau_value=tau,
         bracket=bracket,
-        lam=lam,
+        lam=fraction_to_decimal(sum(lam_bracket) / 2, digits),
+        lam_bracket=lam_bracket,
         unit_residual=residual,
         classification_echo=fz.classification,
     )
@@ -397,10 +463,10 @@ def converge_general(
         arms = prefix + tuple(int(t) for t in tail)
         if len(arms) != r + 1:
             raise ValueError(f"schedule entry {tail} does not extend to r+1 = {r + 1} arms")
-        tree = StarTree(arms)
-        if not tree.strictly_ordered:
+        # StarTree sorts its arms, so the order is checked on the input
+        if any(a >= b for a, b in zip(arms, arms[1:])):
             raise ValueError(f"full arm vector must be strictly increasing, got {arms}")
-        tau, _ = dominant_root(coxeter_polynomial(tree), digits)
+        tau, _ = dominant_root(coxeter_polynomial(StarTree(arms)), digits)
         gap = abs(tau - limit)
         records.append(
             ConvergenceRecord(

@@ -14,17 +14,23 @@ underlying block-shift identity.
 bound: the paper's cyclotomic order bound (against the orders an uncapped
 sieve finds, so the check can fail), the multiplicity bound, the Salem
 degree lower bound (when it is informative), and the bridge
-sqrt(tau) + 1/sqrt(tau) = lambda between the dominant root and the
-tree's spectral radius.
+lambda = sqrt(tau) + 1/sqrt(tau) between the dominant root and the
+tree's spectral radius. The bridge is exact: the characteristic
+polynomial chi_T of the tree's adjacency matrix is built from the path
+recurrence, A'Campo's identity x^n chi_T(x + 1/x) = R_T(x^2) is checked
+coefficient by coefficient, chi_T must change sign across the lambda
+enclosure mapped from tau's, and Descartes' rule on chi_T(x + 2) (exact
+for a real-rooted polynomial) shows that lambda is its only root above 2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
-from .coxeter import StarTree, coxeter_polynomial, spectral_radius
+from .coxeter import StarTree, characteristic_polynomial, coxeter_polynomial
 from .cyclotomic import CyclotomicTable, default_table
 from .factorize import (
     CertificationError,
@@ -36,7 +42,8 @@ from .factorize import (
     order_bound,
     salem_degree_lower_bound,
 )
-from .roots import dominant_root
+from .intpoly import IntPoly
+from .roots import dominant_root, lambda_bracket
 
 
 class PeriodicityViolation(AssertionError):
@@ -96,7 +103,6 @@ def grid_verify(
     a1_range: tuple[int, int],
     a2_range: tuple[int, int],
     digits: int = 15,
-    bridge_tol: float = 1e-6,
     table: CyclotomicTable | None = None,
 ) -> dict:
     """Re-check every certified bound on a grid of strictly ordered triples.
@@ -150,7 +156,7 @@ def grid_verify(
                 _check_order(tree, fz, summary)
                 _check_multiplicity(tree, fz, trace_for(a0, a2 - a1), summary)
                 _check_degree_bound(tree, fz, trace_for(a0, a2 - a1), summary, table)
-                _check_bridge(tree, fz, digits, bridge_tol, summary)
+                _check_bridge(tree, fz, digits, summary)
     return summary
 
 
@@ -213,18 +219,64 @@ def _check_bridge(
     tree: StarTree,
     fz: CoxeterFactorization,
     digits: int,
-    tol: float,
     summary: dict,
 ) -> None:
     if fz.salem_factor.degree() < 1:
         summary["bridge_fail"] += 1
         _fail(summary, tree, "bridge: no dominant root for non-excluded triple")
         return
-    tau, _ = dominant_root(fz.salem_factor, digits)
-    lam = spectral_radius(tree)
-    t = float(tau)
-    if abs(math.sqrt(t) + 1.0 / math.sqrt(t) - lam) <= tol:
+    _, tau_bracket = dominant_root(fz.salem_factor, digits)
+    failed = _bridge_failure(
+        characteristic_polynomial(tree), fz.rt, lambda_bracket(tau_bracket, digits)
+    )
+    if failed is None:
         summary["bridge_pass"] += 1
     else:
         summary["bridge_fail"] += 1
-        _fail(summary, tree, "lambda_tau_bridge")
+        _fail(summary, tree, failed)
+
+
+def _bridge_failure(
+    chi: IntPoly, rt: IntPoly, lam: tuple[Fraction, Fraction]
+) -> Optional[str]:
+    """The first of the three bridge checks that fails, or None.
+
+    1. ``acampo_identity``: x^n chi(x + 1/x) == R_T(x^2), n = deg chi.
+    2. ``lambda_tau_bridge``: chi has opposite nonzero signs at the ends
+       of the lambda enclosure (whose lower end is >= 2), so a root of
+       chi lies strictly inside it.
+    3. ``one_eigenvalue_above_two``: chi(x + 2) has exactly one sign
+       variation. chi_T is real-rooted (A is symmetric), and Descartes'
+       rule is exact for real-rooted polynomials, so chi_T has exactly one
+       root above 2, which check 2 puts inside the enclosure.
+    """
+    n = len(chi.coeffs) - 1
+    expect = [0] * (2 * len(rt.coeffs) - 1)
+    expect[::2] = rt.coeffs
+    if n < 1 or _acampo_side(chi.coeffs) != expect:
+        return "acampo_identity"
+    if chi.sign_at(lam[0]) * chi.sign_at(lam[1]) >= 0:
+        return "lambda_tau_bridge"
+    # chi(2y + 2) has the coefficients of chi(x + 2) times 2^j > 0, so the
+    # same sign variations; shifting by 1 needs only prefix sums
+    shifted = [c << k for k, c in enumerate(chi.coeffs)][::-1]
+    for i in range(n):
+        shifted[: n + 1 - i] = accumulate(shifted[: n + 1 - i])
+    signs = [c > 0 for c in shifted if c]
+    if sum(a != b for a, b in zip(signs, signs[1:])) != 1:
+        return "one_eigenvalue_above_two"
+    return None
+
+
+def _acampo_side(cs: tuple[int, ...]) -> list[int]:
+    """Coefficients of x^n f(x + 1/x) for f = sum c_k y^k of degree n.
+
+    One Horner pass in y = x + 1/x on a list of ints: with P_n = c_n and
+    P_k = (x^2 + 1) P_{k+1} + c_k x^(n-k), P_0 is the result.
+    """
+    n = len(cs) - 1
+    acc = [cs[n]]
+    for k in range(n - 1, -1, -1):
+        acc = [a + b for a, b in zip(acc + [0, 0], [0, 0] + acc)]
+        acc[n - k] += cs[k]
+    return acc

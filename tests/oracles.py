@@ -2,10 +2,13 @@
 
 Everything here is deliberately naive list-based arithmetic with no
 imports from the package under test, so agreement between the two is
-meaningful. Coefficients are ints, low degree first.
+meaningful. Coefficients are ints, low degree first. The one float
+oracle is the spectral radius, from a dense symmetric eigensolver.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def trim(cs):
@@ -82,6 +85,25 @@ def coxeter(arms):
     q, rem = pdivmod(p_cleared(arms), div)
     assert rem == [], arms
     return [int(c) for c in q]
+
+
+def adjacency(arms):
+    """Dense 0/1 adjacency matrix of T(arms); vertex 0 is the centre."""
+    n = 1 + sum(a - 1 for a in arms)
+    a = np.zeros((n, n))
+    idx = 1
+    for arm in arms:
+        prev = 0
+        for _ in range(arm - 1):
+            a[prev, idx] = a[idx, prev] = 1.0
+            prev = idx
+            idx += 1
+    return a
+
+
+def spectral_radius(arms) -> float:
+    """Largest adjacency eigenvalue, by ``numpy.linalg.eigvalsh``."""
+    return float(np.linalg.eigvalsh(adjacency(arms))[-1])
 
 
 def eval_sign(cs, x: Fraction) -> int:

@@ -18,22 +18,24 @@ from starsalem import (
     SALEM,
     StarTree,
     aberth_roots,
+    characteristic_polynomial,
     coxeter_polynomial,
     converge_general,
     converge_mbonacci,
     cyclotomic_divisors,
     dominant_root,
     factor_coxeter,
+    lambda_bracket,
     multiplicity_bound,
     order_bound,
     p_polynomial,
     periodicity_scan,
     qrs_blocks,
     salem_degree_lower_bound,
-    spectral_radius,
 )
+from starsalem.scan import _bridge_failure
 
-from oracles import bisect_root
+from oracles import bisect_root, spectral_radius
 
 
 def _ok(n: int, message: str) -> None:
@@ -142,14 +144,19 @@ def test_criterion_05_lambda_tau_bridge(grid_data):
         tree = StarTree(arms)
         if tree.excluded:
             continue
-        tau, _ = dominant_root(fz.salem_factor, 20)
-        lam = spectral_radius(tree)
-        t = float(tau)
-        err = abs(math.sqrt(t) + 1.0 / math.sqrt(t) - lam)
-        assert err <= 1e-6, (arms, err)
+        _, bracket = dominant_root(fz.salem_factor, 20)
+        lo, hi = lambda_bracket(bracket, 20)
+        # exact: A'Campo's identity, a sign change of chi_T across the
+        # enclosure, and one eigenvalue above 2
+        failed = _bridge_failure(characteristic_polynomial(tree), fz.rt, (lo, hi))
+        assert failed is None, (arms, failed)
+        # float oracle: the enclosure sits within 1e-9 of eigvalsh
+        lam = spectral_radius(arms)
+        err = max(abs(float(lo) - lam), abs(float(hi) - lam))
+        assert err <= 1e-9, (arms, err)
         worst = max(worst, err)
         count += 1
-    _ok(5, f"bridge holds on {count} triples, worst deviation {worst:.2e}")
+    _ok(5, f"exact bridge holds on {count} triples, worst deviation from eigvalsh {worst:.2e}")
 
 
 # ----------------------------------------------------------------------

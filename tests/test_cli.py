@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import shlex
 from pathlib import Path
@@ -57,6 +58,8 @@ def test_factor_json_lehmer(capsys):
     assert doc["order_bound"] == 2100
     assert doc["unramified"] is True
     assert doc["certificate"]["tau"].startswith("1.176280818")
+    # a decimal string with --digits places, not a float repr
+    assert doc["certificate"]["lambda"] == "2.006593618346016732650515917682"
     assert doc["salem_coeffs"][0] == "1"
     # canonical JSON: parse/re-serialize round-trips byte-identically
     blob = json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
@@ -232,3 +235,58 @@ def test_digits_floor():
     with pytest.raises(SystemExit) as exc:
         main(["factor", "2", "3", "7", "--digits", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("arms", [(2, 3, 7), (3, 4, 8), (2, 4, 10, 11)])
+def test_factor_json_ignores_arm_order(capsys, arms):
+    outputs = set()
+    for perm in itertools.permutations(arms):
+        rc, out, _ = run(capsys, "factor", *map(str, perm), "--json")
+        assert rc == 0, perm
+        outputs.add(out)
+    assert len(outputs) == 1
+    doc = json.loads(outputs.pop())
+    assert doc["arms"] == sorted(arms)
+    assert doc["classification"] == "Salem"
+
+
+def test_factor_text_reversed_arms(capsys):
+    rc, out, _ = run(capsys, "factor", "7", "3", "2")
+    assert rc == 0
+    assert "arms: (2, 3, 7)\n" in out
+    assert "classification: Salem\n" in out
+    assert "order bound: 2100\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--a0", "2", "--eta", "1", "--a1", "5:4"],
+        ["scan", "--a0", "2", "--eta", "1", "--a1", "5"],
+        ["grid", "--a0", "5:2", "--a1", "2:8", "--a2", "2:8"],
+        ["grid", "--a0", "2:8", "--a1", "2:8", "--a2", "8"],
+        ["grid", "--a0", "2:x", "--a1", "2:8", "--a2", "2:8"],
+        ["grid", "--a0", "2:3:4", "--a1", "2:8", "--a2", "2:8"],
+    ],
+)
+def test_bad_range_is_a_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: expected a range lo:hi") and err.count("\n") == 1
+
+
+def test_factor_digits_past_int_str_limit(capsys):
+    from test_roots import LEHMER_TAU_30
+
+    rc, out, err = run(capsys, "factor", "2", "3", "7", "--digits", "5000")
+    assert rc == 0 and err == ""
+    tau = next(line for line in out.splitlines() if line.startswith("tau: "))[5:]
+    assert tau.startswith(LEHMER_TAU_30) and len(tau) == 5002
+    rc, out, _ = run(capsys, "factor", "2", "3", "7", "--digits", "5000", "--json")
+    assert rc == 0
+    cert = json.loads(out)["certificate"]
+    assert cert["tau"] == tau
+    assert cert["lambda"].startswith("2.006593618346016732650515917682")
+    assert len(cert["lambda"]) == 5002
+    assert all("/" in end for end in cert["bracket"])

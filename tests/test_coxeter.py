@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,15 +11,16 @@ from starsalem import (
     InternalInconsistency,
     OrderError,
     StarTree,
+    certify_tree,
+    characteristic_polynomial,
     coxeter_polynomial,
     limit_polynomial,
     mbonacci_poly,
     p_polynomial,
     qrs_blocks,
-    spectral_radius,
 )
 
-from oracles import coxeter, p_cleared
+from oracles import adjacency, coxeter, p_cleared, spectral_radius
 
 LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 P_237 = (-1, 2, 0, -1, -1, 1, 0, 0, -1, 1, 1, 0, -2, 1)
@@ -51,10 +53,21 @@ def test_tree_flags():
 
 
 def test_adjacency_shape():
-    a = StarTree((2, 3)).adjacency()
+    a = adjacency((2, 3))
     assert a.shape == (4, 4)
     assert a.sum() == 2 * 3  # path on 4 vertices has 3 edges
     assert (a == a.T).all()
+    assert characteristic_polynomial(StarTree((2, 3))).degree() == StarTree((2, 3)).vertex_count
+
+
+def test_arms_are_sorted():
+    assert StarTree((7, 3, 2)) == StarTree((2, 3, 7))
+    assert StarTree((7, 3, 2)).arms == (2, 3, 7)
+    assert StarTree((5, 3, 3)).arms == (3, 3, 5)
+    assert not StarTree((5, 3, 3)).strictly_ordered
+    assert StarTree((4, 3, 2)).excluded
+    with pytest.raises(ValueError, match=r"\(5, 1, 3\)"):
+        StarTree((5, 1, 3))  # the message shows the arms as given
 
 
 # ----------------------------------------------------------------------
@@ -254,28 +267,37 @@ def test_mbonacci_times_z_minus_one_is_q_block():
 
 
 # ----------------------------------------------------------------------
-# spectral radius
+# spectral radius: the exact chi_T against the float eigensolver oracle
 # ----------------------------------------------------------------------
 
 def test_spectral_radius_path_on_three_vertices():
-    assert abs(spectral_radius(StarTree((2, 2))) - math.sqrt(2)) < 1e-10
+    assert characteristic_polynomial(StarTree((2, 2))) == poly(0, -2, 0, 1)  # x^3 - 2x
+    assert abs(spectral_radius((2, 2)) - math.sqrt(2)) < 1e-10
 
 
 def test_spectral_radius_affine_boundary():
-    assert abs(spectral_radius(StarTree((2, 3, 6))) - 2.0) < 1e-10
+    # T(2, 3, 6) is the affine E8 diagram: lambda = 2 exactly
+    assert characteristic_polynomial(StarTree((2, 3, 6))).eval_int(2) == 0
+    assert abs(spectral_radius((2, 3, 6)) - 2.0) < 1e-10
 
 
 def test_spectral_radius_lehmer_tree():
-    lam = spectral_radius(StarTree((2, 3, 7)))
-    assert lam > 2.0
-    assert abs(lam - 2.0065936183454) < 1e-9
+    cert = certify_tree(StarTree((2, 3, 7)), digits=30)
+    lo, hi = cert.lam_bracket
+    assert 2 < lo < hi and hi - lo < Fraction(1, 10**34)
+    chi = characteristic_polynomial(StarTree((2, 3, 7)))
+    assert chi.sign_at(lo) * chi.sign_at(hi) < 0
+    lam = spectral_radius((2, 3, 7))
+    assert abs(float(lo) - lam) < 1e-9 and abs(float(hi) - lam) < 1e-9
+    assert cert.lam.startswith("2.0065936183460167")
 
 
 def test_spectral_radius_matches_dense_eigensolver():
     rng = random.Random(99)
-    for _ in range(15):
-        r = rng.randint(1, 4)
-        arms = tuple(rng.randint(2, 10) for _ in range(r + 1))
-        tree = StarTree(arms)
-        expect = float(np.linalg.eigvalsh(tree.adjacency()).max())
-        assert abs(spectral_radius(tree) - expect) < 1e-10, arms
+    eps = Fraction(1, 10**9)
+    for _ in range(30):
+        arms = tuple(rng.randint(2, 8) for _ in range(rng.randint(2, 5)))
+        chi = characteristic_polynomial(StarTree(arms))
+        assert list(chi.coeffs) == [int(round(c)) for c in np.poly(adjacency(arms))[::-1]], arms
+        lam = Fraction(spectral_radius(arms))
+        assert chi.sign_at(lam - eps) * chi.sign_at(lam + eps) < 0, arms

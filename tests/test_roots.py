@@ -1,5 +1,7 @@
+import decimal
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,17 +18,18 @@ from starsalem import (
     certify_tree,
     converge_general,
     converge_mbonacci,
+    coxeter_polynomial,
     cyclotomic_poly,
     dominant_root,
     factor_coxeter,
     fraction_to_decimal,
+    lambda_bracket,
     mbonacci_poly,
-    spectral_radius,
     unit_circle_residual,
 )
 from starsalem.roots import _residuals_small, _resolved_digits, _round_half_even
 
-from oracles import bisect_root, dominant_root_fraction, resolved_places
+from oracles import bisect_root, dominant_root_fraction, resolved_places, spectral_radius
 
 LEHMER = IntPoly.from_coeffs((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 # 30 decimals, fixed beforehand by exact-sign bisection
@@ -273,8 +276,16 @@ def test_certificate_for_lehmer_tree():
     assert cert.tau == LEHMER_TAU_30
     assert cert.classification_echo == "Salem"
     assert cert.unit_residual < 1e-9
-    t = float(cert.tau_value)
-    assert abs(math.sqrt(t) + 1 / math.sqrt(t) - cert.lam) < 1e-6
+    # lambda = sqrt(tau) + 1/sqrt(tau), mapped by the decimal module
+    ctx = decimal.Context(prec=60)
+    t = ctx.divide(decimal.Decimal(cert.tau_value.numerator), cert.tau_value.denominator)
+    lam = ctx.add(ctx.sqrt(t), ctx.divide(1, ctx.sqrt(t)))
+    assert cert.lam == str(lam.quantize(decimal.Decimal(10) ** -30, context=ctx))
+    assert cert.lam == "2.006593618346016732650515917682"
+    lo, hi = cert.lam_bracket
+    assert lo < Fraction(str(lam)) < hi
+    oracle = spectral_radius((2, 3, 7))
+    assert abs(float(lo) - oracle) < 1e-9 and abs(float(hi) - oracle) < 1e-9
 
 
 def test_certificate_none_for_cyclotomic_only():
@@ -332,10 +343,42 @@ def test_general_validation():
 # ----------------------------------------------------------------------
 
 def test_lambda_tau_bridge_samples():
-    for arms in [(2, 3, 7), (2, 4, 5), (3, 4, 8), (4, 7, 9)]:
-        tree = StarTree(arms)
-        fz = factor_coxeter(tree)
-        tau, _ = dominant_root(fz.salem_factor, 20)
-        lam = spectral_radius(tree)
-        t = float(tau)
-        assert abs(math.sqrt(t) + 1 / math.sqrt(t) - lam) <= 1e-6, arms
+    """The exact lambda enclosure lies within 1e-9 of eigvalsh, on random
+    trees with 2-5 arms (repeated arms included) and on T(20, 30, 1000)."""
+    rng = random.Random(6)
+    trees = [(2, 3, 7), (3, 3, 5), (4, 4, 4), (2, 2, 2, 2), (20, 30, 1000)]
+    trees += [tuple(rng.randint(2, 12) for _ in range(rng.randint(2, 5))) for _ in range(40)]
+    certified = 0
+    for arms in trees:
+        rt = coxeter_polynomial(StarTree(arms))
+        lam = spectral_radius(arms)
+        if lam <= 2 + 1e-9:
+            # Dynkin and affine trees: R_T has no root above 1
+            with pytest.raises(NoSignChange):
+                dominant_root(rt, 20)
+            continue
+        _, bracket = dominant_root(rt, 20)
+        lo, hi = lambda_bracket(bracket, 20)
+        assert lam - 1e-9 <= lo < hi <= lam + 1e-9, arms
+        certified += 1
+    assert certified >= 30
+
+
+def test_lambda_bracket_rounds_outward():
+    # tau = (3 + sqrt 5)/2 gives lambda = sqrt 5 exactly; a bracket of
+    # rationals on either side must keep sqrt 5 strictly inside
+    _, bracket = dominant_root(poly(1, -3, 1), 30)
+    lo, hi = lambda_bracket(bracket, 30)
+    assert lo * lo < 5 < hi * hi
+    assert hi - lo <= (bracket[1] - bracket[0]) / 5 + Fraction(2, 10**35)
+    # an exact tau: lambda^2 = h(4) = 25/4 exactly, so both ends are 5/2
+    assert lambda_bracket((Fraction(4), Fraction(4)), 10) == (Fraction(5, 2), Fraction(5, 2))
+
+
+def test_fraction_to_decimal_past_the_int_str_limit():
+    # 5000 places is past Python's 4300-digit int-to-str limit
+    places = 5000
+    root2 = Fraction(math.isqrt(2 * 10 ** (2 * (places + 20))), 10 ** (places + 20))
+    ctx = decimal.Context(prec=places + 1)
+    assert fraction_to_decimal(root2, places) == str(ctx.sqrt(decimal.Decimal(2)))
+    assert fraction_to_decimal(-Fraction(10**6000 - 1, 3), 0) == "-" + "3" * 6000

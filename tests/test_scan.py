@@ -1,10 +1,19 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
-from dataclasses import replace
-
-from starsalem import StarTree, coxeter_polynomial, factor_coxeter, grid_verify, periodicity_scan
+import starsalem.scan as scan
+from starsalem import (
+    IntPoly,
+    StarTree,
+    coxeter_polynomial,
+    factor_coxeter,
+    grid_verify,
+    periodicity_scan,
+)
 from starsalem.cyclotomic import default_table
-from starsalem.scan import _check_order
+from starsalem.scan import _acampo_side, _check_order
 
 from oracles import divides_poly
 
@@ -94,3 +103,65 @@ def test_grid_verify_json_ready():
     summary = grid_verify((2, 6), (2, 6), (2, 6))
     blob = json.dumps(summary, sort_keys=True)
     assert json.loads(blob) == summary
+
+
+# ----------------------------------------------------------------------
+# the exact lambda-tau bridge can fail
+# ----------------------------------------------------------------------
+
+def _lehmer_box_summary():
+    """grid_verify on the one-triple box T(2, 3, 7)."""
+    return grid_verify((2, 2), (3, 3), (7, 7))
+
+
+def _assert_bridge_failed(summary, check):
+    assert summary["triples"] == 1
+    assert (summary["bridge_pass"], summary["bridge_fail"]) == (0, 1)
+    assert summary["failures"] == [{"arms": [2, 3, 7], "check": check}]
+
+
+def test_bridge_passes_on_the_lehmer_tree():
+    summary = _lehmer_box_summary()
+    assert (summary["bridge_pass"], summary["bridge_fail"]) == (1, 0)
+    assert summary["failures"] == []
+
+
+def test_bridge_fails_on_a_wrong_tau_bracket(monkeypatch):
+    real = scan.dominant_root
+    shift = Fraction(1, 10**6)
+
+    def shifted(f, digits):
+        root, (lo, hi) = real(f, digits)
+        return root + shift, (lo + shift, hi + shift)
+
+    monkeypatch.setattr(scan, "dominant_root", shifted)
+    _assert_bridge_failed(_lehmer_box_summary(), "lambda_tau_bridge")
+
+
+def test_bridge_fails_on_a_wrong_characteristic_polynomial(monkeypatch):
+    real = scan.characteristic_polynomial
+    monkeypatch.setattr(scan, "characteristic_polynomial", lambda tree: real(tree) + IntPoly.one())
+    _assert_bridge_failed(_lehmer_box_summary(), "acampo_identity")
+
+
+def test_bridge_fails_with_two_eigenvalues_above_two(monkeypatch):
+    # chi = (x^2 - 9)(x^2 - 5) has the roots 3 and sqrt 5 above 2; its
+    # A'Campo partner is (w^2 - 7w + 1)(w^2 - 3w + 1), and the tau of
+    # w^2 - 7w + 1 maps to lambda = 3, so checks 1 and 2 pass
+    chi = IntPoly.from_coeffs([-9, 0, 1]) * IntPoly.from_coeffs([-5, 0, 1])
+    tau_poly = IntPoly.from_coeffs([1, -7, 1])
+    rt = tau_poly * IntPoly.from_coeffs([1, -3, 1])
+    real_factor, real_root = scan.factor_coxeter, scan.dominant_root
+    monkeypatch.setattr(scan, "characteristic_polynomial", lambda tree: chi)
+    monkeypatch.setattr(
+        scan, "factor_coxeter", lambda tree, table: replace(real_factor(tree, table=table), rt=rt)
+    )
+    monkeypatch.setattr(scan, "dominant_root", lambda f, digits: real_root(tau_poly, digits))
+    _assert_bridge_failed(_lehmer_box_summary(), "one_eigenvalue_above_two")
+
+
+def test_acampo_side_expands_x_plus_one_over_x():
+    # x^2 ((x + 1/x)^2 - 9) = x^4 - 7x^2 + 1
+    assert _acampo_side((-9, 0, 1)) == [1, 0, -7, 0, 1]
+    # x^1 (x + 1/x) = x^2 + 1
+    assert _acampo_side((0, 1)) == [1, 0, 1]
