@@ -6,8 +6,9 @@ order: its sieve needs no order cap. Ranges are ``lo:hi`` with lo <= hi.
 Data goes to stdout (or --output), diagnostics to stderr.
 Numeric fields in machine-readable output are exact decimal strings,
 never binary floats. Exit codes: 0 success, 2 usage error, 3 for a
-classification failure, a periodicity violation, a root iteration that
-did not converge or a polynomial with no root above 1.
+classification failure, a periodicity violation or a polynomial with no
+root above 1. A remainder whose unit-circle certificate fails is not an
+error: ``factor`` prints ``unit circle: not certified`` and exits 0.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .factorize import (
 )
 from .roots import (
     NoSignChange,
-    NonConvergence,
     certify_tree,
     converge_general,
     converge_mbonacci,
@@ -158,7 +158,7 @@ def _cmd_factor(args, parser) -> int:
             doc["certificate"] = {
                 "tau": cert.tau,
                 "lambda": cert.lam,
-                "unit_residual": repr(cert.unit_residual),
+                "unit_circle": cert.unit_circle,
                 "bracket": [fraction_text(x) for x in cert.bracket],
                 "classification": cert.classification_echo,
             }
@@ -184,7 +184,7 @@ def _cmd_factor(args, parser) -> int:
         lines += [
             f"tau: {cert.tau}",
             f"lambda: {fraction_to_decimal(sum(cert.lam_bracket) / 2, 12)}",
-            f"unit-circle residual: {cert.unit_residual:.3e}",
+            f"unit circle: {'certified' if cert.unit_circle else 'not certified'}",
         ]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -344,7 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--digits must be at least 10")
     try:
         return args.func(args, parser)
-    except (ClassificationError, PeriodicityViolation, NonConvergence, NoSignChange) as exc:
+    except (ClassificationError, PeriodicityViolation, NoSignChange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except (ValueError, CertificationError) as exc:

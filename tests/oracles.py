@@ -2,8 +2,10 @@
 
 Everything here is deliberately naive list-based arithmetic with no
 imports from the package under test, so agreement between the two is
-meaningful. Coefficients are ints, low degree first. The one float
-oracle is the spectral radius, from a dense symmetric eigensolver.
+meaningful. Coefficients are ints, low degree first. The float oracles
+are the spectral radius, from a dense symmetric eigensolver, and root
+moduli, from the eigenvalues of the companion matrix (or, for reciprocal
+inputs, of the colleague matrix of the trace polynomial).
 """
 
 from fractions import Fraction
@@ -104,6 +106,35 @@ def adjacency(arms):
 def spectral_radius(arms) -> float:
     """Largest adjacency eigenvalue, by ``numpy.linalg.eigvalsh``."""
     return float(np.linalg.eigvalsh(adjacency(arms))[-1])
+
+
+def root_moduli(cs):
+    """|z| for every root z of cs, ascending: companion-matrix eigenvalues."""
+    return np.sort(np.abs(np.roots([float(c) for c in reversed(cs)])))
+
+
+def trace_root_moduli(cs):
+    """root_moduli for a reciprocal cs of degree 2m, from the m roots t of
+    its trace polynomial: z + 1/z = t. With a_j = cs[m + j],
+    T(t) = a_0 + sum 2 a_j Cheb_j(t/2), whose roots are the eigenvalues of
+    an m x m colleague matrix, about 8 times cheaper than the companion
+    matrix of cs at degree 1000."""
+    m = (len(cs) - 1) // 2
+    cheb = np.array([cs[m]] + [2 * c for c in cs[m + 1:]], dtype=float)
+    t = 2 * np.polynomial.chebyshev.chebroots(cheb).astype(complex)
+    w = np.sqrt(t * t - 4)
+    return np.sort(np.abs(np.concatenate([(t + w) / 2, (t - w) / 2])))
+
+
+def from_trace(ts):
+    """z^m T(z + 1/z) for T = sum_i ts[i] t^i of degree m."""
+    m = len(ts) - 1
+    out = []
+    power = [1]  # (z^2 + 1)^i
+    for i, c in enumerate(ts):
+        out = padd(out, pmul([0] * (m - i) + [c], power))
+        power = pmul(power, [1, 0, 1])
+    return out
 
 
 def eval_sign(cs, x: Fraction) -> int:

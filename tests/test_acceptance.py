@@ -17,7 +17,6 @@ from starsalem import (
     QUADRATIC_PISOT,
     SALEM,
     StarTree,
-    aberth_roots,
     characteristic_polynomial,
     coxeter_polynomial,
     converge_general,
@@ -31,11 +30,12 @@ from starsalem import (
     p_polynomial,
     periodicity_scan,
     qrs_blocks,
+    salem_certificate,
     salem_degree_lower_bound,
 )
 from starsalem.scan import _bridge_failure
 
-from oracles import bisect_root, spectral_radius
+from oracles import bisect_root, root_moduli, spectral_radius, trace_root_moduli
 
 
 def _ok(n: int, message: str) -> None:
@@ -92,24 +92,37 @@ def test_criterion_02_decomposition_exact(grid_data):
 # ----------------------------------------------------------------------
 
 def test_criterion_03_salem_shape(grid_data):
-    salem = quad = 0
+    """Every remainder is certified exactly by ``salem_certificate``; a
+    sample is cross-checked against companion-matrix root moduli, which
+    also check the cheaper trace-polynomial oracle."""
+    salem = []
+    quad = 0
     for arms, fz in grid_data["factorizations"].items():
         if StarTree(arms).excluded:
             continue
         assert fz.classification in (SALEM, QUADRATIC_PISOT), (arms, fz.classification)
-        if fz.classification == QUADRATIC_PISOT:
-            quad += 1
-            continue
-        salem += 1
         s = fz.salem_factor
         assert s.is_reciprocal(), arms
-        roots = aberth_roots(s)
-        assert int(np.sum(np.abs(roots) > 1 + 1e-8)) == 1, arms
+        assert salem_certificate(s), arms
+        if fz.classification == QUADRATIC_PISOT:
+            assert s.degree() == 2, arms
+            quad += 1
+        else:
+            salem.append(arms)
+    sample = random.Random(3).sample(salem, 200)
+    for arms in sample:
+        s = grid_data["factorizations"][arms].salem_factor
+        moduli = root_moduli(s.coeffs)
+        assert np.allclose(moduli, trace_root_moduli(s.coeffs), rtol=0, atol=1e-9), arms
+        assert int(np.sum(moduli > 1 + 1e-8)) == 1, arms
+        assert np.max(np.abs(moduli[1:-1] - 1)) < 1e-9, arms
         tau, _ = dominant_root(s, 15)
-        from starsalem import unit_circle_residual
-
-        assert unit_circle_residual(s, tau) < 1e-9, arms
-    _ok(3, f"{salem} Salem + {quad} quadratic Pisot classifications, all shapes verified")
+        assert abs(moduli[-1] - float(tau)) < 1e-9, arms
+    _ok(
+        3,
+        f"{len(salem)} Salem + {quad} quadratic Pisot remainders certified exactly, "
+        f"{len(sample)} cross-checked against companion-matrix moduli",
+    )
 
 
 # ----------------------------------------------------------------------

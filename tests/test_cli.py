@@ -3,11 +3,16 @@ import io
 import itertools
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from starsalem import IntPoly
 from starsalem.cli import main
+
+from oracles import trace_root_moduli
 
 
 def run(capsys, *argv):
@@ -60,6 +65,7 @@ def test_factor_json_lehmer(capsys):
     assert doc["certificate"]["tau"].startswith("1.176280818")
     # a decimal string with --digits places, not a float repr
     assert doc["certificate"]["lambda"] == "2.006593618346016732650515917682"
+    assert doc["certificate"]["unit_circle"] is True
     assert doc["salem_coeffs"][0] == "1"
     # canonical JSON: parse/re-serialize round-trips byte-identically
     blob = json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
@@ -102,6 +108,7 @@ def test_factor_text(capsys):
     assert rc == 0
     assert "tau: 1.176280818" in out
     assert "order bound: 2100\n" in out
+    assert out.endswith("unit circle: certified\n")
 
 
 def test_factor_four_arms_needs_no_cap(capsys):
@@ -192,17 +199,43 @@ def test_output_to_file(tmp_path, capsys):
     assert json.loads(target.read_text())["m"] == 37
 
 
-def test_root_nonconvergence_is_a_data_error(capsys, monkeypatch):
+def test_failing_certificate_prints_not_certified(capsys, monkeypatch):
     import starsalem.roots as roots
 
-    def stalled(f, *args, **kwargs):
-        raise roots.NonConvergence("Aberth iteration stalled")
-
-    monkeypatch.setattr(roots, "aberth_roots", stalled)
+    monkeypatch.setattr(roots, "salem_certificate", lambda f: False)
     rc, out, err = run(capsys, "factor", "2", "3", "7")
-    assert rc == 3
-    assert out == ""
-    assert err.startswith("error: Aberth iteration stalled")
+    assert rc == 0 and err == ""
+    assert out.endswith("unit circle: not certified\n")
+    rc, out, err = run(capsys, "factor", "2", "3", "7", "--json")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["certificate"]["unit_circle"] is False
+
+
+# every candidate tree of the benchmark's factor_large workload, degree 1018-1048;
+# before the trace-polynomial certificate, 12 of them failed
+LARGE_TREES = [(a0, a1, 1050 - a0 - a1) for a0 in (2, 3, 5, 8, 13, 20) for a1 in (30, 40, 50)]
+
+
+def test_factor_certifies_the_large_trees(capsys):
+    checked = 0
+    for arms in LARGE_TREES:
+        rc, out, err = run(capsys, "factor", *map(str, arms), "--digits", "10", "--json")
+        assert rc == 0 and err == "", arms
+        doc = json.loads(out)
+        cert = doc["certificate"]
+        assert doc["classification"] == "Salem" and cert["unit_circle"] is True, arms
+        f = IntPoly.from_coeffs(int(c) for c in doc["salem_coeffs"])
+        lo, hi = (Fraction(end) for end in cert["bracket"])
+        assert f.sign_at(lo) * f.sign_at(hi) < 0, arms
+        if arms in ((2, 30, 1018), (5, 40, 1005), (20, 50, 980)):
+            # criterion 3 checks this oracle against the companion matrix,
+            # which takes 1.5-2.5 s at this degree
+            moduli = trace_root_moduli(f.coeffs)
+            assert np.max(np.abs(moduli[1:-1] - 1)) < 1e-9, arms
+            assert abs(moduli[-1] - float(cert["tau"])) < 1e-9, arms
+            assert abs(moduli[0] * float(cert["tau"]) - 1) < 1e-9, arms
+            checked += 1
+    assert checked == 3
 
 
 def test_no_root_above_one_is_a_data_error(capsys):

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from starsalem import (
     IntPoly,
     NoSignChange,
-    NonConvergence,
     StarTree,
-    aberth_roots,
     certify_tree,
     converge_general,
     converge_mbonacci,
@@ -25,11 +23,19 @@ from starsalem import (
     fraction_to_decimal,
     lambda_bracket,
     mbonacci_poly,
-    unit_circle_residual,
+    salem_certificate,
 )
-from starsalem.roots import _residuals_small, _resolved_digits, _round_half_even
+import starsalem.roots as roots
+from starsalem.roots import _resolved_digits, _round_half_even
 
-from oracles import bisect_root, dominant_root_fraction, resolved_places, spectral_radius
+from oracles import (
+    bisect_root,
+    dominant_root_fraction,
+    from_trace,
+    resolved_places,
+    root_moduli,
+    spectral_radius,
+)
 
 LEHMER = IntPoly.from_coeffs((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 # 30 decimals, fixed beforehand by exact-sign bisection
@@ -216,54 +222,114 @@ def test_fraction_to_decimal():
 
 
 # ----------------------------------------------------------------------
-# Aberth iteration and the unit-circle residual
+# the unit-circle certificate
 # ----------------------------------------------------------------------
 
-def test_aberth_against_companion_matrix():
-    for f in (LEHMER, mbonacci_poly(6), poly(-1, 0, 0, 0, 1) * poly(-3, 1)):
-        mine = aberth_roots(f)
-        ref = np.roots([float(c) for c in reversed(f.coeffs)])
-        # conjugate pairs can swap under sorting; match each root to its
-        # nearest reference root instead
-        for z in mine:
-            assert np.min(np.abs(ref - z)) < 1e-8
-
-
-def test_aberth_nonconvergence_message_is_short():
-    f = mbonacci_poly(1000)
-    with pytest.raises(NonConvergence) as exc:
-        aberth_roots(f, max_iter=1)
-    assert len(str(exc.value)) < 200
-    assert "degree-1000" in str(exc.value)
-
-
-def test_residual_guard_can_fail_past_double_range():
-    # x^1099 (x - 2): max |z|^deg = 2^1100 overflows a double
-    f = IntPoly.monomial(1099) * poly(-2, 1)
-    roots = np.array([0.0] * 1099 + [2.0], dtype=complex)
-    assert _residuals_small(f, roots)
-    assert not _residuals_small(f, roots + 1e-6)
-    z = aberth_roots(LEHMER)
-    assert _residuals_small(LEHMER, z)
-    assert not _residuals_small(LEHMER, z + 1e-6)
+PHI_10 = poly(1, -1, 1, -1, 1)
 
 
 def test_lehmer_unit_residual():
+    assert salem_certificate(LEHMER)
+    # float oracle: 8 moduli on the circle, and tau and 1/tau
     tau, _ = dominant_root(LEHMER, 20)
-    assert unit_circle_residual(LEHMER, tau) < 1e-9
+    moduli = root_moduli(LEHMER.coeffs)
+    assert np.max(np.abs(moduli[1:-1] - 1)) < 1e-9
+    assert abs(moduli[-1] - float(tau)) < 1e-9 and abs(moduli[0] * float(tau) - 1) < 1e-9
 
 
-def test_quadratic_residual_is_zero_by_convention():
-    f = poly(1, -3, 1)
-    tau, _ = dominant_root(f, 20)
-    assert unit_circle_residual(f, tau) == 0.0
+def test_quadratic_pisot_certifies_with_m_one():
+    # T = t - a: the root a lies above 2 exactly when a > 2
+    assert salem_certificate(poly(1, -3, 1))
+    assert salem_certificate(poly(1, -1000, 1))
+    assert not salem_certificate(poly(1, -2, 1))  # (x - 1)^2
+    assert not salem_certificate(poly(1, -1, 1))  # Phi_6
+    assert not salem_certificate(poly(1, 3, 1))  # roots below -1
 
 
 def test_salem_factor_has_exactly_one_root_outside():
     for arms in [(2, 3, 7), (2, 4, 9), (3, 5, 8)]:
         fz = factor_coxeter(StarTree(arms))
-        roots = aberth_roots(fz.salem_factor)
-        assert int(np.sum(np.abs(roots) > 1 + 1e-8)) == 1, arms
+        assert salem_certificate(fz.salem_factor), arms
+        moduli = root_moduli(fz.salem_factor.coeffs)
+        assert int(np.sum(moduli > 1 + 1e-8)) == 1, arms
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        # T = (t - 3)(t - 4): two roots above 2
+        pytest.param(poly(1, -3, 1) * poly(1, -4, 1), id="two-roots-above-2"),
+        # T = T_Lehmer (t^2 + 1): the roots +-i of t^2 + 1 put a pair off the circle
+        pytest.param(LEHMER * poly(1, 0, 3, 0, 1), id="pair-off-the-circle"),
+        # the double roots of Phi_10^2 give T no sign change
+        pytest.param(LEHMER * PHI_10 * PHI_10, id="squared-cyclotomic"),
+        # T = (t + 3)(t^2 - t - 1): m - 1 changes in (-2, 2), but T(2) > 0
+        pytest.param(poly(1, 3, 1) * PHI_10, id="root-below-minus-2"),
+        pytest.param(poly(-1, -1, 1), id="not-reciprocal"),
+        pytest.param(poly(1, 0, 1, 0, 0, 1), id="not-reciprocal-odd"),
+        pytest.param(LEHMER * poly(1, 1), id="reciprocal-odd-degree"),
+        pytest.param(poly(2, -5, 2), id="not-monic"),
+        pytest.param(IntPoly.one(), id="constant"),
+        pytest.param(IntPoly.zero(), id="zero"),
+    ],
+)
+def test_certificate_can_fail(f):
+    assert not salem_certificate(f)
+
+
+def test_cyclotomic_polynomials_do_not_certify():
+    # every root on the circle: T has all m roots in (-2, 2) and T(2) > 0
+    for n in range(3, 60):
+        assert not salem_certificate(cyclotomic_poly(n)), n
+
+
+# T = t^3 - 2 (10 t - 1)^2 has roots 0.0978 and 0.1023, closer than the
+# grid spacing there until N = 2048, and one near 200; so this is a
+# degree-6 Salem polynomial
+CLOSE_TRACE_ROOTS = IntPoly.from_coeffs(from_trace([-2, 40, -200, 1]))
+
+
+def test_certificate_refines_the_guide():
+    # at N = 512 and 1024 one sample falls between the close roots, a run
+    # too short to hold a dyadic point
+    f = CLOSE_TRACE_ROOTS
+    assert f.is_reciprocal() and f.degree() == 6
+    assert roots._guide_points(f.coeffs[3:], 512) is None
+    assert roots._guide_points(f.coeffs[3:], 1024) is None
+    assert roots._guide_points(f.coeffs[3:], 2048) == [(51, 9)]
+    moduli = root_moduli(f.coeffs)
+    assert np.max(np.abs(moduli[1:-1] - 1)) < 1e-9 and moduli[-1] > 199
+    assert salem_certificate(f)
+
+
+def test_certificate_gives_up_after_the_last_doubling(monkeypatch):
+    monkeypatch.setattr(roots, "_GUIDE_DOUBLINGS", 1)
+    assert not salem_certificate(CLOSE_TRACE_ROOTS)
+
+
+def test_certificate_matches_the_oracle_on_trace_polynomials():
+    """Random monic T of degree 2..8 with small coefficients: the
+    certificate for z^m T(z + 1/z) holds exactly when the companion
+    matrix of T shows m - 1 simple real roots in (-2, 2) and one above 2.
+    Inputs with roots too close to each other or to +-2 for the float
+    oracle to call are skipped."""
+    rng = random.Random(7)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        m = rng.randint(2, 8)
+        ts = [rng.randint(-4, 4) for _ in range(m)] + [1]
+        t_roots = np.roots(ts[::-1])
+        real = np.abs(t_roots.imag) < 1e-7
+        inside = real & (np.abs(t_roots.real) < 2 - 1e-6)
+        above = real & (t_roots.real > 2 + 1e-6)
+        gaps = np.abs(t_roots[:, None] - t_roots[None, :]) + np.eye(m)
+        if np.min(gaps) < 1e-4 or np.any(np.abs(np.abs(t_roots) - 2) < 1e-6):
+            continue
+        expected = int(np.sum(inside)) == m - 1 and int(np.sum(above)) == 1
+        f = IntPoly.from_coeffs(from_trace(ts))
+        assert salem_certificate(f) == expected, ts
+        seen[expected] += 1
+    assert seen[True] >= 20 and seen[False] >= 100
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +341,7 @@ def test_certificate_for_lehmer_tree():
     assert cert is not None
     assert cert.tau == LEHMER_TAU_30
     assert cert.classification_echo == "Salem"
-    assert cert.unit_residual < 1e-9
+    assert cert.unit_circle is True
     # lambda = sqrt(tau) + 1/sqrt(tau), mapped by the decimal module
     ctx = decimal.Context(prec=60)
     t = ctx.divide(decimal.Decimal(cert.tau_value.numerator), cert.tau_value.denominator)
