@@ -6,9 +6,10 @@ order: its sieve needs no order cap. Ranges are ``lo:hi`` with lo <= hi.
 Data goes to stdout (or --output), diagnostics to stderr.
 Numeric fields in machine-readable output are exact decimal strings,
 never binary floats. Exit codes: 0 success, 2 usage error, 3 for a
-classification failure, a periodicity violation or a polynomial with no
-root above 1. A remainder whose unit-circle certificate fails is not an
-error: ``factor`` prints ``unit circle: not certified`` and exits 0.
+classification failure (a remainder other than 1 that the exact Salem
+certificate does not prove), a periodicity violation or a polynomial
+with no root above 1. ``factor`` prints the label the certificate
+decided, and nothing on stdout when it fails.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Optional, Sequence
 
 from .coxeter import StarTree, coxeter_polynomial, p_polynomial, qrs_blocks
 from .factorize import (
-    CYCLOTOMIC_ONLY,
     ORDER_BOUND_FACTOR,
     CertificationError,
     ClassificationError,
@@ -93,7 +93,7 @@ def _cmd_poly(args, parser) -> int:
     if not tree.strictly_ordered:
         print(
             "warning: two arms have the same length; "
-            "Salem classification guarantees do not apply",
+            "the Q/R/S blocks and the paper's order bound do not apply",
             file=sys.stderr,
         )
     rt = coxeter_polynomial(tree)
@@ -136,6 +136,7 @@ def _cmd_poly(args, parser) -> int:
 def _cmd_factor(args, parser) -> int:
     tree = _parse_arms(args.arms, parser)
     fz = factor_coxeter(tree)
+    label = fz.classification  # an uncertified remainder exits 3 before any root is computed
     degree_lower = None
     if tree.r == 2 and tree.strictly_ordered and not tree.excluded:
         try:
@@ -143,14 +144,7 @@ def _cmd_factor(args, parser) -> int:
             degree_lower = salem_degree_lower_bound(tree, trace.m)
         except CertificationError:
             degree_lower = None
-    cert = None
-    if fz.classification != CYCLOTOMIC_ONLY and fz.salem_factor.degree() >= 1:
-        try:
-            cert = certify_tree(tree, digits=args.digits, factorization=fz)
-        except NoSignChange:
-            # remainder of an out-of-hypotheses tree need not have a
-            # root above 1; report the factorization without a certificate
-            cert = None
+    cert = certify_tree(tree, digits=args.digits, factorization=fz)
     if args.format == "json":
         doc = fz.to_json_dict(degree_lower_bound=degree_lower)
         doc["certificate"] = None
@@ -158,15 +152,13 @@ def _cmd_factor(args, parser) -> int:
             doc["certificate"] = {
                 "tau": cert.tau,
                 "lambda": cert.lam,
-                "unit_circle": cert.unit_circle,
                 "bracket": [fraction_text(x) for x in cert.bracket],
-                "classification": cert.classification_echo,
             }
         _emit(_dump_json(doc) + "\n", args.output)
         return 0
     lines = [
         f"arms: {tree.arms}",
-        f"classification: {fz.classification}",
+        f"classification: {label}",
         "cyclotomic factors: "
         + (
             ", ".join(
@@ -184,7 +176,6 @@ def _cmd_factor(args, parser) -> int:
         lines += [
             f"tau: {cert.tau}",
             f"lambda: {fraction_to_decimal(sum(cert.lam_bracket) / 2, 12)}",
-            f"unit circle: {'certified' if cert.unit_circle else 'not certified'}",
         ]
     _emit("\n".join(lines) + "\n", args.output)
     return 0

@@ -1,13 +1,12 @@
 """Exact factorization of Coxeter polynomials and certified bounds.
 
 ``factor_coxeter`` splits R_T into a product of cyclotomic polynomials
-times a remainder and classifies the remainder (Salem, quadratic Pisot,
-cyclotomic-only, or outside the strictly-ordered hypotheses). The sieve
-takes no order cap: only orders with phi(k) <= deg R_T can divide, and
-they all lie under the exact bound ``phi_inverse_bound(deg R_T)``. So the
-paper's order bound 420*(a2 - a1 + a0 - 1) for strictly ordered
-three-arm trees is checked against what the sieve finds
-(``verify_order_bound``), never used to limit it.
+times a remainder. The sieve takes no order cap: only orders with
+phi(k) <= deg R_T can divide, and they all lie under the exact bound
+``phi_inverse_bound(deg R_T)``. So the paper's order bound
+420*(a2 - a1 + a0 - 1) for strictly ordered three-arm trees is checked
+against what the sieve finds (``verify_order_bound``), never used to
+limit it.
 
 Every question of the form "which orders k have Phi_k | f" goes through
 one primitive, ``cyclotomic_divisors``, used by the sieve, by the
@@ -17,6 +16,16 @@ One vectorised float screen evaluates f at every candidate's primitive
 root and discards the orders whose value is provably nonzero (it carries
 a rigorous rounding-error bound), and every survivor is settled by exact
 integer division. Outcomes never depend on the float path.
+
+The remainder's label (Salem, quadratic Pisot or cyclotomic-only) has
+one exact test, ``salem_certificate``, and is computed only when
+``CoxeterFactorization.classification`` is first read. The certificate
+proves that every root of a reciprocal remainder other than tau and
+1/tau lies on the unit circle, by counting exact sign changes of its
+trace polynomial T, where f(z) = z^m T(z + 1/z), in (-2, 2). A float
+evaluation of T only picks the points; the signs there are exact
+integers. A remainder other than 1 that it does not certify raises
+ClassificationError, whatever the tree's arms.
 
 ``multiplicity_bound`` certifies the effectively computable bound m on
 root multiplicities of P on the unit circle: a positive rational lower
@@ -32,7 +41,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,14 +55,14 @@ ORDER_BOUND_FACTOR = 420
 SALEM = "Salem"
 QUADRATIC_PISOT = "QuadraticPisot"
 CYCLOTOMIC_ONLY = "CyclotomicOnly"
-OUTSIDE_HYPOTHESES = "OutsideHypotheses"
 
 # strict upper bound for pi, used whenever a rational bound must stay rigorous
 _PI_UPPER = Fraction(355, 113)
 
 
 class ClassificationError(RuntimeError):
-    """The non-cyclotomic remainder matches none of the expected shapes."""
+    """The non-cyclotomic remainder is neither 1 nor certified by
+    ``salem_certificate``."""
 
 
 class CertificationError(RuntimeError):
@@ -65,10 +75,15 @@ class CoxeterFactorization:
     rt: IntPoly  # R_T, the polynomial that was factored
     cyclotomic_factors: dict[int, int]  # order -> multiplicity
     salem_factor: IntPoly
-    classification: str
     max_observed_order: int
     max_observed_multiplicity: int
     unramified: bool
+
+    @cached_property
+    def classification(self) -> str:
+        """``classify_remainder`` of the remainder, computed on first read:
+        callers that never read the label never pay for its certificate."""
+        return classify_remainder(self.salem_factor)
 
     @property
     def proven_order_bound(self) -> Optional[int]:
@@ -215,59 +230,166 @@ def extract_cyclotomic(
     return mults, rem
 
 
-def _quadratic_has_root_above_one(f: IntPoly) -> bool:
-    """Exact test for a real root > 1 of a monic integer quadratic."""
-    c0, c1, _ = f.coeffs
-    disc = c1 * c1 - 4 * c0
-    if disc <= 0:
+# ----------------------------------------------------------------------
+# classification: the trace-polynomial certificate
+# ----------------------------------------------------------------------
+
+def _describe(f: IntPoly) -> str:
+    """Short name for f in messages: its degree and height, not its terms."""
+    if f.is_zero():
+        return "the zero polynomial"
+    return f"a degree-{f.degree()} polynomial of height {f.height()}"
+
+
+# the guide starts at max(8m, 512) samples and doubles at most this often
+_GUIDE_DOUBLINGS = 4
+
+
+def salem_certificate(f: IntPoly) -> bool:
+    """True when f has one real root tau > 1, the root 1/tau, and every
+    other root simple and on the unit circle; proved in exact arithmetic.
+
+    f must be monic, reciprocal and of even degree 2m; any other input
+    gives False. Then f(z) = z^m T(z + 1/z) for the trace polynomial
+    T(t) = a_0 + sum_{j>=1} a_j D_j(t) with a_j = c_{m+j}, the upper half
+    of f's coefficients, in the basis D_j(z + 1/z) = z^j + z^-j
+    (D_1 = t, D_2 = t^2 - 2, D_{j+1} = t D_j - D_{j-1}). T has degree m
+    and leading coefficient 1.
+
+    Proof of the claim. Suppose T(2) = f(1) < 0, and that at points
+    2 = x_0 > x_1 > ... > x_L = -2 the exact signs of T change m - 1
+    times. Each change puts a root of T strictly between two consecutive
+    points, so in (-2, 2), and T(2) < 0 < T(+inf) puts one more in
+    (2, inf). These m roots are distinct, so they are all of T's roots,
+    each simple. A root t in (-2, 2) gives the pair z, 1/z = e^(+-i theta)
+    with 2 cos theta = t, on the unit circle and distinct from the pairs
+    of the other roots; the root t > 2 gives tau > 1 and 1/tau. That is
+    2m distinct roots, all of f's. When no cyclotomic polynomial divides
+    f, Kronecker's theorem then makes f irreducible: a factor without
+    tau has all its roots on the unit circle (1/tau alone would make its
+    constant term a nonzero integer below 1 in modulus).
+
+    Finding the points is a float guide: T is evaluated by Clenshaw's
+    recurrence at t_i = 2 cos(pi i / N), i = 0..N, with
+    N = max(8m, 512), and inside every run of samples of one sign, other
+    than the runs at the ends (x_0 = 2 and x_L = -2 stand for those), the
+    dyadic point p/2^k with the smallest k strictly between the run's
+    first and last sample is taken. Only the exact signs of
+    2^(km) T(p/2^k) decide. When the guide finds fewer than m - 1
+    changes, an interior run spans no interval, or the exact signs show
+    a count other than m - 1, N doubles, at most ``_GUIDE_DOUBLINGS``
+    times, and then the answer is False.
+    """
+    deg = f.degree()
+    if not (f.is_monic() and f.is_reciprocal() and deg % 2 == 0):
         return False
-    # larger root (-c1 + sqrt(disc))/2 > 1  <=>  sqrt(disc) > 2 + c1
-    return (2 + c1) < 0 or disc > (2 + c1) ** 2
+    if f.eval_int(1) >= 0:  # T(2) = f(1)
+        return False
+    m = int(deg) // 2
+    a = f.coeffs[m:]
+    n = max(8 * m, 512)
+    for _ in range(_GUIDE_DOUBLINGS + 1):
+        points = _guide_points(a, n)
+        # the points leave len(points) + 1 intervals for m - 1 changes
+        if points is not None and len(points) >= m - 2:
+            signs = [-1] + _trace_signs(a, points + [(-2, 0)])
+            if sum(x * y < 0 for x, y in zip(signs, signs[1:])) == m - 1:
+                return True
+        n *= 2
+    return False
 
 
-_JUST_ABOVE_ONE = Fraction((1 << 20) + 1, 1 << 20)
+def _guide_points(a: Sequence[int], n: int) -> Optional[list[tuple[int, int]]]:
+    """Dyadic points (p, k), decreasing, one inside each interior run of
+    one float sign of T at 2 cos(pi i / n), i = 0..n; None when an
+    interior run spans no interval. Samples where T rounds to 0 carry
+    no sign and are left out. T's coefficients a enter divided by their
+    height, so no float overflows and the signs stay the same.
+    """
+    height = max(abs(c) for c in a)
+    t = 2.0 * np.cos(np.pi * np.arange(n + 1) / n)
+    b1 = np.zeros(n + 1)
+    b2 = np.zeros(n + 1)
+    for c in reversed(a[1:]):
+        b1, b2 = c / height + t * b1 - b2, b1
+    sign = np.sign(a[0] / height + t * b1 - 2.0 * b2)
+    t, sign = t[sign != 0], sign[sign != 0]
+    starts = np.flatnonzero(sign[1:] != sign[:-1]) + 1
+    points = []
+    for first, last in zip(starts[:-1], starts[1:] - 1):
+        lo, hi = float(t[last]), float(t[first])
+        if not lo < hi:  # one sample, or samples that round to one float
+            return None
+        points.append(_shortest_dyadic(lo, hi))
+    return points
 
 
-def classify_remainder(rem: IntPoly, strictly_ordered: bool = True) -> str:
-    """Shape classification of the sieve remainder."""
-    if not strictly_ordered:
-        return OUTSIDE_HYPOTHESES
-    deg = rem.degree()
-    if deg == 0:
-        if rem.coeffs != (1,):
-            raise ClassificationError(f"constant remainder is not 1: {rem}")
+def _shortest_dyadic(lo: float, hi: float) -> tuple[int, int]:
+    """(p, k) with lo < p/2^k < hi and k >= 0 as small as it can be (lo < hi).
+
+    Scaling a float by a power of two is exact, so both comparisons are.
+    """
+    k = 0
+    while True:
+        p = math.floor(lo * 2**k) + 1
+        if p < hi * 2**k:
+            return p, k
+        k += 1
+
+
+def _trace_signs(a: Sequence[int], points: list[tuple[int, int]]) -> list[int]:
+    """Exact signs of T at the dyadic points p/2^k, read off the integers
+    2^(km) T(p/2^k).
+
+    Clenshaw's recurrence b_j = a_j + t b_{j+1} - b_{j+2} gives
+    T(t) = a_0 + t b_1 - 2 b_2; with t = p/2^k it runs on the integers
+    B_j = 2^(k(m-j)) b_j = a_j 2^(k(m-j)) + p B_{j+1} - 2^(2k) B_{j+2}.
+    The shifted coefficients a_j 2^(k(m-j)) are built once per k.
+    """
+    m = len(a) - 1
+    shifted: dict[int, list[int]] = {}  # a_j 2^(k(m-j)) for j = m, ..., 0
+    signs = []
+    for p, k in points:
+        if k not in shifted:
+            shifted[k] = [a[j] << (k * (m - j)) for j in range(m, -1, -1)]
+        *top, low = shifted[k]
+        b1 = b2 = 0
+        for c in top:
+            b1, b2 = c + p * b1 - (b2 << (2 * k)), b1
+        value = low + p * b1 - (b2 << (2 * k + 1))
+        signs.append((value > 0) - (value < 0))
+    return signs
+
+
+def classify_remainder(rem: IntPoly) -> str:
+    """The label of the sieve remainder, decided by ``salem_certificate``.
+
+    A remainder of exactly 1 is CyclotomicOnly. A certified remainder of
+    degree 2 (x^2 - a x + 1 with a > 2) is QuadraticPisot, and one of
+    larger degree is Salem. Any other remainder raises
+    ClassificationError.
+    """
+    if rem.coeffs == (1,):
         return CYCLOTOMIC_ONLY
-    if deg == 2:
-        if rem.is_monic() and _quadratic_has_root_above_one(rem):
-            return QUADRATIC_PISOT
-        raise ClassificationError(f"degree-2 remainder without root > 1: {rem}")
-    if (
-        isinstance(deg, int)
-        and deg >= 4
-        and deg % 2 == 0
-        and rem.is_reciprocal()
-        and rem.is_monic()
-        and rem.sign_at(_JUST_ABOVE_ONE) < 0
-    ):
-        return SALEM
-    raise ClassificationError(f"remainder has unexpected shape: {rem}")
+    if salem_certificate(rem):
+        return QUADRATIC_PISOT if rem.degree() == 2 else SALEM
+    raise ClassificationError(f"no Salem certificate for the remainder, {_describe(rem)}")
 
 
 def factor_coxeter(
     tree: StarTree, table: CyclotomicTable | None = None
 ) -> CoxeterFactorization:
-    """Sieve every cyclotomic factor out of R_T and classify what is left."""
+    """Sieve every cyclotomic factor out of R_T; the remainder is
+    classified when ``classification`` is first read."""
     table = table or default_table()
     rt = coxeter_polynomial(tree)
     mults, rem = extract_cyclotomic(rt, table)
-    classification = classify_remainder(rem, tree.strictly_ordered)
     unramified = abs(rem.eval_int(1)) == 1 and abs(rem.eval_int(-1)) == 1
     return CoxeterFactorization(
         arms=tree.arms,
         rt=rt,
         cyclotomic_factors=dict(sorted(mults.items())),
         salem_factor=rem,
-        classification=classification,
         max_observed_order=max(mults, default=0),
         max_observed_multiplicity=max(mults.values(), default=0),
         unramified=unramified,

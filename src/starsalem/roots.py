@@ -12,11 +12,9 @@ the bisection endpoints and the final enclosure are Fractions.
 spectral radius lambda = sqrt(tau) + 1/sqrt(tau) in exact integer
 arithmetic (``math.isqrt`` on scaled integers, rounded outward).
 
-``salem_certificate`` proves that every root of a reciprocal remainder
-other than tau and 1/tau lies on the unit circle, by counting exact sign
-changes of its trace polynomial T, where f(z) = z^m T(z + 1/z), in
-(-2, 2). A float evaluation of T only picks the points; the signs there
-are exact integers.
+``certify_tree`` puts the two together for a tree's remainder. Whether
+that remainder is Salem is the factorization's label, decided by
+``factorize.salem_certificate``; no float enters this module.
 
 The convergence sweeps reproduce the limit behaviour of the Salem roots:
 with two arms growing they approach the m-bonacci number of the fixed
@@ -31,11 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .coxeter import StarTree, coxeter_polynomial, limit_polynomial, mbonacci_poly
 from .cyclotomic import CyclotomicTable
-from .factorize import CYCLOTOMIC_ONLY, CoxeterFactorization, factor_coxeter
+from .factorize import CoxeterFactorization, _describe, factor_coxeter
 from .intpoly import IntPoly
 
 
@@ -50,8 +46,6 @@ class RootCertificate:
     bracket: tuple[Fraction, Fraction]
     lam: str  # decimal string, the midpoint of lam_bracket
     lam_bracket: tuple[Fraction, Fraction]
-    unit_circle: bool  # salem_certificate of the remainder
-    classification_echo: str
 
 
 @dataclass(frozen=True)
@@ -243,133 +237,6 @@ def _resolved_digits(num: int, den: int) -> int:
     return k
 
 
-def _describe(f: IntPoly) -> str:
-    """Short name for f in messages: its degree and height, not its terms."""
-    if f.is_zero():
-        return "the zero polynomial"
-    return f"a degree-{f.degree()} polynomial of height {f.height()}"
-
-
-# the guide starts at max(8m, 512) samples and doubles at most this often
-_GUIDE_DOUBLINGS = 4
-
-
-def salem_certificate(f: IntPoly) -> bool:
-    """True when f has one real root tau > 1, the root 1/tau, and every
-    other root simple and on the unit circle; proved in exact arithmetic.
-
-    f must be monic, reciprocal and of even degree 2m; any other input
-    gives False. Then f(z) = z^m T(z + 1/z) for the trace polynomial
-    T(t) = a_0 + sum_{j>=1} a_j D_j(t) with a_j = c_{m+j}, the upper half
-    of f's coefficients, in the basis D_j(z + 1/z) = z^j + z^-j
-    (D_1 = t, D_2 = t^2 - 2, D_{j+1} = t D_j - D_{j-1}). T has degree m
-    and leading coefficient 1.
-
-    Proof of the claim. Suppose T(2) = f(1) < 0, and that at points
-    2 = x_0 > x_1 > ... > x_L = -2 the exact signs of T change m - 1
-    times. Each change puts a root of T strictly between two consecutive
-    points, so in (-2, 2), and T(2) < 0 < T(+inf) puts one more in
-    (2, inf). These m roots are distinct, so they are all of T's roots,
-    each simple. A root t in (-2, 2) gives the pair z, 1/z = e^(+-i theta)
-    with 2 cos theta = t, on the unit circle and distinct from the pairs
-    of the other roots; the root t > 2 gives tau > 1 and 1/tau. That is
-    2m distinct roots, all of f's. When no cyclotomic polynomial divides
-    f, Kronecker's theorem then makes f irreducible: a factor without
-    tau has all its roots on the unit circle (1/tau alone would make its
-    constant term a nonzero integer below 1 in modulus).
-
-    Finding the points is a float guide: T is evaluated by Clenshaw's
-    recurrence at t_i = 2 cos(pi i / N), i = 0..N, with
-    N = max(8m, 512), and inside every run of samples of one sign, other
-    than the runs at the ends (x_0 = 2 and x_L = -2 stand for those), the
-    dyadic point p/2^k with the smallest k strictly between the run's
-    first and last sample is taken. Only the exact signs of
-    2^(km) T(p/2^k) decide. When the guide finds fewer than m - 1
-    changes, an interior run spans no interval, or the exact signs show
-    a count other than m - 1, N doubles, at most ``_GUIDE_DOUBLINGS``
-    times, and then the answer is False.
-    """
-    deg = f.degree()
-    if not (f.is_monic() and f.is_reciprocal() and deg % 2 == 0):
-        return False
-    if f.eval_int(1) >= 0:  # T(2) = f(1)
-        return False
-    m = int(deg) // 2
-    a = f.coeffs[m:]
-    n = max(8 * m, 512)
-    for _ in range(_GUIDE_DOUBLINGS + 1):
-        points = _guide_points(a, n)
-        # the points leave len(points) + 1 intervals for m - 1 changes
-        if points is not None and len(points) >= m - 2:
-            signs = [-1] + _trace_signs(a, points + [(-2, 0)])
-            if sum(x * y < 0 for x, y in zip(signs, signs[1:])) == m - 1:
-                return True
-        n *= 2
-    return False
-
-
-def _guide_points(a: Sequence[int], n: int) -> Optional[list[tuple[int, int]]]:
-    """Dyadic points (p, k), decreasing, one inside each interior run of
-    one float sign of T at 2 cos(pi i / n), i = 0..n; None when an
-    interior run spans no interval. Samples where T rounds to 0 carry
-    no sign and are left out. T's coefficients a enter divided by their
-    height, so no float overflows and the signs stay the same.
-    """
-    height = max(abs(c) for c in a)
-    t = 2.0 * np.cos(np.pi * np.arange(n + 1) / n)
-    b1 = np.zeros(n + 1)
-    b2 = np.zeros(n + 1)
-    for c in reversed(a[1:]):
-        b1, b2 = c / height + t * b1 - b2, b1
-    sign = np.sign(a[0] / height + t * b1 - 2.0 * b2)
-    t, sign = t[sign != 0], sign[sign != 0]
-    starts = np.flatnonzero(sign[1:] != sign[:-1]) + 1
-    points = []
-    for first, last in zip(starts[:-1], starts[1:] - 1):
-        lo, hi = float(t[last]), float(t[first])
-        if not lo < hi:  # one sample, or samples that round to one float
-            return None
-        points.append(_shortest_dyadic(lo, hi))
-    return points
-
-
-def _shortest_dyadic(lo: float, hi: float) -> tuple[int, int]:
-    """(p, k) with lo < p/2^k < hi and k >= 0 as small as it can be (lo < hi).
-
-    Scaling a float by a power of two is exact, so both comparisons are.
-    """
-    k = 0
-    while True:
-        p = math.floor(lo * 2**k) + 1
-        if p < hi * 2**k:
-            return p, k
-        k += 1
-
-
-def _trace_signs(a: Sequence[int], points: list[tuple[int, int]]) -> list[int]:
-    """Exact signs of T at the dyadic points p/2^k, read off the integers
-    2^(km) T(p/2^k).
-
-    Clenshaw's recurrence b_j = a_j + t b_{j+1} - b_{j+2} gives
-    T(t) = a_0 + t b_1 - 2 b_2; with t = p/2^k it runs on the integers
-    B_j = 2^(k(m-j)) b_j = a_j 2^(k(m-j)) + p B_{j+1} - 2^(2k) B_{j+2}.
-    The shifted coefficients a_j 2^(k(m-j)) are built once per k.
-    """
-    m = len(a) - 1
-    shifted: dict[int, list[int]] = {}  # a_j 2^(k(m-j)) for j = m, ..., 0
-    signs = []
-    for p, k in points:
-        if k not in shifted:
-            shifted[k] = [a[j] << (k * (m - j)) for j in range(m, -1, -1)]
-        *top, low = shifted[k]
-        b1 = b2 = 0
-        for c in top:
-            b1, b2 = c + p * b1 - (b2 << (2 * k)), b1
-        value = low + p * b1 - (b2 << (2 * k + 1))
-        signs.append((value > 0) - (value < 0))
-    return signs
-
-
 def lambda_bracket(
     tau_bracket: tuple[Fraction, Fraction], digits: int
 ) -> tuple[Fraction, Fraction]:
@@ -421,12 +288,11 @@ def certify_tree(
 
     The spectral radius lambda comes from tau's enclosure through
     ``lambda_bracket``; no characteristic polynomial or matrix is built.
-    ``unit_circle`` is ``salem_certificate`` of the sieve remainder, so
-    True proves that tau is a Salem number, or a quadratic unit when the
-    remainder has degree 2.
+    That tau is a Salem number (or a quadratic unit) is the factorization's
+    ``classification``, which this function does not read.
     """
     fz = factorization or factor_coxeter(tree, table=table)
-    if fz.classification == CYCLOTOMIC_ONLY or fz.salem_factor.degree() < 1:
+    if fz.salem_factor.degree() < 1:
         return None
     tau, bracket = dominant_root(fz.salem_factor, digits)
     lam_bracket = lambda_bracket(bracket, digits)
@@ -436,8 +302,6 @@ def certify_tree(
         bracket=bracket,
         lam=fraction_to_decimal(sum(lam_bracket) / 2, digits),
         lam_bracket=lam_bracket,
-        unit_circle=salem_certificate(fz.salem_factor),
-        classification_echo=fz.classification,
     )
 
 

@@ -38,7 +38,11 @@ def test_poly_two_arms(capsys):
 def test_poly_warns_outside_hypotheses(capsys):
     rc, out, err = run(capsys, "poly", "3", "3", "5")
     assert rc == 0
-    assert "warning" in err
+    assert err == (
+        "warning: two arms have the same length; "
+        "the Q/R/S blocks and the paper's order bound do not apply\n"
+    )
+    assert "Q block" not in out
     assert "coxeter polynomial" in out
 
 
@@ -65,7 +69,7 @@ def test_factor_json_lehmer(capsys):
     assert doc["certificate"]["tau"].startswith("1.176280818")
     # a decimal string with --digits places, not a float repr
     assert doc["certificate"]["lambda"] == "2.006593618346016732650515917682"
-    assert doc["certificate"]["unit_circle"] is True
+    assert set(doc["certificate"]) == {"tau", "lambda", "bracket"}
     assert doc["salem_coeffs"][0] == "1"
     # canonical JSON: parse/re-serialize round-trips byte-identically
     blob = json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
@@ -108,7 +112,7 @@ def test_factor_text(capsys):
     assert rc == 0
     assert "tau: 1.176280818" in out
     assert "order bound: 2100\n" in out
-    assert out.endswith("unit circle: certified\n")
+    assert out.endswith("\nlambda: 2.006593618346\n")
 
 
 def test_factor_four_arms_needs_no_cap(capsys):
@@ -199,16 +203,34 @@ def test_output_to_file(tmp_path, capsys):
     assert json.loads(target.read_text())["m"] == 37
 
 
-def test_failing_certificate_prints_not_certified(capsys, monkeypatch):
-    import starsalem.roots as roots
+def test_failing_certificate_is_a_data_error(capsys, monkeypatch):
+    import starsalem.factorize as factorize
 
-    monkeypatch.setattr(roots, "salem_certificate", lambda f: False)
-    rc, out, err = run(capsys, "factor", "2", "3", "7")
-    assert rc == 0 and err == ""
-    assert out.endswith("unit circle: not certified\n")
-    rc, out, err = run(capsys, "factor", "2", "3", "7", "--json")
-    assert rc == 0 and err == ""
-    assert json.loads(out)["certificate"]["unit_circle"] is False
+    monkeypatch.setattr(factorize, "salem_certificate", lambda f: False)
+    for argv in (["factor", "5", "40", "1005"], ["factor", "5", "40", "1005", "--json"]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 3 and out == "", argv
+        # the degree and height name the remainder, not its coefficients
+        assert err.startswith("error: no Salem certificate") and "height" in err, argv
+        assert err.count("\n") == 1 and len(err) < 200, argv
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["factor", "20", "30", "1000"], 1),
+        (["grid", "--a0", "2:6", "--a1", "2:6", "--a2", "2:6"], 0),
+        (["converge", "mbonacci", "--a0", "2", "--eta", "1", "--a1", "10,20"], 0),
+    ],
+)
+def test_salem_certificate_runs_only_for_the_label(capsys, monkeypatch, argv, calls):
+    import starsalem.factorize as factorize
+
+    seen = []
+    certificate = factorize.salem_certificate
+    monkeypatch.setattr(factorize, "salem_certificate", lambda f: seen.append(f) or certificate(f))
+    rc, _, _ = run(capsys, *argv)
+    assert rc == 0 and len(seen) == calls
 
 
 # every candidate tree of the benchmark's factor_large workload, degree 1018-1048;
@@ -223,7 +245,7 @@ def test_factor_certifies_the_large_trees(capsys):
         assert rc == 0 and err == "", arms
         doc = json.loads(out)
         cert = doc["certificate"]
-        assert doc["classification"] == "Salem" and cert["unit_circle"] is True, arms
+        assert doc["classification"] == "Salem", arms
         f = IntPoly.from_coeffs(int(c) for c in doc["salem_coeffs"])
         lo, hi = (Fraction(end) for end in cert["bracket"])
         assert f.sign_at(lo) * f.sign_at(hi) < 0, arms

@@ -3,13 +3,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsalem import (
     CYCLOTOMIC_ONLY,
-    OUTSIDE_HYPOTHESES,
     QUADRATIC_PISOT,
     SALEM,
     ClassificationError,
@@ -30,7 +30,7 @@ from starsalem import (
 from starsalem.cyclotomic import CyclotomicTable, default_table, phi_inverse_bound
 from starsalem.factorize import classify_remainder
 
-from oracles import divides_poly
+from oracles import divides_poly, root_moduli
 
 
 def poly(*cs):
@@ -277,8 +277,10 @@ def test_factor_excluded_triples_are_cyclotomic_only():
 
 
 def test_factor_repeated_arms_outside_hypotheses():
+    # outside the paper's hypotheses, yet the certificate proves the label
     fz = factor_coxeter(StarTree((3, 3, 5)))
-    assert fz.classification == OUTSIDE_HYPOTHESES
+    assert fz.classification == SALEM
+    assert fz.salem_factor.degree() == 6
     assert fz.proven_order_bound is None
     assert fz.to_json_dict()["order_bound"] is None
 
@@ -306,13 +308,39 @@ def test_classify_remainder_shapes():
     assert classify_remainder(IntPoly.one()) == CYCLOTOMIC_ONLY
     assert classify_remainder(poly(1, -3, 1)) == QUADRATIC_PISOT
     assert classify_remainder(LEHMER) == SALEM
-    assert classify_remainder(poly(1, -3, 1), strictly_ordered=False) == OUTSIDE_HYPOTHESES
     with pytest.raises(ClassificationError):
         classify_remainder(poly(1, 3, 1))  # roots negative, none above 1
     with pytest.raises(ClassificationError):
         classify_remainder(poly(2,))
     with pytest.raises(ClassificationError):
         classify_remainder(poly(1, 1, 1, 1))  # odd degree, not a Salem shape
+
+
+def test_repeated_arm_trees_are_classified():
+    """A seeded sample of 50 trees with 3-5 arms in 2..8, each with a
+    repeated arm. Every one gets a label, and the companion matrix of each
+    non-cyclotomic remainder has exactly one root outside the unit circle."""
+    fixed = [(3, 3, 5), (2, 2, 2, 2, 2)]
+    trees = [
+        arms
+        for n in (3, 4, 5)
+        for arms in itertools.combinations_with_replacement(range(2, 9), n)
+        if len(set(arms)) < n and arms not in fixed
+    ]
+    labels = {}
+    for arms in fixed + random.Random(8).sample(trees, 48):
+        fz = factor_coxeter(StarTree(arms))
+        labels[arms] = fz.classification
+        if fz.classification == CYCLOTOMIC_ONLY:
+            assert fz.salem_factor == IntPoly.one(), arms
+            continue
+        assert (fz.classification == QUADRATIC_PISOT) == (fz.salem_factor.degree() == 2), arms
+        moduli = root_moduli(fz.salem_factor.coeffs)
+        assert int(np.sum(moduli > 1 + 1e-8)) == 1, arms
+        assert np.all(np.abs(moduli[1:-1] - 1) < 1e-9), arms
+    assert len(labels) == 50
+    assert labels[(3, 3, 5)] == SALEM
+    assert labels[(2, 2, 2, 2, 2)] == QUADRATIC_PISOT
 
 
 def test_verify_order_bound():
