@@ -260,20 +260,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmt_default="text"):
-        p.add_argument("--format", choices=("text", "json", "csv"), default=fmt_default)
+    def add_common(p, formats):
+        """--format takes only the formats the subcommand writes; the first is the default."""
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", default=None, help="write to file instead of stdout")
 
     p = sub.add_parser("poly", help="print R_T, P and the three-arm blocks")
     p.add_argument("arms", nargs="+", help="arm lengths, each >= 2")
-    add_common(p)
+    add_common(p, ("text", "json"))
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("factor", help="factor R_T and certify the dominant root")
     p.add_argument("arms", nargs="+")
     p.add_argument("--digits", type=int, default=30)
     p.add_argument("--json", dest="format", action="store_const", const="json")
-    add_common(p)
+    add_common(p, ("text", "json"))
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("converge", help="dominant-root convergence sweeps")
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, help="total arm count minus one (general mode)")
     p.add_argument("--tails", help="colon-tuples separated by commas, e.g. 10:11,20:21")
     p.add_argument("--digits", type=int, default=30)
-    add_common(p, fmt_default="csv")
+    add_common(p, ("csv",))
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("scan", help="cyclotomic divisibility periodicity scan")
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="scan k up to 420*(eta + a0 - 1) instead of --k-max",
     )
-    add_common(p, fmt_default="csv")
+    add_common(p, ("csv",))
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("grid", help="verify all certified bounds on a triple grid")
@@ -306,13 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a1", default="2:15")
     p.add_argument("--a2", default="2:15")
     p.add_argument("--digits", type=int, default=15)
-    add_common(p, fmt_default="json")
+    add_common(p, ("json",))
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("bound", help="certified multiplicity bound trace")
     p.add_argument("a0", type=int)
     p.add_argument("delta", type=int)
-    add_common(p, fmt_default="json")
+    add_common(p, ("json",))
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("mann", help="roots of unity solving a*z^p + b*z^q + c = 0")
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--search-order", type=int, default=100)
-    add_common(p, fmt_default="json")
+    add_common(p, ("json",))
     p.set_defaults(func=_cmd_mann)
 
     return parser

@@ -8,6 +8,13 @@ instances can be shared across concurrent workers without synchronization.
 The degree of the zero polynomial is ``NEG_INF`` (``float("-inf")``), a
 real sentinel rather than -1, so degree arithmetic such as
 ``deg(f*g) == deg(f) + deg(g)`` stays meaningful for every input.
+
+Values at a rational point p/q come two ways. ``scaled_value`` is exact:
+its Horner accumulator grows to about deg * bits(q) bits. ``ball_value`` is
+an integer ball around 2^w f(p/q) whose accumulator stays near w bits; it
+only screens. ``sign_at`` takes the sign from the ball when the ball
+excludes 0 and the exact accumulator would be large, and from
+``scaled_value`` otherwise, so every sign it returns is exact.
 """
 
 from __future__ import annotations
@@ -19,6 +26,11 @@ from typing import Iterable, Mapping, Union
 NEG_INF = float("-inf")
 
 Rational = Union[int, Fraction]
+
+# Size in bits, deg * max(bits(p), bits(q)), of the exact Horner
+# accumulator at p/q from which a ball screen is tried first. Below it the
+# exact pass is about as fast, and screening first slowed grid-sized inputs.
+BALL_BITS = 10_000
 
 
 class NotDivisible(ArithmeticError):
@@ -228,6 +240,30 @@ class IntPoly:
             acc = acc * p + c * qq
         return acc, qq
 
+    def ball_value(self, p: int, q: int, w: int) -> tuple[int, int]:
+        """An integer ball (c, r) with |c - 2^w f(p/q)| <= r, for q > 0, w >= 0.
+
+        A fixed-point Horner pass on 2^w times the partial values:
+        acc <- (acc * p) // q + (c_i << w), from acc = c_d << w, and
+        r <- ceil(r |p| / q) + 1, from r = 0. p may have either sign, and
+        p/q need not be in lowest terms. The accumulator stays within about
+        w + deg * log2(max(1, |p/q|)) + log2(height) bits.
+
+        Proof: let e_i be acc minus its exact value after step i (e = 0 at
+        the start). The floor of acc * p / q is that quotient minus some t
+        in [0, 1), so e_i = e_{i-1} p / q - t and |e_i| <= |e_{i-1}| |p|/q + 1.
+        By induction |e_i| <= r_i, since r_i >= r_{i-1} |p|/q + 1.
+        """
+        if not self.coeffs:
+            return 0, 0
+        acc = self.coeffs[-1] << w
+        r = 0
+        ap = abs(p)
+        for c in reversed(self.coeffs[:-1]):
+            acc = acc * p // q + (c << w)
+            r = -(-r * ap // q) + 1
+        return acc, r
+
     def eval_int(self, v: Rational) -> Rational:
         """Exact value at an integer or Fraction point.
 
@@ -240,11 +276,23 @@ class IntPoly:
     def sign_at(self, v: Rational) -> int:
         """Exact sign of the value at a rational point (-1, 0 or 1).
 
-        The value is scaled by the (positive) denominator power, which
-        preserves the sign.
+        When the exact accumulator, deg * max(bits(p), bits(q)) bits,
+        reaches ``BALL_BITS``, balls at w = bits(q) + 64, doubled while 4w
+        stays under that size, screen first: a ball that excludes 0 has the
+        sign of the value. Otherwise, and always at a root, the sign is that
+        of ``scaled_value``, the value times a positive power of q.
         """
         x = Fraction(v)
-        acc, _ = self.scaled_value(x.numerator, x.denominator)
+        p, q = x.numerator, x.denominator
+        size = (len(self.coeffs) - 1) * max(p.bit_length(), q.bit_length())
+        if size >= BALL_BITS:
+            w = q.bit_length() + 64
+            while 4 * w < size:
+                c, r = self.ball_value(p, q, w)
+                if abs(c) > r:
+                    return 1 if c > 0 else -1
+                w *= 2
+        acc, _ = self.scaled_value(p, q)
         return (acc > 0) - (acc < 0)
 
     def derivative(self, n: int = 1) -> "IntPoly":

@@ -6,7 +6,10 @@ steps whose endpoints are rounded to short decimals so the rationals
 stay small. Every bracket update is decided by an exact integer sign
 evaluation, so the returned enclosure is unconditional. The Newton steps
 are formed from scaled integer values (``IntPoly.scaled_value``); only
-the bisection endpoints and the final enclosure are Fractions.
+the bisection endpoints and the final enclosure are Fractions. Past
+``intpoly.BALL_BITS``, a Newton step is first decided from integer balls
+around f and f' (``IntPoly.ball_value``), and exact values settle every
+step the balls leave open, so the iterates are the same either way.
 
 ``lambda_bracket`` maps the enclosure of tau to one of the tree's
 spectral radius lambda = sqrt(tau) + 1/sqrt(tau) in exact integer
@@ -32,7 +35,7 @@ from typing import Optional, Sequence
 from .coxeter import StarTree, coxeter_polynomial, limit_polynomial, mbonacci_poly
 from .cyclotomic import CyclotomicTable
 from .factorize import CoxeterFactorization, _describe, factor_coxeter
-from .intpoly import IntPoly
+from .intpoly import BALL_BITS, IntPoly
 
 
 class NoSignChange(ArithmeticError):
@@ -115,6 +118,10 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     A = q^d f(x) and B = q^(d-1) f'(x): the Newton point is
     (pB - A)/(qB), the step is |A|/(q|B|), and the bracket tests and the
     decimal rounding are integer cross-multiplications and one divmod.
+    Where deg * max(bits(p), bits(q)) reaches ``BALL_BITS``, balls around
+    2^w f(x) and 2^w f'(x) are tried first (``ball_newton``), with w up to
+    twice bits(q); the exact values are computed only when they cannot
+    decide.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -147,29 +154,84 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
             hi = mid
         return None
 
-    def inside(num: int, den: int) -> bool:
-        """lo < num/den < hi, for den > 0."""
-        return (
-            lo.numerator * den < num * lo.denominator
-            and num * hi.denominator < hi.numerator * den
-        )
+    def side(num: int, den: int) -> int:
+        """-1 if num/den <= lo, 1 if num/den >= hi, else 0 (den > 0)."""
+        if num * lo.denominator <= lo.numerator * den:
+            return -1
+        return 1 if num * hi.denominator >= hi.numerator * den else 0
 
     while hi - lo > Fraction(1, 128):
         exact = bisect_once()
         if exact:
             return exact
 
+    deg = len(f.coeffs) - 1
     df = f.derivative(1)
+    top_bits = (10 ** (digits + 9)).bit_length()
+
+    def rounded_newton(num: int, den: int, step_num: int) -> tuple[int, int, bool]:
+        """(p, q, stop) for the Newton point num/den (den > 0) and the step
+        step_num/den: p/q is the point rounded to the decimal places the
+        step has resolved, and stop is the test step < eps/4."""
+        resolved = _resolved_digits(step_num * inv_eps + den, den * inv_eps)  # of step + eps
+        scale = 10 ** min(2 * resolved + 10, digits + 9)
+        return _round_half_even(num * scale, den), scale, 4 * step_num * inv_eps < den
+
+    def ball_newton(p: int, q: int) -> tuple[int, int, bool] | bool | None:
+        """The exact Newton step at x = p/q, decided from integer balls
+        around f(x) and f'(x): ``rounded_newton``'s triple, False when the
+        Newton point leaves (lo, hi), or None when the balls cannot tell.
+
+        The balls put 2^w |f(x)| in [a0, a1] and 2^w |f'(x)| in [b0, b1],
+        both away from 0, so the step |f/f'| lies in [a0/b1, a1/b0] and
+        the Newton point x - s |f/f'| (s the sign of f f') lies between
+        the two end points. Every test on it (the side of (lo, hi), the
+        resolved places, the rounding, the stop test) is monotone in the
+        step, so where the two ends agree the exact step agrees too.
+
+        The new point is rounded to about twice the places of x, but never
+        past digits + 9, so w takes twice bits(q) up to the bits of those
+        places, plus 64 bits of margin and deg bits per bit of |x| > 1.
+        """
+        w = min(2 * q.bit_length(), top_bits) + 64
+        w += deg * max(0, p.bit_length() - q.bit_length() + 1)
+        ca, ra = f.ball_value(p, q, w)
+        cb, rb = df.ball_value(p, q, w)
+        if abs(ca) <= ra or abs(cb) <= rb:
+            return None
+        s = 1 if (ca > 0) == (cb > 0) else -1
+        ends = [
+            (p * b - s * q * a, q * b, q * a)  # x - s a/b, the step a/b
+            for a, b in ((abs(ca) - ra, abs(cb) + rb), (abs(ca) + ra, abs(cb) - rb))
+        ]
+        sides = {side(num, den) for num, den, _ in ends}
+        if sides != {0}:
+            return False if len(sides) == 1 else None
+        step, other = (rounded_newton(*end) for end in ends)
+        if step != other or side(step[0], step[1]):
+            return None
+        return step
+
     p, q = ((lo + hi) / 2).as_integer_ratio()
     for _ in range(120):
-        fx, _ = f.scaled_value(p, q)
-        if fx == 0:
-            x = Fraction(p, q)
-            return x, (x, x)
-        dfx, _ = df.scaled_value(p, q)
-        # the Newton point is num/den with den = q|B| > 0
-        num, den = (p * dfx - fx, q * dfx) if dfx > 0 else (fx - p * dfx, -q * dfx)
-        if not dfx or not inside(num, den):
+        newton = None
+        if deg * max(p.bit_length(), q.bit_length()) >= BALL_BITS:
+            newton = ball_newton(p, q)
+        if newton is None:
+            fx, _ = f.scaled_value(p, q)
+            if fx == 0:
+                x = Fraction(p, q)
+                return x, (x, x)
+            dfx, _ = df.scaled_value(p, q)
+            # the Newton point is num/den with den = q|B| > 0
+            num, den = (p * dfx - fx, q * dfx) if dfx > 0 else (fx - p * dfx, -q * dfx)
+            newton = False
+            if dfx and not side(num, den):
+                newton = rounded_newton(num, den, abs(fx))  # the step is |A|/den
+                if side(newton[0], newton[1]):
+                    g = math.gcd(num, den)
+                    newton = num // g, den // g, newton[2]
+        if not newton:  # f'(x) = 0, or the Newton point left (lo, hi)
             exact = bisect_once()
             if exact:
                 return exact
@@ -177,15 +239,8 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
                 return (lo + hi) / 2, (lo, hi)
             p, q = ((lo + hi) / 2).as_integer_ratio()
             continue
-        step_num = abs(fx)  # the Newton step is step_num/den
-        resolved = _resolved_digits(step_num * inv_eps + den, den * inv_eps)  # of step + eps
-        places = min(2 * resolved + 10, digits + 9)
-        scale = 10**places
-        p, q = _round_half_even(num * scale, den), scale
-        if not inside(p, q):
-            g = math.gcd(num, den)
-            p, q = num // g, den // g
-        if 4 * step_num * inv_eps < den:
+        p, q, stop = newton
+        if stop:
             x = Fraction(p, q)
             a, b = x - eps, x + eps
             if lo < a and b < hi:
@@ -362,17 +417,19 @@ def converge_general(
     """Salem roots of full trees against the dominant root of the limit
     polynomial of their fixed prefix."""
     prefix = tuple(int(a) for a in prefix_arms)
-    limit_poly = limit_polynomial(prefix, r)
-    limit, _ = dominant_root(limit_poly, digits)
-    limit_str = fraction_to_decimal(limit, digits)
-    records = []
-    for tail in growth_schedule:
+    schedule = []
+    for tail in growth_schedule:  # every entry is checked before any root is computed
         arms = prefix + tuple(int(t) for t in tail)
         if len(arms) != r + 1:
             raise ValueError(f"schedule entry {tail} does not extend to r+1 = {r + 1} arms")
         # StarTree sorts its arms, so the order is checked on the input
         if any(a >= b for a, b in zip(arms, arms[1:])):
             raise ValueError(f"full arm vector must be strictly increasing, got {arms}")
+        schedule.append(arms)
+    limit, _ = dominant_root(limit_polynomial(prefix, r), digits)
+    limit_str = fraction_to_decimal(limit, digits)
+    records = []
+    for arms in schedule:
         tau, _ = dominant_root(coxeter_polynomial(StarTree(arms)), digits)
         gap = abs(tau - limit)
         records.append(

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -266,6 +267,60 @@ def test_no_root_above_one_is_a_data_error(capsys):
     assert rc == 3
     assert out == ""
     assert err == "error: no sign change in (1, 3] for a degree-3 polynomial of height 1\n"
+
+
+@pytest.mark.parametrize(
+    "tails, message",
+    [
+        # the limit polynomial x^3 - x^2 of prefix (2,) has no root above 1,
+        # so these entries must be rejected before it is solved
+        ("3:4:5", "error: schedule entry (3, 4, 5) does not extend to r+1 = 2 arms\n"),
+        ("3,4:5", "error: schedule entry (4, 5) does not extend to r+1 = 2 arms\n"),
+        ("2", "error: full arm vector must be strictly increasing, got (2, 2)\n"),
+    ],
+)
+def test_converge_general_checks_tails_first(capsys, tails, message):
+    rc, out, err = run(capsys, "converge", "general", "--prefix", "2", "--r", "1", "--tails", tails)
+    assert rc == 2
+    assert out == ""
+    assert err == message
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["poly", "2", "3", "7"], "csv"),
+        (["factor", "2", "3", "7"], "csv"),
+        (["converge", "mbonacci", "--a0", "2", "--eta", "1", "--a1", "10"], "json"),
+        (["converge", "mbonacci", "--a0", "2", "--eta", "1", "--a1", "10"], "text"),
+        (["scan", "--a0", "2", "--eta", "1", "--a1", "4:5"], "json"),
+        (["grid", "--a0", "2:4", "--a1", "2:4", "--a2", "2:4"], "csv"),
+        (["bound", "2", "1"], "text"),
+        (["mann", "1", "1", "1", "1", "2"], "csv"),
+    ],
+)
+def test_format_takes_only_what_the_subcommand_writes(capsys, argv, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", bad])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+# sha256 of stdout, recorded before the ball screen entered dominant_root
+# and sign_at; the screen must leave every byte the same
+PINNED_STDOUT = {
+    "converge mbonacci --a0 3 --eta 2 --a1 19,31 --digits 1000":
+        "d3070fb1e6629a38e6e7bbe74ec74f153c51152b37891da108304b844c27cd5b",
+    "factor 5 40 1005 --digits 30 --json":
+        "d2b0d869e210171c7d97e2e4dbecfa77f5dd7c760ee9b232a4d10323172a381c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_stdout_is_pinned(capsys, command):
+    rc, out, _ = run(capsys, *command.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
 
 
 def readme_commands():

@@ -1,10 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from starsalem import IntPoly, NEG_INF, NotDivisible, StarTree, p_polynomial
+from starsalem.intpoly import BALL_BITS
+
+from oracles import eval_exact, eval_sign
 
 X = IntPoly.x()
 ONE = IntPoly.one()
@@ -96,6 +100,72 @@ def test_sign_at_matches_eval():
     for v in (Fraction(1), Fraction(17, 10), Fraction(2), Fraction(-9, 4)):
         ev = f.eval_int(v)
         assert f.sign_at(v) == (ev > 0) - (ev < 0)
+
+
+# ----------------------------------------------------------------------
+# integer balls
+# ----------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    degree=st.sampled_from([0, 1, 5, 40, 350]),
+    seed=st.integers(0, 2**32),
+    height=st.sampled_from([1, 10**3, 10**30]),
+    p=st.integers(-(2**90), 2**90),
+    q=st.integers(1, 2**90),
+    common=st.integers(1, 10**6),
+    w=st.integers(0, 400),
+)
+@example(degree=350, seed=1, height=1, p=-(3**50), q=2**78, common=6, w=0)
+@example(degree=40, seed=2, height=10**30, p=10**25 + 1, q=10**24, common=1, w=333)
+def test_ball_value_encloses_the_scaled_value(degree, seed, height, p, q, common, w):
+    # degrees on both sides of the screen cutoff, either sign of p, and
+    # points p/q that share the factor ``common`` (not in lowest terms)
+    rng = random.Random(seed)
+    cs = [rng.randint(-height, height) for _ in range(degree)] + [rng.choice((-height, height))]
+    c, r = IntPoly.from_coeffs(cs).ball_value(p * common, q * common, w)
+    assert r >= 0
+    assert abs(c - eval_exact(cs, Fraction(p, q)) * 2**w) <= r
+
+
+def test_ball_value_examples():
+    assert IntPoly.zero().ball_value(3, 7, 10) == (0, 0)
+    assert poly(5).ball_value(-3, 7, 4) == (80, 0)  # a constant is exact
+    # x + 1 at -1/3 with w = 3: floor(-8/3) + 8 = 5, against 16/3
+    assert poly(1, 1).ball_value(-1, 3, 3) == (5, 1)
+
+
+# the root C/10^40 of the linear factor of a polynomial past the cutoff;
+# the cofactor 3 - x^300 is negative there
+ROOT_C = 13040815594454177918036756835092100713157
+SCREENED = poly(-ROOT_C, 10**40) * poly(*([3] + [0] * 299 + [-1]))
+
+
+def test_sign_at_past_the_cutoff(monkeypatch):
+    exact_calls = []
+    scaled_value = IntPoly.scaled_value
+
+    def counted(self, p, q):
+        exact_calls.append(q)
+        return scaled_value(self, p, q)
+
+    monkeypatch.setattr(IntPoly, "scaled_value", counted)
+    root = Fraction(ROOT_C, 10**40)
+    assert SCREENED.degree() * root.denominator.bit_length() >= BALL_BITS
+    # no ball excludes 0 at the root: the exact evaluation decides
+    assert SCREENED.sign_at(root) == 0
+    assert len(exact_calls) == 1
+    for offset, sign in ((Fraction(-1, 10**80), 1), (Fraction(1, 10**80), -1)):
+        x = root + offset
+        assert SCREENED.sign_at(x) == sign == eval_sign(list(SCREENED.coeffs), x)
+    assert len(exact_calls) == 1  # the ball decided both
+    # (10^40 x - C)^101 is about 10^-4040 at these points, too small for
+    # any ball tried, so the exact evaluation decides
+    tiny = poly(-ROOT_C, 10**40) ** 101
+    for offset, sign in ((Fraction(-1, 10**80), -1), (Fraction(7, 10**75), 1)):
+        x = root + offset
+        assert tiny.sign_at(x) == sign == eval_sign(list(tiny.coeffs), x)
+    assert len(exact_calls) == 3
 
 
 def test_derivative_examples():

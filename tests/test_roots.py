@@ -26,6 +26,7 @@ from starsalem import (
     salem_certificate,
 )
 import starsalem.factorize as factorize
+from starsalem.intpoly import BALL_BITS
 from starsalem.roots import _resolved_digits, _round_half_even
 
 from oracles import (
@@ -122,6 +123,16 @@ ORACLE_CASES = (
         for arms in list(itertools.combinations(range(2, 26), 3))[::97]
         if not StarTree(arms).excluded
     ]
+    # past the ball-screen cutoff: Newton steps and enclosure signs are
+    # decided by integer balls wherever they can be
+    + [
+        pytest.param(
+            factor_coxeter(StarTree(arms)).salem_factor,
+            digits,
+            id="T" + "-".join(map(str, arms)) + f"-{digits}",
+        )
+        for arms, digits in (((3, 19, 21), 1000), ((2, 31, 32), 1000), ((5, 40, 1005), 30))
+    ]
 )
 
 
@@ -144,6 +155,51 @@ def test_dominant_root_matches_fraction_oracle(f, digits, sign_at_calls):
     trace = []
     assert dominant_root(f, digits) == dominant_root_fraction(list(f.coeffs), digits, trace)
     assert len(sign_at_calls) == trace.count("sign")
+
+
+def test_ball_screen_settles_the_large_steps(monkeypatch):
+    # T(3,31,33) at 1000 digits. Without the screen, 14 exact evaluations
+    # are at or past the cutoff, four of them with q >= 10^999 (f and f'
+    # at the last Newton point and the two enclosure signs), and two of
+    # those with either half of it switched off. With it, none are.
+    big_q, past_cutoff = [], []
+    scaled_value = IntPoly.scaled_value
+
+    def counted(self, p, q):
+        big_q.append(q >= 10**999)
+        past_cutoff.append(self.degree() * max(p.bit_length(), q.bit_length()) >= BALL_BITS)
+        return scaled_value(self, p, q)
+
+    monkeypatch.setattr(IntPoly, "scaled_value", counted)
+    f = factor_coxeter(StarTree((3, 31, 33))).salem_factor
+    assert dominant_root(f, 1000) == dominant_root_fraction(list(f.coeffs), 1000)
+    assert big_q.count(True) <= 1
+    assert past_cutoff.count(True) <= 1
+
+
+@pytest.mark.parametrize("arms, digits", [((3, 31, 33), 1000), ((20, 30, 1000), 30)])
+def test_any_valid_ball_gives_the_same_root(monkeypatch, arms, digits):
+    # widen every ball by |c| / 2^k and move its centre by half that: still
+    # a valid ball, but from k = 2 (few steps decided) to k = 1000 (nearly
+    # the real one) the two ends of each test disagree at different steps,
+    # and every such step must go through the exact code
+    f = factor_coxeter(StarTree(arms)).salem_factor
+    trace = []
+    expected = dominant_root_fraction(list(f.coeffs), digits, trace)
+    ball_value = IntPoly.ball_value
+    signs = []
+    sign_at = IntPoly.sign_at
+    monkeypatch.setattr(IntPoly, "sign_at", lambda self, v: signs.append(v) or sign_at(self, v))
+    for k in (2, 6, 30, 1000):
+        def loose(self, p, q, w, k=k):
+            c, r = ball_value(self, p, q, w)
+            slack = abs(c) >> k
+            return c + slack // 2, r + slack
+
+        monkeypatch.setattr(IntPoly, "ball_value", loose)
+        signs.clear()
+        assert dominant_root(f, digits) == expected, k
+        assert len(signs) == trace.count("sign"), k
 
 
 @pytest.mark.parametrize(
