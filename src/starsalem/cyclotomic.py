@@ -9,11 +9,6 @@ Phi_n is produced by the classical identities
 so every step stays in exact integer arithmetic and each polynomial is
 derived from a strictly smaller one. The defining property
 prod_{d | n} Phi_d = x^n - 1 is exercised by the test suite.
-
-Concurrency contract: the table's only mutable state is its cache dict.
-Lookups and single-key inserts are atomic under CPython, which makes a
-shared table safe for read-mostly use; workers that want full isolation
-should instantiate their own table.
 """
 
 from __future__ import annotations

@@ -23,9 +23,12 @@ one exact test, ``salem_certificate``, and is computed only when
 proves that every root of a reciprocal remainder other than tau and
 1/tau lies on the unit circle, by counting exact sign changes of its
 trace polynomial T, where f(z) = z^m T(z + 1/z), in (-2, 2). A float
-evaluation of T only picks the points; the signs there are exact
-integers. A remainder other than 1 that it does not certify raises
-ClassificationError, whatever the tree's arms.
+evaluation of T only picks the points; the signs there are exact. An
+integer ball screens each sign first: a fixed-point Clenshaw pass whose
+rounding error is bounded through the Chebyshev polynomials U_n, so a
+ball that excludes 0 has the sign of T, and every other point goes to
+the exact integer recurrence. A remainder other than 1 that it does not
+certify raises ClassificationError, whatever the tree's arms.
 
 ``multiplicity_bound`` certifies the effectively computable bound m on
 root multiplicities of P on the unit circle: a positive rational lower
@@ -234,13 +237,6 @@ def extract_cyclotomic(
 # classification: the trace-polynomial certificate
 # ----------------------------------------------------------------------
 
-def _describe(f: IntPoly) -> str:
-    """Short name for f in messages: its degree and height, not its terms."""
-    if f.is_zero():
-        return "the zero polynomial"
-    return f"a degree-{f.degree()} polynomial of height {f.height()}"
-
-
 # the guide starts at max(8m, 512) samples and doubles at most this often
 _GUIDE_DOUBLINGS = 4
 
@@ -274,8 +270,10 @@ def salem_certificate(f: IntPoly) -> bool:
     N = max(8m, 512), and inside every run of samples of one sign, other
     than the runs at the ends (x_0 = 2 and x_L = -2 stand for those), the
     dyadic point p/2^k with the smallest k strictly between the run's
-    first and last sample is taken. Only the exact signs of
-    2^(km) T(p/2^k) decide. When the guide finds fewer than m - 1
+    first and last sample is taken. Only the exact signs of T(p/2^k)
+    decide; ``_trace_signs`` reads each off an integer ball around
+    2^w T(p/2^k) when the ball excludes 0, and off the exact integer
+    2^(km) T(p/2^k) otherwise. When the guide finds fewer than m - 1
     changes, an interior run spans no interval, or the exact signs show
     a count other than m - 1, N doubles, at most ``_GUIDE_DOUBLINGS``
     times, and then the answer is False.
@@ -338,27 +336,69 @@ def _shortest_dyadic(lo: float, hi: float) -> tuple[int, int]:
 
 
 def _trace_signs(a: Sequence[int], points: list[tuple[int, int]]) -> list[int]:
-    """Exact signs of T at the dyadic points p/2^k, read off the integers
-    2^(km) T(p/2^k).
+    """Exact signs of T at the dyadic points p/2^k, all in [-2, 2].
 
-    Clenshaw's recurrence b_j = a_j + t b_{j+1} - b_{j+2} gives
-    T(t) = a_0 + t b_1 - 2 b_2; with t = p/2^k it runs on the integers
-    B_j = 2^(k(m-j)) b_j = a_j 2^(k(m-j)) + p B_{j+1} - 2^(2k) B_{j+2}.
-    The shifted coefficients a_j 2^(k(m-j)) are built once per k.
+    An integer ball screens each point first. With
+    w = 64 + bits(2m^2 + 1), ``_trace_balls`` runs Clenshaw's recurrence
+    b_j = a_j + t b_{j+1} - b_{j+2} in fixed point on B_j ~ 2^w b_j,
+    flooring p B_{j+1} / 2^k, and returns v ~ 2^w T(t) with
+    |v - 2^w T(t)| <= r = 2m^2 + 1. When |v| > r, v has the sign of T(t);
+    every other point, and so every root of T, goes to
+    ``_exact_trace_value``, whose sign is exact.
+
+    Proof of the radius. Let e_j = B_j - 2^w b_j. Each floor takes some
+    delta_j in [0, 1) off, so e_j = t e_{j+1} - e_{j+2} - delta_j from
+    e_{m+1} = e_{m+2} = 0, a recurrence whose kernel is U_n(t/2)
+    (U_0 = 1, U_1(x) = 2x, U_{n+1} = 2x U_n - U_{n-1}). Hence
+    e_j = -sum_{i>=j} delta_i U_{i-j}(t/2), and |U_n(x)| <= n + 1 for
+    |x| <= 1 gives |e_1| <= m(m+1)/2 and |e_2| <= m(m-1)/2. The last
+    step v = 2^w a_0 + floor(p B_1 / 2^k) - 2 B_2 then misses 2^w T(t)
+    by t e_1 - delta_0 - 2 e_2, at most 2 |e_1| + 1 + 2 |e_2| = 2m^2 + 1
+    for |t| <= 2.
     """
     m = len(a) - 1
+    r = 2 * m * m + 1
     shifted: dict[int, list[int]] = {}  # a_j 2^(k(m-j)) for j = m, ..., 0
     signs = []
+    for (p, k), v in zip(points, _trace_balls(a, points, 64 + r.bit_length())):
+        if abs(v) <= r:
+            if k not in shifted:
+                shifted[k] = [a[j] << (k * (m - j)) for j in range(m, -1, -1)]
+            v = _exact_trace_value(shifted[k], p, k)
+        signs.append((v > 0) - (v < 0))
+    return signs
+
+
+def _trace_balls(a: Sequence[int], points: list[tuple[int, int]], w: int) -> list[int]:
+    """Centres v of the integer balls around 2^w T(p/2^k), one per point.
+
+    B_j = 2^w a_j + floor(p B_{j+1} / 2^k) - B_{j+2} for j = m, ..., 1,
+    then v = 2^w a_0 + floor(p B_1 / 2^k) - 2 B_2. The integers stay
+    near w + log2(height m^2) bits, where the exact B_j grow by k bits
+    a step; ``_trace_signs`` proves the radius.
+    """
+    *top, low = [c << w for c in reversed(a)]
+    balls = []
     for p, k in points:
-        if k not in shifted:
-            shifted[k] = [a[j] << (k * (m - j)) for j in range(m, -1, -1)]
-        *top, low = shifted[k]
         b1 = b2 = 0
         for c in top:
-            b1, b2 = c + p * b1 - (b2 << (2 * k)), b1
-        value = low + p * b1 - (b2 << (2 * k + 1))
-        signs.append((value > 0) - (value < 0))
-    return signs
+            b1, b2 = c + (p * b1 >> k) - b2, b1
+        balls.append(low + (p * b1 >> k) - 2 * b2)
+    return balls
+
+
+def _exact_trace_value(shifted: list[int], p: int, k: int) -> int:
+    """2^(km) T(p/2^k), from shifted = [a_j 2^(k(m-j)) for j = m, ..., 0].
+
+    Clenshaw's recurrence with t = p/2^k runs on the integers
+    B_j = 2^(k(m-j)) b_j = a_j 2^(k(m-j)) + p B_{j+1} - 2^(2k) B_{j+2},
+    and T(t) = a_0 + t b_1 - 2 b_2.
+    """
+    *top, low = shifted
+    b1 = b2 = 0
+    for c in top:
+        b1, b2 = c + p * b1 - (b2 << (2 * k)), b1
+    return low + p * b1 - (b2 << (2 * k + 1))
 
 
 def classify_remainder(rem: IntPoly) -> str:
@@ -373,7 +413,7 @@ def classify_remainder(rem: IntPoly) -> str:
         return CYCLOTOMIC_ONLY
     if salem_certificate(rem):
         return QUADRATIC_PISOT if rem.degree() == 2 else SALEM
-    raise ClassificationError(f"no Salem certificate for the remainder, {_describe(rem)}")
+    raise ClassificationError(f"no Salem certificate for the remainder, {rem.describe()}")
 
 
 def factor_coxeter(

@@ -2,8 +2,7 @@
 
 Coefficients are arbitrary-precision Python ints, stored from the constant
 term upward with trailing zeros trimmed; the zero polynomial is the empty
-tuple. Values are immutable and all operations are pure functions, so
-instances can be shared across concurrent workers without synchronization.
+tuple. Values are immutable and all operations are pure functions.
 
 The degree of the zero polynomial is ``NEG_INF`` (``float("-inf")``), a
 real sentinel rather than -1, so degree arithmetic such as
@@ -126,6 +125,12 @@ class IntPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
+    def describe(self) -> str:
+        """Short name for messages: the degree and height, not the terms."""
+        if not self.coeffs:
+            return "the zero polynomial"
+        return f"a degree-{self.degree()} polynomial of height {self.height()}"
+
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
@@ -214,7 +219,7 @@ class IntPoly:
         """Return q with self == q * g, or raise NotDivisible."""
         q, r, ok = self._divmod_int(g)
         if not ok or not r.is_zero():
-            raise NotDivisible(f"{self} is not divisible by {g}")
+            raise NotDivisible(f"{self.describe()} is not divisible by {g.describe()}")
         return q
 
     def divides(self, f: "IntPoly") -> bool:
@@ -279,8 +284,11 @@ class IntPoly:
         When the exact accumulator, deg * max(bits(p), bits(q)) bits,
         reaches ``BALL_BITS``, balls at w = bits(q) + 64, doubled while 4w
         stays under that size, screen first: a ball that excludes 0 has the
-        sign of the value. Otherwise, and always at a root, the sign is that
-        of ``scaled_value``, the value times a positive power of q.
+        sign of the value. Otherwise the sign is that of ``scaled_value``,
+        the value times a positive power of q. A ball centred exactly on 0
+        goes straight to ``scaled_value``: at a rational root every
+        Horner partial value is an integer, so each wider ball would be
+        centred on 0 too.
         """
         x = Fraction(v)
         p, q = x.numerator, x.denominator
@@ -291,6 +299,8 @@ class IntPoly:
                 c, r = self.ball_value(p, q, w)
                 if abs(c) > r:
                     return 1 if c > 0 else -1
+                if c == 0:
+                    break
                 w *= 2
         acc, _ = self.scaled_value(p, q)
         return (acc > 0) - (acc < 0)

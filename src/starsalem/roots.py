@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 from .coxeter import StarTree, coxeter_polynomial, limit_polynomial, mbonacci_poly
 from .cyclotomic import CyclotomicTable
-from .factorize import CoxeterFactorization, _describe, factor_coxeter
+from .factorize import CoxeterFactorization, factor_coxeter
 from .intpoly import BALL_BITS, IntPoly
 
 
@@ -126,7 +126,7 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if f.degree() < 1:
-        raise NoSignChange(f"no dominant root: {_describe(f)} is constant")
+        raise NoSignChange(f"no dominant root: {f.describe()} is constant")
     lo = Fraction((1 << 20) + 1, 1 << 20)
     hi = Fraction(f.height() + 2)
     s_lo = f.sign_at(lo)
@@ -136,7 +136,7 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     if s_hi == 0:
         return hi, (hi, hi)
     if s_lo == s_hi:
-        raise NoSignChange(f"no sign change in (1, {hi}] for {_describe(f)}")
+        raise NoSignChange(f"no sign change in (1, {hi}] for {f.describe()}")
 
     target = Fraction(1, 10 ** (digits + 5))
     eps = target / 4

@@ -239,7 +239,17 @@ def test_salem_certificate_runs_only_for_the_label(capsys, monkeypatch, argv, ca
 LARGE_TREES = [(a0, a1, 1050 - a0 - a1) for a0 in (2, 3, 5, 8, 13, 20) for a1 in (30, 40, 50)]
 
 
-def test_factor_certifies_the_large_trees(capsys):
+def test_factor_certifies_the_large_trees(capsys, monkeypatch):
+    import starsalem.factorize as factorize
+
+    # the integer-ball screen settles every trace sign the certificates need
+    exact_trace_values = []
+    exact = factorize._exact_trace_value
+    monkeypatch.setattr(
+        factorize,
+        "_exact_trace_value",
+        lambda shifted, p, k: exact_trace_values.append((p, k)) or exact(shifted, p, k),
+    )
     checked = 0
     for arms in LARGE_TREES:
         rc, out, err = run(capsys, "factor", *map(str, arms), "--digits", "10", "--json")
@@ -259,6 +269,7 @@ def test_factor_certifies_the_large_trees(capsys):
             assert abs(moduli[0] * float(cert["tau"]) - 1) < 1e-9, arms
             checked += 1
     assert checked == 3
+    assert exact_trace_values == []
 
 
 def test_no_root_above_one_is_a_data_error(capsys):

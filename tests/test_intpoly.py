@@ -77,6 +77,19 @@ def test_exact_div_examples():
         poly(1, 0, 1).exact_div(poly(-1, 1))
 
 
+def test_not_divisible_names_degree_and_height():
+    f = IntPoly.from_coeffs([(-1) ** i * (i % 97 + 1) for i in range(1001)])
+    with pytest.raises(NotDivisible) as info:
+        f.exact_div(poly(1, 1, 1))
+    message = str(info.value)
+    assert message == (
+        "a degree-1000 polynomial of height 97 is not divisible by "
+        "a degree-2 polynomial of height 1"
+    )
+    assert len(message) < 200
+    assert IntPoly.zero().describe() == "the zero polynomial"
+
+
 def test_divides_examples():
     assert poly(1, 1).divides(poly(-1, 0, 1))
     assert not poly(1, 1).divides(poly(1, 0, 1))
@@ -143,18 +156,27 @@ SCREENED = poly(-ROOT_C, 10**40) * poly(*([3] + [0] * 299 + [-1]))
 
 def test_sign_at_past_the_cutoff(monkeypatch):
     exact_calls = []
+    ball_calls = []
     scaled_value = IntPoly.scaled_value
+    ball_value = IntPoly.ball_value
 
     def counted(self, p, q):
         exact_calls.append(q)
         return scaled_value(self, p, q)
 
+    def counted_ball(self, p, q, w):
+        ball_calls.append(w)
+        return ball_value(self, p, q, w)
+
     monkeypatch.setattr(IntPoly, "scaled_value", counted)
+    monkeypatch.setattr(IntPoly, "ball_value", counted_ball)
     root = Fraction(ROOT_C, 10**40)
     assert SCREENED.degree() * root.denominator.bit_length() >= BALL_BITS
-    # no ball excludes 0 at the root: the exact evaluation decides
+    # at the root the first ball is centred exactly on 0, so no wider one
+    # is tried: the exact evaluation decides
     assert SCREENED.sign_at(root) == 0
     assert len(exact_calls) == 1
+    assert ball_calls == [root.denominator.bit_length() + 64]
     for offset, sign in ((Fraction(-1, 10**80), 1), (Fraction(1, 10**80), -1)):
         x = root + offset
         assert SCREENED.sign_at(x) == sign == eval_sign(list(SCREENED.coeffs), x)

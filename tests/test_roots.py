@@ -388,6 +388,82 @@ def test_certificate_matches_the_oracle_on_trace_polynomials():
     assert seen[True] >= 20 and seen[False] >= 100
 
 
+def scaled_trace_value(a, p, k):
+    """2^(km) T(p/2^k) for T = a_0 + sum a_j D_j, summed term by term from
+    d_j = 2^(kj) D_j(p/2^k): d_0 = 2, d_1 = p, d_(j+1) = p d_j - 4^k d_(j-1)."""
+    m = len(a) - 1
+    total, d_prev, d = a[0] << (k * m), 2, p
+    for j in range(1, m + 1):
+        total += a[j] * d << (k * (m - j))
+        d_prev, d = d, p * d - (d_prev << (2 * k))
+    return total
+
+
+dyadic_in_range = st.one_of(
+    st.sampled_from([(2, 0), (-2, 0), (0, 0)]),
+    st.integers(0, 40).flatmap(
+        lambda k: st.tuples(st.integers(-(2 << k), 2 << k), st.just(k))
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=600),
+    st.lists(dyadic_in_range, min_size=1, max_size=6),
+)
+@example([10**6] * 600, [(2, 0), (-2, 0), (0, 0), (2**40 - 1, 39)])
+def test_trace_ball_encloses_the_value(lower, points):
+    """|v - 2^w T(p/2^k)| <= 2m^2 + 1 for monic T of degree m, checked
+    exactly: v 2^(km) against 2^w times the scaled value."""
+    a = lower + [1]
+    m = len(a) - 1
+    r = 2 * m * m + 1
+    for w in (0, 64 + r.bit_length()):
+        for (p, k), v in zip(points, factorize._trace_balls(a, points, w)):
+            exact = scaled_trace_value(a, p, k)
+            assert abs((v << (k * m)) - (exact << w)) <= r << (k * m), (p, k)
+
+
+def count_exact_trace_values(monkeypatch):
+    calls = []
+    exact = factorize._exact_trace_value
+
+    def counted(shifted, p, k):
+        calls.append((p, k))
+        return exact(shifted, p, k)
+
+    monkeypatch.setattr(factorize, "_exact_trace_value", counted)
+    return calls
+
+
+def test_trace_signs_fall_through_where_the_ball_holds_0(monkeypatch):
+    calls = count_exact_trace_values(monkeypatch)
+    # T = t (t^2 - t - 1) is 0 at t = 0: the ball is exact there and
+    # centred on 0, and the exact recurrence returns 0
+    a = from_trace([0, -1, -1, 1])[3:]
+    assert factorize._trace_signs(a, [(0, 0), (1, 0), (-1, 1)]) == [0, -1, 1]
+    assert calls == [(0, 0)]
+    # T = t^3 is 2^-120 at t = 2^-40, below the ball's resolution: its
+    # centre is 0, and only the exact recurrence sees the sign
+    a = from_trace([0, 0, 0, 1])[3:]
+    assert factorize._trace_balls(a, [(1, 40)], 64 + (19).bit_length()) == [0]
+    assert factorize._trace_signs(a, [(1, 40), (-1, 40)]) == [1, -1]
+    assert calls[1:] == [(1, 40), (-1, 40)]
+
+
+def test_trace_signs_trust_the_ball_only_past_its_radius(monkeypatch):
+    # m = 3, so r = 19: the screen takes the sign of a centre only past
+    # 19, and every other point falls through to the exact sign, here the
+    # opposite of the centre's
+    calls = count_exact_trace_values(monkeypatch)
+    monkeypatch.setattr(factorize, "_trace_balls", lambda a, points, w: [19, -19, 20, -20])
+    a = from_trace([0, -1, -1, 1])[3:]  # T = t (t^2 - t - 1): T(1) < 0 < T(-1/2)
+    points = [(1, 0), (-1, 1), (1, 0), (-1, 1)]
+    assert factorize._trace_signs(a, points) == [-1, 1, 1, -1]
+    assert calls == [(1, 0), (-1, 1)]
+
+
 # ----------------------------------------------------------------------
 # certificates
 # ----------------------------------------------------------------------
