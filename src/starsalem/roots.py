@@ -2,14 +2,14 @@
 
 ``dominant_root`` locates the unique real root above 1 by exact-sign
 bisection seeded at (1 + 2^-20, height + 2], interleaved with Newton
-steps whose endpoints are rounded to short decimals so the rationals
-stay small. Every bracket update is decided by an exact integer sign
-evaluation, so the returned enclosure is unconditional. The Newton steps
-are formed from scaled integer values (``IntPoly.scaled_value``); only
-the bisection endpoints and the final enclosure are Fractions. Past
-``intpoly.BALL_BITS``, a Newton step is first decided from integer balls
-around f and f' (``IntPoly.ball_value``), and exact values settle every
-step the balls leave open, so the iterates are the same either way.
+steps whose points are rounded to short decimals so the rationals stay
+small. It returns the cell [n, n + 1] / 10^(digits+5) of the decimal grid
+that holds the root, proved by exact signs at its two ends, so the answer
+does not depend on the path Newton took. The Newton steps are formed from
+scaled integer values (``IntPoly.scaled_value``) or, past
+``intpoly.BALL_BITS``, from the centres of integer balls around f and f'
+(``IntPoly.ball_value``) where both exclude 0; only the bisection
+endpoints and the cell are Fractions.
 
 ``lambda_bracket`` maps the enclosure of tau to one of the tree's
 spectral radius lambda = sqrt(tau) + 1/sqrt(tau) in exact integer
@@ -46,7 +46,7 @@ class NoSignChange(ArithmeticError):
 class RootCertificate:
     tau: str  # decimal string
     tau_value: Fraction
-    bracket: tuple[Fraction, Fraction]
+    bracket: tuple[Fraction, Fraction]  # tau's decimal cell, or (tau, tau) on the grid
     lam: str  # decimal string, the midpoint of lam_bracket
     lam_bracket: tuple[Fraction, Fraction]
 
@@ -101,195 +101,145 @@ def fraction_to_decimal(x: Fraction, digits: int) -> str:
 def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     """The real root of f in (1, infinity), to ``digits`` decimal places.
 
-    Returns (root, (lo, hi)) with f changing sign across [lo, hi] and
-    hi - lo <= 10^-(digits+5); bracket signs are evaluated exactly, so
-    the enclosure holds unconditionally. Raises NoSignChange when f does
-    not change sign between 1 + 2^-20 and the coefficient bound
-    height + 2, which is how cyclotomic-only inputs announce themselves.
+    Returns (root, (lo, hi)): with S = 10^(digits+5), (lo, hi) is the cell
+    [n/S, (n+1)/S] of the decimal grid that holds the root, and root is its
+    midpoint. Opposite exact signs of f at lo and hi prove the cell; a root
+    r on the grid is returned as (r, (r, r)), and an exact zero found off
+    the grid proves its own cell. The answer depends on f and digits only,
+    not on the path taken to it. Raises NoSignChange when f does not change
+    sign between 1 + 2^-20 and the coefficient bound height + 2, which is
+    how cyclotomic-only inputs announce themselves, and ArithmeticError
+    when no cell next to the root has opposite signs at its ends, which
+    takes more roots of f within a cell or two of it.
 
     Strategy: coarse exact-sign bisection, then Newton steps rounded to
-    short decimals (denominators stay near twice the resolved precision),
-    finished by an exact sign check on a width-2*eps enclosure around the
-    Newton limit. Bisection is the fallback whenever Newton leaves the
-    bracket or fails to certify.
+    about twice the decimal places the step has resolved (so denominators
+    stay small). Once a step is below 1/(16 S), the signs at the ends of
+    the new point's cell decide it, with one more sign at the far end of
+    the neighbouring cell when both ends lie on one side of the root.
+    Bisection takes over whenever Newton leaves the bracket or a cell is
+    not proved.
 
-    Only the bisection endpoints and the final enclosure are Fractions.
-    A Newton step at x = p/q works on the scaled integer values
-    A = q^d f(x) and B = q^(d-1) f'(x): the Newton point is
-    (pB - A)/(qB), the step is |A|/(q|B|), and the bracket tests and the
-    decimal rounding are integer cross-multiplications and one divmod.
-    Where deg * max(bits(p), bits(q)) reaches ``BALL_BITS``, balls around
-    2^w f(x) and 2^w f'(x) are tried first (``ball_newton``), with w up to
-    twice bits(q); the exact values are computed only when they cannot
-    decide.
+    Only the bisection endpoints and the cell are Fractions. A Newton step
+    at x = p/q works on integers A and B with f(x)/f'(x) = A/(qB): the
+    Newton point is (pB - A)/(qB) and the step |A|/(q|B|). Where
+    deg * max(bits(p), bits(q)) reaches ``BALL_BITS``, A = q * c_f and
+    B = c_f' are the centres of integer balls around 2^w f(x) and
+    2^w f'(x) (``IntPoly.ball_value``), with w up to twice bits(q), when
+    both balls exclude 0. Otherwise A = q^d f(x) and B = q^(d-1) f'(x) are
+    exact (``IntPoly.scaled_value``). A rough step costs at most an
+    iteration: no Newton point decides the answer.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if f.degree() < 1:
         raise NoSignChange(f"no dominant root: {f.describe()} is constant")
+    scale = 10 ** (digits + 5)
+
+    def cell(n: int) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+        return Fraction(2 * n + 1, 2 * scale), (Fraction(n, scale), Fraction(n + 1, scale))
+
+    def root_at(x: Fraction) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+        """The answer for an exact zero x: x itself on the grid, else its cell."""
+        n, rem = divmod(x.numerator * scale, x.denominator)
+        return cell(n) if rem else (x, (x, x))
+
     lo = Fraction((1 << 20) + 1, 1 << 20)
     hi = Fraction(f.height() + 2)
     s_lo = f.sign_at(lo)
     if s_lo == 0:
-        return lo, (lo, lo)
+        return root_at(lo)
     s_hi = f.sign_at(hi)
     if s_hi == 0:
-        return hi, (hi, hi)
+        return root_at(hi)
     if s_lo == s_hi:
         raise NoSignChange(f"no sign change in (1, {hi}] for {f.describe()}")
-
-    target = Fraction(1, 10 ** (digits + 5))
-    eps = target / 4
-    inv_eps = eps.denominator
 
     def bisect_once() -> Optional[tuple[Fraction, tuple[Fraction, Fraction]]]:
         nonlocal lo, hi
         mid = (lo + hi) / 2
         s = f.sign_at(mid)
         if s == 0:
-            return mid, (mid, mid)
+            return root_at(mid)
         if s == s_lo:
             lo = mid
         else:
             hi = mid
         return None
 
-    def side(num: int, den: int) -> int:
-        """-1 if num/den <= lo, 1 if num/den >= hi, else 0 (den > 0)."""
-        if num * lo.denominator <= lo.numerator * den:
-            return -1
-        return 1 if num * hi.denominator >= hi.numerator * den else 0
+    def proved_cell(p: int, q: int) -> Optional[tuple[Fraction, tuple[Fraction, Fraction]]]:
+        """The cell of p/q (q > 0), or the neighbour that the signs at its
+        ends point to, where opposite exact signs prove it; else None."""
+        n = p * scale // q
+        signs = {k: f.sign_at(Fraction(k, scale)) for k in (n, n + 1)}
+        if signs[n] == signs[n + 1]:  # both ends below the root, or both above
+            up = signs[n] == s_lo
+            k = n + 2 if up else n - 1
+            signs[k] = f.sign_at(Fraction(k, scale))
+            n += 1 if up else -1
+        for k in (n, n + 1):
+            if signs[k] == 0:
+                return root_at(Fraction(k, scale))
+        return cell(n) if signs[n] != signs[n + 1] else None
+
+    def inside(num: int, den: int) -> bool:
+        """lo < num/den < hi (den > 0)."""
+        return lo.numerator * den < num * lo.denominator and num * hi.denominator < hi.numerator * den
 
     while hi - lo > Fraction(1, 128):
-        exact = bisect_once()
-        if exact:
-            return exact
+        found = bisect_once()
+        if found:
+            return found
 
     deg = len(f.coeffs) - 1
     df = f.derivative(1)
     top_bits = (10 ** (digits + 9)).bit_length()
-
-    def rounded_newton(num: int, den: int, step_num: int) -> tuple[int, int, bool]:
-        """(p, q, stop) for the Newton point num/den (den > 0) and the step
-        step_num/den: p/q is the point rounded to the decimal places the
-        step has resolved, and stop is the test step < eps/4."""
-        resolved = _resolved_digits(step_num * inv_eps + den, den * inv_eps)  # of step + eps
-        scale = 10 ** min(2 * resolved + 10, digits + 9)
-        return _round_half_even(num * scale, den), scale, 4 * step_num * inv_eps < den
-
-    def ball_newton(p: int, q: int) -> tuple[int, int, bool] | bool | None:
-        """The exact Newton step at x = p/q, decided from integer balls
-        around f(x) and f'(x): ``rounded_newton``'s triple, False when the
-        Newton point leaves (lo, hi), or None when the balls cannot tell.
-
-        The balls put 2^w |f(x)| in [a0, a1] and 2^w |f'(x)| in [b0, b1],
-        both away from 0, so the step |f/f'| lies in [a0/b1, a1/b0] and
-        the Newton point x - s |f/f'| (s the sign of f f') lies between
-        the two end points. Every test on it (the side of (lo, hi), the
-        resolved places, the rounding, the stop test) is monotone in the
-        step, so where the two ends agree the exact step agrees too.
-
-        The new point is rounded to about twice the places of x, but never
-        past digits + 9, so w takes twice bits(q) up to the bits of those
-        places, plus 64 bits of margin and deg bits per bit of |x| > 1.
-        """
-        w = min(2 * q.bit_length(), top_bits) + 64
-        w += deg * max(0, p.bit_length() - q.bit_length() + 1)
-        ca, ra = f.ball_value(p, q, w)
-        cb, rb = df.ball_value(p, q, w)
-        if abs(ca) <= ra or abs(cb) <= rb:
-            return None
-        s = 1 if (ca > 0) == (cb > 0) else -1
-        ends = [
-            (p * b - s * q * a, q * b, q * a)  # x - s a/b, the step a/b
-            for a, b in ((abs(ca) - ra, abs(cb) + rb), (abs(ca) + ra, abs(cb) - rb))
-        ]
-        sides = {side(num, den) for num, den, _ in ends}
-        if sides != {0}:
-            return False if len(sides) == 1 else None
-        step, other = (rounded_newton(*end) for end in ends)
-        if step != other or side(step[0], step[1]):
-            return None
-        return step
-
     p, q = ((lo + hi) / 2).as_integer_ratio()
     for _ in range(120):
-        newton = None
+        a = None
         if deg * max(p.bit_length(), q.bit_length()) >= BALL_BITS:
-            newton = ball_newton(p, q)
-        if newton is None:
-            fx, _ = f.scaled_value(p, q)
-            if fx == 0:
-                x = Fraction(p, q)
-                return x, (x, x)
-            dfx, _ = df.scaled_value(p, q)
-            # the Newton point is num/den with den = q|B| > 0
-            num, den = (p * dfx - fx, q * dfx) if dfx > 0 else (fx - p * dfx, -q * dfx)
-            newton = False
-            if dfx and not side(num, den):
-                newton = rounded_newton(num, den, abs(fx))  # the step is |A|/den
-                if side(newton[0], newton[1]):
-                    g = math.gcd(num, den)
-                    newton = num // g, den // g, newton[2]
-        if not newton:  # f'(x) = 0, or the Newton point left (lo, hi)
-            exact = bisect_once()
-            if exact:
-                return exact
-            if hi - lo <= target:
-                return (lo + hi) / 2, (lo, hi)
-            p, q = ((lo + hi) / 2).as_integer_ratio()
-            continue
-        p, q, stop = newton
-        if stop:
-            x = Fraction(p, q)
-            a, b = x - eps, x + eps
-            if lo < a and b < hi:
-                sa = f.sign_at(a)
-                if sa == 0:
-                    return a, (a, a)
-                sb = f.sign_at(b)
-                if sb == 0:
-                    return b, (b, b)
-                if sa != sb:
-                    return x, (a, b)
-            # Newton limit was not actually a root enclosure; keep bisecting
-            exact = bisect_once()
-            if exact:
-                return exact
+            # the new point is rounded to about twice the places of x, but
+            # never past digits + 9: w takes twice bits(q) up to the bits of
+            # those places, plus 64 bits of margin and deg bits per bit of |x| > 1
+            w = min(2 * q.bit_length(), top_bits) + 64
+            w += deg * max(0, p.bit_length() - q.bit_length() + 1)
+            ca, ra = f.ball_value(p, q, w)
+            cb, rb = df.ball_value(p, q, w)
+            if abs(ca) > ra and abs(cb) > rb:
+                a, b = q * ca, cb
+        if a is None:
+            a, _ = f.scaled_value(p, q)
+            if a == 0:
+                return root_at(Fraction(p, q))
+            b, _ = df.scaled_value(p, q)
+        # the Newton point is num/den with den = q|B| > 0, the step |A|/den
+        num, den = (p * b - a, q * b) if b > 0 else (a - p * b, -q * b)
+        if b and inside(num, den):
+            # about the decimal places the step has resolved, from bit lengths
+            resolved = max(0, (den.bit_length() - abs(a).bit_length()) * 30103 // 100_000)
+            q = 10 ** min(2 * resolved + 10, digits + 9)
+            p = num * q // den
+            if 16 * abs(a) * scale >= den:
+                continue
+            found = proved_cell(p, q)
+            if found:
+                return found
+        # f'(x) = 0, the Newton point left (lo, hi), or its cell was not proved
+        found = bisect_once()
+        if found:
+            return found
+        p, q = ((lo + hi) / 2).as_integer_ratio()
 
-    while hi - lo > target:
-        exact = bisect_once()
-        if exact:
-            return exact
-    return (lo + hi) / 2, (lo, hi)
-
-
-def _round_half_even(num: int, den: int) -> int:
-    """num/den rounded to an integer, ties to even, as ``round(Fraction)`` does (den > 0)."""
-    units, rem = divmod(num, den)
-    if 2 * rem > den or (2 * rem == den and units % 2):
-        units += 1
-    return units
-
-
-_MAX_PLACES = 10_000
-
-
-def _resolved_digits(num: int, den: int) -> int:
-    """Smallest k >= 0 with num/den >= 10^-k, capped at 10 000 (num, den > 0).
-
-    These are the decimal places a width num/den has already resolved.
-    With m the bit length of den minus that of num, den/num > 2^(m-1),
-    so floor((m-1) * 0.30102) is at most the answer; exact comparisons
-    then raise the count by the last few places.
-    """
-    m = den.bit_length() - num.bit_length()
-    k = min(max(0, (m - 1) * 30102 // 100_000), _MAX_PLACES)
-    power = 10**k
-    while k < _MAX_PLACES and num * power < den:
-        power *= 10
-        k += 1
-    return k
+    while hi - lo > Fraction(1, scale):
+        found = bisect_once()
+        if found:
+            return found
+    # the root is within 1/(2S) of the midpoint, so in its cell or a neighbour
+    p, q = ((lo + hi) / 2).as_integer_ratio()
+    found = proved_cell(p, q)
+    if found:
+        return found
+    raise ArithmeticError(f"{f.describe()} has roots closer together than 10^-{digits + 5}")
 
 
 def lambda_bracket(

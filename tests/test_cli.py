@@ -317,13 +317,14 @@ def test_format_takes_only_what_the_subcommand_writes(capsys, argv, bad):
     assert "invalid choice" in capsys.readouterr().err
 
 
-# sha256 of stdout, recorded before the ball screen entered dominant_root
-# and sign_at; the screen must leave every byte the same
+# sha256 of stdout. The converge digest was recorded before the ball screen
+# entered dominant_root and sign_at, the factor digest when its JSON
+# bracket became the decimal cell of tau; every byte must stay the same
 PINNED_STDOUT = {
     "converge mbonacci --a0 3 --eta 2 --a1 19,31 --digits 1000":
         "d3070fb1e6629a38e6e7bbe74ec74f153c51152b37891da108304b844c27cd5b",
     "factor 5 40 1005 --digits 30 --json":
-        "d2b0d869e210171c7d97e2e4dbecfa77f5dd7c760ee9b232a4d10323172a381c",
+        "64b958792d236e172ddbe17d98080f1fe6178e63b84f1670b68483d22f2ce601",
 }
 
 

@@ -27,13 +27,12 @@ from starsalem import (
 )
 import starsalem.factorize as factorize
 from starsalem.intpoly import BALL_BITS
-from starsalem.roots import _resolved_digits, _round_half_even
 
 from oracles import (
     bisect_root,
-    dominant_root_fraction,
+    decimal_cell,
+    eval_sign,
     from_trace,
-    resolved_places,
     root_moduli,
     spectral_radius,
 )
@@ -111,8 +110,8 @@ def test_no_sign_change_messages_are_short():
         assert str(exc.value) == message
 
 
-# The Newton loop works on scaled integers; the oracle runs the same
-# iterates in Fractions, so (root, bracket) must agree exactly.
+# Inputs that send dominant_root down each of its paths; whatever the
+# path, the answer is the cell that grid bisection in Fractions finds.
 ORACLE_CASES = (
     [pytest.param(LEHMER, 30, id="lehmer-30")]
     + [pytest.param(mbonacci_poly(m), 1000, id=f"mbonacci{m}-1000") for m in (2, 3, 4)]
@@ -123,7 +122,7 @@ ORACLE_CASES = (
         for arms in list(itertools.combinations(range(2, 26), 3))[::97]
         if not StarTree(arms).excluded
     ]
-    # past the ball-screen cutoff: Newton steps and enclosure signs are
+    # past the ball-screen cutoff: Newton steps and cell signs are
     # decided by integer balls wherever they can be
     + [
         pytest.param(
@@ -134,6 +133,62 @@ ORACLE_CASES = (
         for arms, digits in (((3, 19, 21), 1000), ((2, 31, 32), 1000), ((5, 40, 1005), 30))
     ]
 )
+
+FALLBACK_CASES = [
+    pytest.param(poly(-4, 2, -4, 6, 3, -1), 12, id="bracket-exit"),
+    # (10^8 x - C)^3 - E: the first Newton point is floored onto C/10^8,
+    # where f' = 0
+    pytest.param(
+        poly(
+            -(125749603**3) - 828737608474799,
+            3 * 10**8 * 125749603**2,
+            -3 * 10**16 * 125749603,
+            10**24,
+        ),
+        12,
+        id="zero-derivative",
+    ),
+    # 10^40 x - C: the root sits just below a bisection endpoint and has
+    # more places than any Newton point
+    pytest.param(poly(-13040815594454177918036756835092100713158, 10**40), 12, id="clip"),
+    # Newton lands on the root: 3/2 is on the grid, C/10^19 is not
+    pytest.param(poly(-3, 2), 12, id="root-hit-on-the-grid"),
+    pytest.param(poly(-13040815594454177918, 10**19), 12, id="root-hit-off-the-grid"),
+    # roots about 10^-40 below and above 3/2: the last Newton point
+    # lands across 3/2 from the root, in the neighbouring cell
+    pytest.param(poly(-(225 * 10**38 - 1), 0, 10**40), 6, id="root-just-below-a-grid-point"),
+    pytest.param(
+        poly(-64 * 10**40 + 10**40 - 8, 96 * 10**40, -48 * 10**40, 8 * 10**40),
+        6,
+        id="root-just-above-a-grid-point",
+    ),
+]
+
+
+def check_cell(f, digits, answer):
+    """What proves dominant_root's answer without grid bisection, which
+    is slow at 1000 digits and at degree 1000: the ends lie on the grid,
+    1/S apart, f has opposite exact signs there, and the root that exact
+    bisection from (1, height + 2] finds is within its error of the cell."""
+    root, (lo, hi) = answer
+    scale = 10 ** (digits + 5)
+    assert (lo * scale).denominator == 1 and hi - lo == Fraction(1, scale)
+    assert root == (lo + hi) / 2
+    cs = list(f.coeffs)
+    assert eval_sign(cs, lo) * eval_sign(cs, hi) < 0
+    top = f.height() + 2
+    steps = 100
+    err = Fraction(top - 1, 2**steps)
+    assert lo - err <= bisect_root(cs, Fraction(1), Fraction(top), steps) <= hi + err
+
+
+@pytest.mark.parametrize("f, digits", ORACLE_CASES + FALLBACK_CASES)
+def test_dominant_root_matches_fraction_oracle(f, digits):
+    answer = dominant_root(f, digits)
+    if digits >= 1000 or f.degree() >= 1000:
+        check_cell(f, digits, answer)
+    else:
+        assert answer == decimal_cell(list(f.coeffs), digits)
 
 
 @pytest.fixture
@@ -150,18 +205,37 @@ def sign_at_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("f, digits", ORACLE_CASES)
-def test_dominant_root_matches_fraction_oracle(f, digits, sign_at_calls):
-    trace = []
-    assert dominant_root(f, digits) == dominant_root_fraction(list(f.coeffs), digits, trace)
-    assert len(sign_at_calls) == trace.count("sign")
+def test_the_cell_check_takes_two_signs_or_three(sign_at_calls):
+    # the ends of the last Newton point's cell
+    _, (lo, hi) = dominant_root(LEHMER, 30)
+    assert sign_at_calls[-2:] == [lo, hi]
+    # the last two FALLBACK_CASES: the last Newton point lands across 3/2
+    # from the root, both ends of its cell have one sign, and the far end
+    # of the neighbouring cell proves that one
+    below, above = (case.values[0] for case in FALLBACK_CASES[-2:])
+    half, tick = Fraction(3, 2), Fraction(1, 10**11)
+    sign_at_calls.clear()
+    assert dominant_root(below, 6)[1] == (half - tick, half)
+    assert sign_at_calls[-3:] == [half, half + tick, half - tick]
+    sign_at_calls.clear()
+    assert dominant_root(above, 6)[1] == (half, half + tick)
+    assert sign_at_calls[-3:] == [half - tick, half, half + tick]
+
+
+def test_roots_sharing_a_cell_are_refused():
+    # ((10^10 x - c)^2 - 2)(3 10^10 x - 3 c' - 1): roots 2.8e-10 apart in
+    # one cell of width 10^-9 and a third below it; bisection isolates one
+    # of the pair, and no cell around it has opposite signs at its ends
+    x = poly(-15000000032, 10**10)
+    f = (x * x - poly(2)) * poly(-(3 * 15000000008 + 1), 3 * 10**10)
+    with pytest.raises(ArithmeticError, match="roots closer together than 10\\^-9"):
+        dominant_root(f, 4)
 
 
 def test_ball_screen_settles_the_large_steps(monkeypatch):
     # T(3,31,33) at 1000 digits. Without the screen, 14 exact evaluations
-    # are at or past the cutoff, four of them with q >= 10^999 (f and f'
-    # at the last Newton point and the two enclosure signs), and two of
-    # those with either half of it switched off. With it, none are.
+    # are at or past the cutoff, four of them with q >= 10^999. With it,
+    # at most one is.
     big_q, past_cutoff = [], []
     scaled_value = IntPoly.scaled_value
 
@@ -172,24 +246,23 @@ def test_ball_screen_settles_the_large_steps(monkeypatch):
 
     monkeypatch.setattr(IntPoly, "scaled_value", counted)
     f = factor_coxeter(StarTree((3, 31, 33))).salem_factor
-    assert dominant_root(f, 1000) == dominant_root_fraction(list(f.coeffs), 1000)
+    check_cell(f, 1000, dominant_root(f, 1000))
     assert big_q.count(True) <= 1
     assert past_cutoff.count(True) <= 1
+
+
+T_20_30_1000 = factor_coxeter(StarTree((20, 30, 1000))).salem_factor
 
 
 @pytest.mark.parametrize("arms, digits", [((3, 31, 33), 1000), ((20, 30, 1000), 30)])
 def test_any_valid_ball_gives_the_same_root(monkeypatch, arms, digits):
     # widen every ball by |c| / 2^k and move its centre by half that: still
-    # a valid ball, but from k = 2 (few steps decided) to k = 1000 (nearly
-    # the real one) the two ends of each test disagree at different steps,
-    # and every such step must go through the exact code
+    # a valid ball, but from k = 2 (Newton steps off by up to 29%) to
+    # k = 1000 (nearly the real one) the path changes, and the cell must not
     f = factor_coxeter(StarTree(arms)).salem_factor
-    trace = []
-    expected = dominant_root_fraction(list(f.coeffs), digits, trace)
+    expected = dominant_root(f, digits)
+    check_cell(f, digits, expected)
     ball_value = IntPoly.ball_value
-    signs = []
-    sign_at = IntPoly.sign_at
-    monkeypatch.setattr(IntPoly, "sign_at", lambda self, v: signs.append(v) or sign_at(self, v))
     for k in (2, 6, 30, 1000):
         def loose(self, p, q, w, k=k):
             c, r = ball_value(self, p, q, w)
@@ -197,76 +270,38 @@ def test_any_valid_ball_gives_the_same_root(monkeypatch, arms, digits):
             return c + slack // 2, r + slack
 
         monkeypatch.setattr(IntPoly, "ball_value", loose)
-        signs.clear()
         assert dominant_root(f, digits) == expected, k
-        assert len(signs) == trace.count("sign"), k
 
 
-@pytest.mark.parametrize(
-    "coeffs, event",
-    [
-        ((-4, 2, -4, 6, 3, -1), "newton left the bracket"),
-        # (10^8 x - C)^3 - E: the first Newton point rounds onto C/10^8, where f' = 0
-        (
-            (
-                -(125749603**3) - 828737608474798,
-                3 * 10**8 * 125749603**2,
-                -3 * 10**16 * 125749603,
-                10**24,
-            ),
-            "zero derivative",
-        ),
-        # 10^40 x - C: the root sits just below a bisection endpoint, so
-        # the rounded Newton point falls outside (lo, hi); the unrounded
-        # one is the root itself
-        ((-13040815594454177918036756835092100713158, 10**40), "clip left the bracket"),
-        ((-13040815594454177918036756835092100713158, 10**40), "newton hit a root"),
-    ],
-)
-def test_dominant_root_fallbacks_match_fraction_oracle(coeffs, event, sign_at_calls):
-    trace = []
-    expected = dominant_root_fraction(list(coeffs), 12, trace)
-    assert event in trace
-    assert dominant_root(poly(*coeffs), 12) == expected
-    assert len(sign_at_calls) == trace.count("sign")
+@pytest.mark.parametrize("held", [0, 1], ids=["f", "f'"])
+def test_a_ball_that_holds_0_does_not_steer_newton(monkeypatch, sign_at_calls, held):
+    # valid balls around f (or f') that always hold 0, centred on
+    # -sign(c) (|c| + r), so the centres point Newton the wrong way: every
+    # step must come from exact values, and sign_at falls through to them
+    # too, so the run takes the same signs as with the real balls
+    f = factor_coxeter(StarTree((3, 31, 33))).salem_factor
+    expected = dominant_root(f, 1000)
+    signs = len(sign_at_calls)
+    ball_value = IntPoly.ball_value
+
+    def holding_0(self, p, q, w):
+        c, r = ball_value(self, p, q, w)
+        if self.degree() != f.degree() - held:
+            return c, r
+        return (abs(c) + r) * (-1 if c > 0 else 1), 2 * (abs(c) + r) + 1
+
+    monkeypatch.setattr(IntPoly, "ball_value", holding_0)
+    sign_at_calls.clear()
+    assert dominant_root(f, 1000) == expected
+    assert len(sign_at_calls) == signs
 
 
-WIDTHS = st.one_of(
-    st.builds(
-        lambda a, b, e: Fraction(a, b * 10**e),
-        st.integers(1, 10**60),
-        st.integers(1, 10**60),
-        st.integers(0, 300),
-    ),
-    # just above a power of two, where the bit-length estimate is least tight
-    st.builds(lambda n, j: Fraction(2**n - 1, 2 ** (n + j)), st.integers(1, 80), st.integers(0, 900)),
-    # at and next to a power of ten, where the count steps
-    st.builds(lambda k, d: Fraction(10**40 + d, 10 ** (40 + k)), st.integers(0, 900), st.integers(-1, 1)),
-)
-
-
-@given(WIDTHS)
-@example(Fraction(1))
-@example(Fraction(10**60))
-@example(Fraction(1, 10**300))
-def test_resolved_digits_matches_places_loop(width):
-    assert _resolved_digits(width.numerator, width.denominator) == resolved_places(width)
-
-
-@settings(max_examples=5, deadline=None)
-@given(st.integers(1, 10**30), st.integers(1, 10**30), st.integers(9_990, 10_010))
-def test_resolved_digits_keeps_the_cap(a, b, e):
-    width = Fraction(a, b * 10**e)
-    assert _resolved_digits(width.numerator, width.denominator) == resolved_places(width)
-
-
-@given(st.integers(-(10**40), 10**40), st.integers(1, 10**20))
-@example(5, 2)
-@example(7, 2)
-@example(-5, 2)
-@example(-7, 2)
-def test_round_half_even_matches_fraction_round(num, den):
-    assert _round_half_even(num, den) == round(Fraction(num, den))
+@pytest.mark.parametrize("f", [LEHMER, T_20_30_1000], ids=["lehmer", "T20-30-1000"])
+def test_bisection_alone_gives_the_same_root(monkeypatch, f):
+    # with f' = 0 every Newton step falls back to bisection
+    expected = dominant_root(f, 30)
+    monkeypatch.setattr(IntPoly, "derivative", lambda self, n=1: IntPoly.zero())
+    assert dominant_root(f, 30) == expected
 
 
 def test_fraction_to_decimal():
