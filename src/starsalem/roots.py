@@ -1,14 +1,17 @@
 """High-precision root computations.
 
-``dominant_root`` locates the unique real root above 1 by exact-sign
-bisection seeded at (1 + 2^-20, height + 2], interleaved with Newton
-steps whose points are rounded to short decimals so the rationals stay
+``dominant_root`` locates the unique real root above 1. After exact signs
+at 1 + 2^-20 and height + 2, a float Newton search safeguarded by
+bisection, run on the reversed polynomial so that nothing overflows at
+high degree, picks the first Newton point; exact-sign bisection to width
+1/128 takes its place when floats cannot find the root. Exact Newton steps
+follow, with points rounded to short decimals so the rationals stay
 small. It returns the cell [n, n + 1] / 10^(digits+5) of the decimal grid
 that holds the root, proved by exact signs at its two ends, so the answer
-does not depend on the path Newton took. The Newton steps are formed from
-scaled integer values (``IntPoly.scaled_value``) or, past
-``intpoly.BALL_BITS``, from the centres of integer balls around f and f'
-(``IntPoly.ball_value``) where both exclude 0; only the bisection
+depends neither on the float start nor on the path Newton took. The Newton
+steps are formed from scaled integer values (``IntPoly.scaled_value``) or,
+past ``intpoly.BALL_BITS``, from the centres of integer balls around f and
+f' (``IntPoly.ball_value``) where both exclude 0; only the bisection
 endpoints and the cell are Fractions.
 
 ``lambda_bracket`` maps the enclosure of tau to one of the tree's
@@ -17,7 +20,8 @@ arithmetic (``math.isqrt`` on scaled integers, rounded outward).
 
 ``certify_tree`` puts the two together for a tree's remainder. Whether
 that remainder is Salem is the factorization's label, decided by
-``factorize.salem_certificate``; no float enters this module.
+``factorize.salem_certificate``. The float start is the only float in
+this module, and no float value reaches an answer.
 
 The convergence sweeps reproduce the limit behaviour of the Salem roots:
 with two arms growing they approach the m-bonacci number of the fixed
@@ -28,6 +32,7 @@ dominant root of the limit polynomial.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -61,6 +66,10 @@ class ConvergenceRecord:
     gap_value: Optional[Fraction]
     note: str = ""
 
+
+# steps of the float search before it gives up: bisection alone would
+# take about 52 + log2(tau) of them
+_SEED_STEPS = 100
 
 # 2000 bits is 603 decimal digits, under 640, the lowest int-to-str limit
 # Python accepts (sys.set_int_max_str_digits)
@@ -98,6 +107,56 @@ def fraction_to_decimal(x: Fraction, digits: int) -> str:
     return f"{sign}{_int_str(whole)}.{_int_str(frac).zfill(digits)}"
 
 
+def _float_seed(f: IntPoly, lo: Fraction, hi: Fraction, s_lo: int) -> Optional[float]:
+    """A float near a root of f in (lo, hi), 1 <= lo, where f has the
+    exact sign s_lo at lo and the opposite sign at hi; None when floats
+    cannot find one: a coefficient or hi past float range, an inf or NaN
+    value, or no convergence in ``_SEED_STEPS`` steps. It only picks
+    ``dominant_root``'s first Newton point, so no float reaches an answer.
+
+    Newton safeguarded by bisection (the rtsafe rule: bisect when a step
+    leaves the bracket or fails to halve the last one) on the reversed
+    polynomial g(y) = y^d f(1/y), over y = 1/x in (1/hi, 1/lo). g has the
+    sign of f(1/y) there, and as 0 < y < 1 every Horner partial value of
+    g stays below e = sum |c_i| y^(d-i), where powers of x itself overflow
+    near x = 2 at degree 1000. Bisecting in y also reaches a root near 1 in
+    a few steps when hi is large. The search stops once |g| <= 2 (d + 1)
+    eps e, twice the rounding bound of Horner's rule: there g's sign may be
+    noise, and next to a simple root a bracket of two neighbouring floats
+    is already inside that bound.
+    """
+    try:
+        cs = [float(c) for c in f.coeffs]  # g's coefficients, highest power first
+        a, b = 1 / float(hi), 1 / float(lo)  # f has the sign s_lo at 1/b
+    except OverflowError:
+        return None
+    noise = 2 * len(cs) * sys.float_info.epsilon
+    y = (a + b) / 2
+    dy = b - a
+    for _ in range(_SEED_STEPS):
+        g = dg = e = 0.0
+        for c in cs:
+            dg = dg * y + g
+            g = g * y + c
+            e = e * y + abs(c)
+        if not all(map(math.isfinite, (g, dg, e))):
+            return None
+        if abs(g) <= noise * e:
+            return 1 / y
+        if (g > 0) == (s_lo > 0):
+            b = y
+        else:
+            a = y
+        step = g / dg if dg else math.inf
+        if a < y - step < b and 2 * abs(step) < abs(dy):
+            dy = step
+            y -= step
+        else:
+            dy = (b - a) / 2
+            y = a + dy
+    return None
+
+
 def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     """The real root of f in (1, infinity), to ``digits`` decimal places.
 
@@ -105,20 +164,26 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     [n/S, (n+1)/S] of the decimal grid that holds the root, and root is its
     midpoint. Opposite exact signs of f at lo and hi prove the cell; a root
     r on the grid is returned as (r, (r, r)), and an exact zero found off
-    the grid proves its own cell. The answer depends on f and digits only,
-    not on the path taken to it. Raises NoSignChange when f does not change
-    sign between 1 + 2^-20 and the coefficient bound height + 2, which is
-    how cyclotomic-only inputs announce themselves, and ArithmeticError
-    when no cell next to the root has opposite signs at its ends, which
-    takes more roots of f within a cell or two of it.
+    the grid proves its own cell. Every caller passes an f with exactly one
+    root above 1, and then the answer depends on f and digits only, not on
+    the path taken to it. On other inputs it is a proved cell of one of
+    those roots, or the ArithmeticError below, and which one depends on the
+    path. Raises NoSignChange when f does not change sign between
+    1 + 2^-20 and the coefficient bound height + 2, which is how
+    cyclotomic-only inputs announce themselves, and ArithmeticError when
+    no cell next to the root has opposite signs at its ends, which takes
+    more roots of f within a cell or two of it.
 
-    Strategy: coarse exact-sign bisection, then Newton steps rounded to
-    about twice the decimal places the step has resolved (so denominators
-    stay small). Once a step is below 1/(16 S), the signs at the ends of
-    the new point's cell decide it, with one more sign at the far end of
-    the neighbouring cell when both ends lie on one side of the root.
-    Bisection takes over whenever Newton leaves the bracket or a cell is
-    not proved.
+    Strategy: after the exact signs at those two ends, a float search
+    (``_float_seed``) finds a float near the root, and exact Newton steps
+    start there; when floats cannot find it, coarse exact-sign
+    bisection to width 1/128 gives the start instead. The Newton steps are
+    rounded to about twice the decimal places the step has resolved (so
+    denominators stay small). Once a step is below 1/(16 S), the signs at
+    the ends of the new point's cell decide it, with one more sign at the
+    far end of the neighbouring cell when both ends lie on one side of the
+    root. Bisection takes over whenever Newton leaves the bracket or a cell
+    is not proved.
 
     Only the bisection endpoints and the cell are Fractions. A Newton step
     at x = p/q works on integers A and B with f(x)/f'(x) = A/(qB): the
@@ -186,15 +251,19 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
         """lo < num/den < hi (den > 0)."""
         return lo.numerator * den < num * lo.denominator and num * hi.denominator < hi.numerator * den
 
-    while hi - lo > Fraction(1, 128):
-        found = bisect_once()
-        if found:
-            return found
+    seed = _float_seed(f, lo, hi, s_lo)
+    if seed is None:
+        while hi - lo > Fraction(1, 128):
+            found = bisect_once()
+            if found:
+                return found
+        p, q = ((lo + hi) / 2).as_integer_ratio()
+    else:
+        p, q = seed.as_integer_ratio()
 
     deg = len(f.coeffs) - 1
     df = f.derivative(1)
     top_bits = (10 ** (digits + 9)).bit_length()
-    p, q = ((lo + hi) / 2).as_integer_ratio()
     for _ in range(120):
         a = None
         if deg * max(p.bit_length(), q.bit_length()) >= BALL_BITS:

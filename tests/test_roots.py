@@ -26,6 +26,7 @@ from starsalem import (
     salem_certificate,
 )
 import starsalem.factorize as factorize
+import starsalem.roots as roots
 from starsalem.intpoly import BALL_BITS
 
 from oracles import (
@@ -205,31 +206,92 @@ def sign_at_calls(monkeypatch):
     return calls
 
 
-def test_the_cell_check_takes_two_signs_or_three(sign_at_calls):
+def force_seed(monkeypatch, seed):
+    """Make every float search in dominant_root return ``seed``."""
+    monkeypatch.setattr(roots, "_float_seed", lambda f, lo, hi, s_lo: seed)
+
+
+def test_the_cell_check_takes_two_signs_or_three(monkeypatch, sign_at_calls):
     # the ends of the last Newton point's cell
     _, (lo, hi) = dominant_root(LEHMER, 30)
     assert sign_at_calls[-2:] == [lo, hi]
-    # the last two FALLBACK_CASES: the last Newton point lands across 3/2
-    # from the root, both ends of its cell have one sign, and the far end
-    # of the neighbouring cell proves that one
+    # the last two FALLBACK_CASES, from a start 2^-45 across 3/2 from the
+    # root: f is convex near the root of `below` and concave near that of
+    # `above`, so the Newton point lands across 3/2 too, within 1/(16 S) of
+    # the root. Both ends of its cell have one sign, and the far end of the
+    # neighbouring cell proves that one
     below, above = (case.values[0] for case in FALLBACK_CASES[-2:])
     half, tick = Fraction(3, 2), Fraction(1, 10**11)
+    force_seed(monkeypatch, 1.5 + 2**-45)
     sign_at_calls.clear()
     assert dominant_root(below, 6)[1] == (half - tick, half)
     assert sign_at_calls[-3:] == [half, half + tick, half - tick]
+    force_seed(monkeypatch, 1.5 - 2**-45)
     sign_at_calls.clear()
     assert dominant_root(above, 6)[1] == (half, half + tick)
     assert sign_at_calls[-3:] == [half - tick, half, half + tick]
 
 
-def test_roots_sharing_a_cell_are_refused():
+def test_roots_sharing_a_cell_are_refused(monkeypatch):
     # ((10^10 x - c)^2 - 2)(3 10^10 x - 3 c' - 1): roots 2.8e-10 apart in
-    # one cell of width 10^-9 and a third below it; bisection isolates one
-    # of the pair, and no cell around it has opposite signs at its ends
+    # one cell of width 10^-9 and a third below it. Bisection from (1, h + 2]
+    # (no float start) isolates one of the pair, and so does Newton from
+    # above all three (it descends to the largest real root); no cell
+    # around that one has opposite signs at its ends
     x = poly(-15000000032, 10**10)
     f = (x * x - poly(2)) * poly(-(3 * 15000000008 + 1), 3 * 10**10)
-    with pytest.raises(ArithmeticError, match="roots closer together than 10\\^-9"):
-        dominant_root(f, 4)
+    for seed in (None, 2.0):
+        force_seed(monkeypatch, seed)
+        with pytest.raises(ArithmeticError, match="roots closer together than 10\\^-9"):
+            dominant_root(f, 4)
+
+
+def test_several_roots_above_1_give_a_proved_cell_of_one(monkeypatch):
+    # outside the contract: (x^2 - 3)(x^2 - 5)(x^2 - 7) has three roots
+    # above 1, and the answer is the cell of the one the path reaches
+    factors = [poly(-3, 0, 1), poly(-5, 0, 1), poly(-7, 0, 1)]
+    f = factors[0] * factors[1] * factors[2]
+    cells = [decimal_cell(list(g.coeffs), 20) for g in factors]
+    assert dominant_root(f, 20) in cells
+    for seed, cell in zip((1.7, 2.2, 2.6), cells):
+        force_seed(monkeypatch, seed)
+        assert dominant_root(f, 20) == cell
+
+
+def test_inputs_past_float_range_take_the_bisection_start():
+    # 10^400 (x^2 - 2) + x: neither a coefficient nor height + 2 is a float
+    tall = poly(-2 * 10**400, 1, 10**400)
+    # 10^308 (x^4 - x^3 - x^2 - x - 1): every coefficient is a float, but
+    # y^4 f(1/y) passes -1.8e308 on its way to its value near y = 1/2
+    wide = IntPoly.from_coeffs(c * 10**308 for c in (-1, -1, -1, -1, 1))
+    assert all(math.isfinite(float(c)) for c in wide.coeffs)
+    lo = Fraction(2**20 + 1, 2**20)
+    for f in (tall, wide):
+        assert roots._float_seed(f, lo, Fraction(f.height() + 2), f.sign_at(lo)) is None
+        assert dominant_root(f, 12) == decimal_cell(list(f.coeffs), 12)
+
+
+@st.composite
+def one_root_above_1(draw):
+    """(q x - p) with p > q > 0, times factors with no root above 1:
+    cyclotomic polynomials, x^2 + b x + 1 with |b| < 2, k x +- 1 and x + k."""
+    q = draw(st.integers(1, 30))
+    f = poly(-draw(st.integers(q + 1, 5 * q + 40)), q)
+    others = st.one_of(
+        st.integers(2, 40).map(cyclotomic_poly),
+        st.integers(-1, 1).map(lambda b: poly(1, b, 1)),
+        st.tuples(st.sampled_from([-1, 1]), st.integers(2, 9)).map(lambda t: poly(*t)),
+        st.integers(1, 9).map(lambda k: poly(k, 1)),
+    )
+    for g in draw(st.lists(others, max_size=5)):
+        f = f * g
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_root_above_1(), st.integers(5, 20))
+def test_one_root_above_1_matches_the_oracle(f, digits):
+    assert dominant_root(f, digits) == decimal_cell(list(f.coeffs), digits)
 
 
 def test_ball_screen_settles_the_large_steps(monkeypatch):
@@ -302,6 +364,46 @@ def test_bisection_alone_gives_the_same_root(monkeypatch, f):
     expected = dominant_root(f, 30)
     monkeypatch.setattr(IntPoly, "derivative", lambda self, n=1: IntPoly.zero())
     assert dominant_root(f, 30) == expected
+
+
+FLOAT_STARTS = {
+    "none": lambda lo, hi: None,
+    "below-the-bracket": lambda lo, hi: 0.5,
+    "far-end": lambda lo, hi: float(hi),
+    "mid-bracket": lambda lo, hi: float(lo + hi) / 2,
+}
+
+
+@pytest.mark.parametrize("start", list(FLOAT_STARTS))
+@pytest.mark.parametrize("f", [LEHMER, T_20_30_1000], ids=["lehmer", "T20-30-1000"])
+def test_floats_only_guide(monkeypatch, f, start):
+    # no start, or one far from tau, gives the cell the float search gives;
+    # tau is 1.18 for LEHMER and 2.00 for T(20,30,1000), whose brackets end
+    # at 3 and 5
+    expected = dominant_root(f, 30)
+    monkeypatch.setattr(roots, "_float_seed", lambda f, lo, hi, s_lo: FLOAT_STARTS[start](lo, hi))
+    assert dominant_root(f, 30) == expected
+
+
+def test_the_float_start_keeps_newton_inside_the_bracket(monkeypatch, sign_at_calls):
+    # T(20, 30, 1000): from the midpoint of a width-1/128 bracket, 7 of 13
+    # Newton points left it and dominant_root took 45 ball passes
+    passes = []
+    ball_value = IntPoly.ball_value
+
+    def counted(self, p, q, w):
+        passes.append(w)
+        return ball_value(self, p, q, w)
+
+    monkeypatch.setattr(IntPoly, "ball_value", counted)
+    f = T_20_30_1000
+    _, (lo, hi) = dominant_root(f, 30)
+    assert len(passes) <= 12
+    # the signs at the two ends of (1, h + 2], then only at the ends of the
+    # cell and its neighbours: no Newton point left the bracket, or
+    # bisection would have taken a sign at its midpoint
+    assert sign_at_calls[:2] == [Fraction(2**20 + 1, 2**20), f.height() + 2]
+    assert all(abs(x - lo) <= 2 * (hi - lo) for x in sign_at_calls[2:])
 
 
 def test_fraction_to_decimal():
