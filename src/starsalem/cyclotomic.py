@@ -8,14 +8,16 @@ Phi_n is produced by the classical identities
 
 so every step stays in exact integer arithmetic and each polynomial is
 derived from a strictly smaller one. The defining property
-prod_{d | n} Phi_d = x^n - 1 is exercised by the test suite.
+prod_{d | n} Phi_d = x^n - 1 is exercised by the test suite; at x = 2
+it gives ``value_at_two``, the modulus of the sieve's exact screen. phi
+comes from a sieve over Python ints, and ``phi_sum`` past it from a
+sublinear recursion.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from itertools import accumulate
 
 from .intpoly import IntPoly
 
@@ -65,27 +67,18 @@ def _compose_x_pow(f: IntPoly, k: int) -> IntPoly:
     return IntPoly.from_coeffs(cs)
 
 
-def _phi_sieve(size: int) -> np.ndarray:
+def _phi_sieve(size: int) -> list[int]:
     """phi(k) for k = 0..size-1 (phi(0) slot is 0).
 
     Starts from phi(k) = k and applies phi(k) -= phi(k) / p once for every
     prime p dividing k; each division is exact whatever the order in which
-    the primes are applied. Primes up to sqrt(size) update all their
-    multiples by slicing; a larger prime divides k at most once, so those
-    are applied one cofactor m at a time, to all p*m < size together.
+    the primes are applied. p is prime exactly when no smaller prime has
+    touched its slot yet, that is when phi(p) is still p.
     """
-    phi = np.arange(size, dtype=np.int64)
-    is_prime = np.ones(size, dtype=bool)
-    is_prime[:2] = False
-    root = math.isqrt(size - 1) if size > 1 else 0
-    for p in range(2, root + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-            phi[p::p] -= phi[p::p] // p
-    large = np.flatnonzero(is_prime[root + 1 :]) + root + 1
-    for m in range(1, (size - 1) // (root + 1) + 1):
-        ps = large[: np.searchsorted(large, (size - 1) // m, side="right")]
-        phi[ps * m] -= phi[ps * m] // ps
+    phi = list(range(size))
+    for p in range(2, size):
+        if phi[p] == p:
+            phi[p::p] = [v - v // p for v in phi[p::p]]
     return phi
 
 
@@ -94,8 +87,10 @@ class CyclotomicTable:
 
     def __init__(self) -> None:
         self._cache: dict[int, IntPoly] = {1: IntPoly.from_coeffs([-1, 1])}
-        self._phi_sieve = np.array([0, 1], dtype=np.int64)
-        self._phi_sums = np.cumsum(self._phi_sieve)  # index B -> sum_{k<=B} phi(k)
+        self._at_two: dict[int, int] = {}
+        self._phi_sieve = [0, 1]
+        self._phi_sums = [0, 1]  # index B -> sum_{k<=B} phi(k), within the sieve
+        self._phi_sums_past: dict[int, int] = {}  # the same for B past the sieve
 
     # ------------------------------------------------------------------
     def cyclotomic(self, n: int) -> IntPoly:
@@ -105,9 +100,7 @@ class CyclotomicTable:
         if hit is not None:
             return hit
         fac = _factorize(n)
-        rad = 1
-        for p in fac:
-            rad *= p
+        rad = math.prod(fac)
         if n != rad:
             poly = _compose_x_pow(self.cyclotomic(rad), n // rad)
         elif len(fac) == 1:
@@ -127,24 +120,46 @@ class CyclotomicTable:
             phi *= (p - 1) * p ** (e - 1)
         return phi
 
-    def _grow_phi(self, b: int) -> None:
-        if b < len(self._phi_sums):
-            return
-        size = max(b, 2 * (len(self._phi_sieve) - 1)) + 1
-        self._phi_sieve = _phi_sieve(size)
-        self._phi_sums = np.cumsum(self._phi_sieve)
+    def value_at_two(self, k: int) -> int:
+        """Phi_k(2) = prod_{e | k} (2^(k/e) - 1)^mu(e), by Moebius inversion
+        of 2^k - 1 = prod_{d | k} Phi_d(2); mu(e) = 0 unless e is squarefree."""
+        if k < 1:
+            raise ValueError("order must be >= 1")
+        hit = self._at_two.get(k)
+        if hit is None:
+            terms = [(k, 1)]  # (k / e, mu(e)) for every squarefree e | k
+            for p in _factorize(k):
+                terms += [(j // p, -mu) for j, mu in terms]
+            num = math.prod((1 << j) - 1 for j, mu in terms if mu > 0)
+            den = math.prod((1 << j) - 1 for j, mu in terms if mu < 0)
+            hit = self._at_two[k] = num // den
+        return hit
 
-    def phi_values(self, b: int) -> np.ndarray:
-        """phi(k) for k = 0..b as an int64 array (phi(0) slot is 0)."""
-        self._grow_phi(b)
+    def phi_values(self, b: int) -> list[int]:
+        """phi(k) for k = 0..b (phi(0) slot is 0)."""
+        if b >= len(self._phi_sieve):
+            self._phi_sieve = _phi_sieve(max(b, 2 * (len(self._phi_sieve) - 1)) + 1)
+            self._phi_sums = list(accumulate(self._phi_sieve))
         return self._phi_sieve[: b + 1]
 
     def phi_sum(self, b: int) -> int:
-        """sum_{k <= b} phi(k)"""
+        """S(b) = sum_{k <= b} phi(k): a prefix sum within the phi sieve, and
+        past it S(n) = n(n+1)/2 - sum_{d>=2} S(n // d), since sum_{d | j}
+        phi(d) = j, with one term per run of equal n // d, memoised."""
         if b < 1:
             raise ValueError("bound must be >= 1")
-        self._grow_phi(b)
-        return int(self._phi_sums[b])
+        if b < len(self._phi_sums):
+            return self._phi_sums[b]
+        hit = self._phi_sums_past.get(b)
+        if hit is None:
+            hit = b * (b + 1) // 2
+            d = 2
+            while d <= b:
+                last = b // (b // d)  # the last d' with b // d' == b // d
+                hit -= (last - d + 1) * self.phi_sum(b // d)
+                d = last + 1
+            self._phi_sums_past[b] = hit
+        return hit
 
     def divides_coxeter(self, k: int, f: IntPoly) -> bool:
         """True when Phi_k divides f.

@@ -12,10 +12,9 @@ Every question of the form "which orders k have Phi_k | f" goes through
 one primitive, ``cyclotomic_divisors``, used by the sieve, by the
 periodicity scan and by ``verify_mann``. Its candidates are the orders
 with phi(k) <= deg f (under an optional cap), read off the phi sieve.
-One vectorised float screen evaluates f at every candidate's primitive
-root and discards the orders whose value is provably nonzero (it carries
-a rigorous rounding-error bound), and every survivor is settled by exact
-integer division. Outcomes never depend on the float path.
+One exact integer screen discards every order k for which Phi_k(2) does
+not divide f(2), and every survivor is settled by exact integer
+division. No float enters the sieve.
 
 The remainder's label (Salem, quadratic Pisot or cyclotomic-only) has
 one exact test, ``salem_certificate``, and is computed only when
@@ -178,16 +177,12 @@ def cyclotomic_divisors(
     1. Orders with phi(k) > deg f cannot divide; the candidates are read
        off the table's phi sieve, which never has to reach past
        ``phi_inverse_bound(deg f)``.
-    2. f is evaluated at exp(2*pi*i/k) for every candidate in one
-       ``np.polyval`` call. An order is discarded only when the value
-       exceeds a rigorous bound on the float error: Horner rounding at
-       |z| = 1 (~2*deg*ulp*l1(f)) plus the few-ulp perturbation of the
-       evaluation point off the true root of unity (amplified by at most
-       sum j|c_j| <= deg*l1), with a wide margin. Above height 2^40 the
-       coefficients lose that headroom and no order is discarded.
+    2. Phi_k | f in Z[x] forces Phi_k(2) | f(2), so every order with
+       f(2) mod Phi_k(2) != 0 is discarded (``value_at_two`` caches
+       Phi_k(2)). When f(2) = 0, none is.
     3. Every survivor is settled by exact integer division.
 
-    Floats only discard orders; exact division decides every outcome.
+    No step uses a float, at any height of f.
     """
     if f.is_zero():
         raise ValueError("cannot sieve the zero polynomial")
@@ -198,14 +193,11 @@ def cyclotomic_divisors(
     cap = phi_inverse_bound(deg)
     if max_order is not None:
         cap = min(cap, max_order)
-    orders = np.flatnonzero(table.phi_values(cap)[1:] <= deg) + 1
-    if orders.size and f.height() <= 1 << 40:
-        vals = np.abs(
-            np.polyval(np.array(f.coeffs[::-1], dtype=float), np.exp(2j * np.pi / orders))
-        )
-        err = (4 * len(f.coeffs) + 8) * 2.0**-52 * f.l1()
-        orders = orders[~(vals > max(64.0 * err, 1e-9))]
-    return [k for k in orders.tolist() if table.divides_coxeter(k, f)]
+    phis = table.phi_values(cap)
+    candidates = [k for k in range(1, cap + 1) if phis[k] <= deg]
+    at_two = f.eval_int(2)
+    survivors = [k for k in candidates if at_two % table.value_at_two(k) == 0]
+    return [k for k in survivors if table.divides_coxeter(k, f)]
 
 
 def extract_cyclotomic(
@@ -454,21 +446,24 @@ def salem_degree_lower_bound(
 # multiplicity bound certification
 # ----------------------------------------------------------------------
 
-def _certified_circle_min(
-    f: IntPoly, start_grid: int, max_grid: int
-) -> tuple[Fraction, int]:
+_START_GRID = 4096
+_MAX_GRID = 1 << 26
+
+
+def _certified_circle_min(f: IntPoly) -> tuple[Fraction, int]:
     """Certified positive rational lower bound for min_{|z|=1} |f(z)|.
 
-    Samples N equispaced points; any circle point is within arc distance
-    pi/N of a sample, and |f| is Lipschitz along the circle with constant
+    Samples N equispaced points, N doubling from ``_START_GRID`` up to
+    ``_MAX_GRID``; any circle point is within arc distance pi/N of a
+    sample, and |f| is Lipschitz along the circle with constant
     sum_k k*|c_k|. The returned bound subtracts both the Lipschitz slack
     and a rigorous float evaluation error, so it is a true lower bound.
     """
     lipschitz = sum(k * abs(c) for k, c in enumerate(f.coeffs))
     eval_err = Fraction((4 * len(f.coeffs) + 8), 2**52) * f.l1()
     coeffs_high_first = np.array([float(c) for c in reversed(f.coeffs)])
-    n = start_grid
-    while n <= max_grid:
+    n = _START_GRID
+    while n <= _MAX_GRID:
         sample_min = math.inf
         chunk = min(n, 1 << 20)
         for lo in range(0, n, chunk):
@@ -481,16 +476,11 @@ def _certified_circle_min(
             return bound, n
         n *= 2
     raise CertificationError(
-        f"no positive lower bound for |{f}| on the circle at {max_grid} samples"
+        f"no positive lower bound on the circle at {_MAX_GRID} samples for {f.describe()}"
     )
 
 
-def multiplicity_bound(
-    a0: int,
-    delta: int,
-    start_grid: int = 4096,
-    max_grid: int = 1 << 26,
-) -> MultiplicityBoundTrace:
+def multiplicity_bound(a0: int, delta: int) -> MultiplicityBoundTrace:
     """Effectively computable bound m(a0, delta) on unit-circle root
     multiplicities of P for three-arm trees with a2 - a1 = delta.
 
@@ -511,7 +501,7 @@ def multiplicity_bound(
     one = IntPoly.from_coeffs([-1, 1])
     q_tilde, r_tilde, s_tilde = (b.exact_div(one) for b in block_polys(a0, delta))
 
-    eta_lower, grid_points = _certified_circle_min(q_tilde, start_grid, max_grid)
+    eta_lower, grid_points = _certified_circle_min(q_tilde)
     f0_upper = r_tilde.l1()
 
     n0 = 1
@@ -526,17 +516,11 @@ def multiplicity_bound(
 
     head = eta_lower - Fraction(2) ** (1 - n0) * f0_upper
 
-    def falling(s: int, n: int) -> int:
-        out = 1
-        for j in range(n):
-            out *= s - j
-        return out
-
     def bracket_positive(s: int) -> bool:
         if s < n0:
             return False
         mid = Fraction(2 ** (n0 - 1) * (en_upper + fn_upper), s - n0 + 1)
-        tail = Fraction(gn_upper, falling(s, n0))
+        tail = Fraction(gn_upper, math.perm(s, n0))  # the falling factorial (s)_(n0)
         return head - mid - tail > 0
 
     s_hi = n0

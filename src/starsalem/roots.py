@@ -3,16 +3,17 @@
 ``dominant_root`` locates the unique real root above 1. After exact signs
 at 1 + 2^-20 and height + 2, a float Newton search safeguarded by
 bisection, run on the reversed polynomial so that nothing overflows at
-high degree, picks the first Newton point; exact-sign bisection to width
-1/128 takes its place when floats cannot find the root. Exact Newton steps
-follow, with points rounded to short decimals so the rationals stay
-small. It returns the cell [n, n + 1] / 10^(digits+5) of the decimal grid
-that holds the root, proved by exact signs at its two ends, so the answer
-depends neither on the float start nor on the path Newton took. The Newton
-steps are formed from scaled integer values (``IntPoly.scaled_value``) or,
-past ``intpoly.BALL_BITS``, from the centres of integer balls around f and
-f' (``IntPoly.ball_value``) where both exclude 0; only the bisection
-endpoints and the cell are Fractions.
+high degree, picks the first Newton point; the bracket's midpoint takes
+its place when floats cannot find the root. Exact Newton steps follow,
+safeguarded by bisection the same way, with points rounded to short
+decimals so the rationals stay small. It returns the cell
+[n, n + 1] / 10^(digits+5) of the decimal grid that holds the root,
+proved by exact signs at its two ends, so the answer depends neither on
+the float start nor on the path Newton took. The Newton steps are formed
+from scaled integer values (``IntPoly.scaled_value``) or, past
+``intpoly.BALL_BITS``, from the centres of integer balls around f and f'
+(``IntPoly.ball_value``) where both exclude 0; only the bracket's ends
+and the cell are Fractions.
 
 ``lambda_bracket`` maps the enclosure of tau to one of the tree's
 spectral radius lambda = sqrt(tau) + 1/sqrt(tau) in exact integer
@@ -176,16 +177,20 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
 
     Strategy: after the exact signs at those two ends, a float search
     (``_float_seed``) finds a float near the root, and exact Newton steps
-    start there; when floats cannot find it, coarse exact-sign
-    bisection to width 1/128 gives the start instead. The Newton steps are
-    rounded to about twice the decimal places the step has resolved (so
-    denominators stay small). Once a step is below 1/(16 S), the signs at
-    the ends of the new point's cell decide it, with one more sign at the
-    far end of the neighbouring cell when both ends lie on one side of the
-    root. Bisection takes over whenever Newton leaves the bracket or a cell
-    is not proved.
+    start there, or at the bracket's midpoint when floats cannot find it.
+    The Newton steps are rounded to about twice the decimal places the
+    step has resolved (so denominators stay small). Once a step is below
+    1/(16 S), the signs at the ends of the new point's cell decide it, with
+    one more sign at the far end of the neighbouring cell when both ends
+    lie on one side of the root. The next point is the midpoint of the
+    bracket (lo, hi) instead (the rtsafe rule of ``_float_seed``) whenever
+    the Newton point leaves the bracket, the step fails to halve the one
+    before, or a cell is not proved, so a start far from the root cannot
+    crawl towards it by about x/deg a step. The value behind each step has
+    the exact sign of f at the point, and before each bisection the last
+    points on either side of the root move the bracket's ends.
 
-    Only the bisection endpoints and the cell are Fractions. A Newton step
+    Only the bracket's ends and the cell are Fractions. A Newton step
     at x = p/q works on integers A and B with f(x)/f'(x) = A/(qB): the
     Newton point is (pB - A)/(qB) and the step |A|/(q|B|). Where
     deg * max(bits(p), bits(q)) reaches ``BALL_BITS``, A = q * c_f and
@@ -220,18 +225,6 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     if s_lo == s_hi:
         raise NoSignChange(f"no sign change in (1, {hi}] for {f.describe()}")
 
-    def bisect_once() -> Optional[tuple[Fraction, tuple[Fraction, Fraction]]]:
-        nonlocal lo, hi
-        mid = (lo + hi) / 2
-        s = f.sign_at(mid)
-        if s == 0:
-            return root_at(mid)
-        if s == s_lo:
-            lo = mid
-        else:
-            hi = mid
-        return None
-
     def proved_cell(p: int, q: int) -> Optional[tuple[Fraction, tuple[Fraction, Fraction]]]:
         """The cell of p/q (q > 0), or the neighbour that the signs at its
         ends point to, where opposite exact signs prove it; else None."""
@@ -252,14 +245,11 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
         return lo.numerator * den < num * lo.denominator and num * hi.denominator < hi.numerator * den
 
     seed = _float_seed(f, lo, hi, s_lo)
-    if seed is None:
-        while hi - lo > Fraction(1, 128):
-            found = bisect_once()
-            if found:
-                return found
-        p, q = ((lo + hi) / 2).as_integer_ratio()
-    else:
-        p, q = seed.as_integer_ratio()
+    p, q = ((lo + hi) / 2 if seed is None else seed).as_integer_ratio()
+    # the last step as |A|/den; the first one has none to halve (1/0)
+    step_num, step_den = 1, 0
+    # the last points p/q with f of the sign s_lo, and of the other sign
+    below = above = None
 
     deg = len(f.coeffs) - 1
     df = f.derivative(1)
@@ -281,9 +271,15 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
             if a == 0:
                 return root_at(Fraction(p, q))
             b, _ = df.scaled_value(p, q)
+        # A has the exact sign of f(x)
+        if (a > 0) == (s_lo > 0):
+            below = (p, q)
+        else:
+            above = (p, q)
         # the Newton point is num/den with den = q|B| > 0, the step |A|/den
         num, den = (p * b - a, q * b) if b > 0 else (a - p * b, -q * b)
-        if b and inside(num, den):
+        if b and inside(num, den) and 2 * abs(a) * step_den < step_num * den:
+            step_num, step_den = abs(a), den
             # about the decimal places the step has resolved, from bit lengths
             resolved = max(0, (den.bit_length() - abs(a).bit_length()) * 30103 // 100_000)
             q = 10 ** min(2 * resolved + 10, digits + 9)
@@ -293,16 +289,26 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
             found = proved_cell(p, q)
             if found:
                 return found
-        # f'(x) = 0, the Newton point left (lo, hi), or its cell was not proved
-        found = bisect_once()
-        if found:
-            return found
+        # f'(x) = 0, the Newton point left (lo, hi), the step did not halve
+        # the last one, or its cell was not proved: bisect (the rtsafe rule).
+        # The last points move the ends first; moving them at every step
+        # would cost exact comparisons with ends of digits + 9 places
+        if below and inside(*below):
+            lo = Fraction(*below)
+        if above and inside(*above):
+            hi = Fraction(*above)
+        step_num, step_den = ((hi - lo) / 2).as_integer_ratio()
         p, q = ((lo + hi) / 2).as_integer_ratio()
 
     while hi - lo > Fraction(1, scale):
-        found = bisect_once()
-        if found:
-            return found
+        mid = (lo + hi) / 2
+        s = f.sign_at(mid)
+        if s == 0:
+            return root_at(mid)
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
     # the root is within 1/(2S) of the midpoint, so in its cell or a neighbour
     p, q = ((lo + hi) / 2).as_integer_ratio()
     found = proved_cell(p, q)

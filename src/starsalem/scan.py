@@ -3,12 +3,12 @@
 ``periodicity_scan`` tests, for fixed a0 and fixed gap eta = a2 - a1,
 which cyclotomic orders k divide the Coxeter polynomial as a1 varies.
 For each a1 one ``cyclotomic_divisors`` call answers all orders up to
-k_max at once (orders with phi(k) > deg R_T are dropped, a float screen
-discards most others, exact division settles the rest), and a record is
-written for every (a1, k). Whether Phi_k divides depends only on a1 mod k
-within such a family; the scan verifies that residue-class law on every
-record and aborts loudly if it ever failed, since that would falsify the
-underlying block-shift identity.
+k_max at once (orders with phi(k) > deg R_T are dropped, the exact screen
+Phi_k(2) | R_T(2) discards most others, exact division settles the rest),
+and a record is written for every (a1, k). Whether Phi_k divides depends
+only on a1 mod k within such a family; the scan verifies that
+residue-class law on every record and aborts loudly if it ever failed,
+since that would falsify the underlying block-shift identity.
 
 ``grid_verify`` sweeps a triple grid and re-checks every certified
 bound: the paper's cyclotomic order bound (against the orders an uncapped

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import starsalem.factorize as factorize
 from starsalem import IntPoly
 from starsalem.cli import main
 
@@ -194,6 +195,24 @@ def test_mann_json(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert [d["order"] for d in doc] == [3, 3]
+
+
+def test_mann_tall_coefficients(capsys):
+    # 2^41 (x^2 + x + 1): the sieve screens a polynomial of any height
+    tall = str(1 << 41)
+    rc, out, _ = run(capsys, "mann", tall, tall, tall, "1", "2")
+    assert rc == 0
+    assert out == run(capsys, "mann", "1", "1", "1", "1", "2")[1]
+
+
+def test_bound_reports_an_uncertified_circle_in_one_line(capsys, monkeypatch):
+    # a circle scan of 4 and 8 samples leaves a Lipschitz slack above min |Q~|
+    monkeypatch.setattr(factorize, "_START_GRID", 4)
+    monkeypatch.setattr(factorize, "_MAX_GRID", 8)
+    rc, out, err = run(capsys, "bound", "2", "1")
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and len(err) < 160
+    assert "on the circle" in err and "polynomial of height" in err
 
 
 def test_output_to_file(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from starsalem import CyclotomicTable, IntPoly, cyclotomic_poly, euler_phi, phi_sum
@@ -70,6 +72,25 @@ def test_phi_sum_examples():
 def test_phi_sum_difference_law():
     for b in (2, 17, 100, 419, 420, 997):
         assert phi_sum(b) - phi_sum(b - 1) == euler_phi(b)
+
+
+def test_phi_sum_past_the_sieve_matches_its_prefix_sums():
+    table = CyclotomicTable()
+    sums = list(itertools.accumulate(table.phi_values(20_000)))
+    fresh = CyclotomicTable()  # its sieve holds phi(0) and phi(1) only
+    for b in itertools.chain(range(1, 2000), range(2000, 20_001, 37), [20_000]):
+        assert fresh.phi_sum(b) == sums[b], b
+    # frozen from a numpy sieve to 415,381, the order bound of T(2, 30, 1018)
+    assert CyclotomicTable().phi_sum(415_380) == 52_446_068_670
+    assert table.phi_sum(415_380) == 52_446_068_670
+
+
+def test_value_at_two_is_the_polynomial_at_two():
+    table = CyclotomicTable()
+    for k in range(1, 601):
+        assert table.value_at_two(k) == table.cyclotomic(k).eval_int(2), k
+    with pytest.raises(ValueError):
+        table.value_at_two(0)
 
 
 def test_phi_values_slice():

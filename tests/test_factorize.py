@@ -131,7 +131,7 @@ def test_phi_inverse_bound_covers_every_inverse_phi():
     top = 500
     phis = default_table().phi_values(2 * top * top)
     largest = [0] * (top + 1)  # largest[d] = max{k : phi(k) == d}
-    for k in range(1, phis.size):
+    for k in range(1, len(phis)):
         if phis[k] <= top:
             largest[phis[k]] = k
     worst = 0
@@ -206,20 +206,34 @@ def test_cyclotomic_divisors_screen_discards_most_orders():
 
 def test_cyclotomic_divisors_tall_input_is_settled_exactly():
     table, settled = counting_table()
-    tall = poly(1, 1 << 45, 0, 1)  # height > 2^40: the float screen abstains
+    tall = poly(1, 1 << 45, 0, 1)  # height 2^45: the screen is exact at any height
     f = table.cyclotomic(7) * table.cyclotomic(12) ** 2 * tall
     cap = full_cap(f)
     assert cyclotomic_divisors(f, table=table) == [7, 12]
     phis = table.phi_values(cap)
-    assert settled == [k for k in range(1, cap + 1) if phis[k] <= f.degree()]
+    candidates = [k for k in range(1, cap + 1) if phis[k] <= f.degree()]
+    # exactly the orders with Phi_k(2) | f(2) are settled: 3 of 32
+    assert settled == [k for k in candidates if f.eval_int(2) % table.value_at_two(k) == 0]
+    assert settled == [1, 7, 12] and len(candidates) == 32
     assert brute_divisors(f, cap, table) == [7, 12]
     mults, rem = extract_cyclotomic(f, table)
     assert mults == {7: 1, 12: 2} and rem == tall
 
 
+def test_cyclotomic_divisors_settles_every_candidate_when_f_vanishes_at_2():
+    # f(2) = 0 is divisible by every Phi_k(2), so the screen discards
+    # nothing and exact division alone decides
+    table, settled = counting_table()
+    f = poly(-2, 1) * table.cyclotomic(7) * table.cyclotomic(12) ** 2
+    assert f.eval_int(2) == 0
+    assert cyclotomic_divisors(f, table=table) == [7, 12]
+    phis = table.phi_values(full_cap(f))
+    assert settled == [k for k in range(1, len(phis)) if phis[k] <= f.degree()]
+
+
 def test_cyclotomic_divisors_near_the_height_limit():
-    # the float residual at a true root grows with the height; the screen
-    # must still keep every true divisor just below 2^40
+    # multiples of Phi_k of height near 2^40: the screen keeps every true
+    # divisor
     table = default_table()
     rng = random.Random(5)
     for k in (7, 60, 105, 210):
