@@ -21,20 +21,23 @@ one exact test, ``salem_certificate``, and is computed only when
 ``CoxeterFactorization.classification`` is first read. The certificate
 proves that every root of a reciprocal remainder other than tau and
 1/tau lies on the unit circle, by counting exact sign changes of its
-trace polynomial T, where f(z) = z^m T(z + 1/z), in (-2, 2). A float
-evaluation of T only picks the points; the signs there are exact. An
-integer ball screens each sign first: a fixed-point Clenshaw pass whose
-rounding error is bounded through the Chebyshev polynomials U_n, so a
+trace polynomial T, where f(z) = z^m T(z + 1/z), in (-2, 2). The points
+are the tree's own separators 2 cos(2 pi j / a_i) (``tree_separators``),
+each taken as the exact dyadic value of its float; the signs there are
+exact. An integer ball screens each sign first: a fixed-point Clenshaw
+pass whose rounding error is bounded through the Chebyshev polynomials U_n, so a
 ball that excludes 0 has the sign of T, and every other point goes to
 the exact integer recurrence. A remainder other than 1 that it does not
 certify raises ClassificationError, whatever the tree's arms.
 
 ``multiplicity_bound`` certifies the effectively computable bound m on
-root multiplicities of P on the unit circle: a positive rational lower
-bound for min_{|z|=1} |Qtilde(z)| is certified by an equispaced circle
-scan plus a Lipschitz argument, all remaining suprema are bounded by
-coefficient-sum norms, and the selection inequalities are evaluated in
-exact rational arithmetic.
+root multiplicities of P on the unit circle: the lower bound eta for
+min_{|z|=1} |Qtilde(z)| is the grid value n/10^12 just below it, proved
+in the trace basis (|Qtilde|^2 = U(z + 1/z) > eta^2 on [-2, 2], by
+exact Bernstein coefficients with bisection; a float search only picks
+where to cut), all remaining suprema are bounded by coefficient-sum
+norms, and the selection inequalities are evaluated in exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -43,14 +46,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional, Sequence
-
-import numpy as np
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import CyclotomicTable, default_table, phi_inverse_bound
 from .coxeter import ArityError, OrderError, StarTree, block_polys, coxeter_polynomial
-from .intpoly import IntPoly, NotDivisible
+from .intpoly import IntPoly, NotDivisible, taylor_shift
 
 ORDER_BOUND_FACTOR = 420
 
@@ -58,17 +59,13 @@ SALEM = "Salem"
 QUADRATIC_PISOT = "QuadraticPisot"
 CYCLOTOMIC_ONLY = "CyclotomicOnly"
 
-# strict upper bound for pi, used whenever a rational bound must stay rigorous
-_PI_UPPER = Fraction(355, 113)
-
-
 class ClassificationError(RuntimeError):
     """The non-cyclotomic remainder is neither 1 nor certified by
     ``salem_certificate``."""
 
 
 class CertificationError(RuntimeError):
-    """A certified lower bound could not be established at the grid cap."""
+    """A certified positive lower bound could not be established."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,7 @@ class CoxeterFactorization:
     def classification(self) -> str:
         """``classify_remainder`` of the remainder, computed on first read:
         callers that never read the label never pay for its certificate."""
-        return classify_remainder(self.salem_factor)
+        return classify_remainder(self.salem_factor, self.arms)
 
     @property
     def proven_order_bound(self) -> Optional[int]:
@@ -123,7 +120,7 @@ class MultiplicityBoundTrace:
     n0: int
     c: int
     m: int
-    grid_points: int
+    grid_points: int  # pieces of [-2, 2] the circle proof examined
 
     def to_json_dict(self) -> dict:
         return {
@@ -229,11 +226,29 @@ def extract_cyclotomic(
 # classification: the trace-polynomial certificate
 # ----------------------------------------------------------------------
 
-# the guide starts at max(8m, 512) samples and doubles at most this often
-_GUIDE_DOUBLINGS = 4
+def tree_separators(arms: Sequence[int]) -> list[float]:
+    """The points 2 cos(2 pi j / a) for every distinct fraction j/a in
+    (0, 1/2) with a among the arms, as floats in no particular order.
+
+    They separate the trace roots of a star-like tree's Salem factor.
+    Deleting the centre leaves paths of a - 1 vertices, with eigenvalues
+    2 cos(pi j / a), and by Cauchy interlacing at most one eigenvalue of
+    the tree lies strictly between two neighbouring path eigenvalues. By
+    A'Campo's identity R_T(z) = z^(n/2) chi_T(z^(1/2) + z^(-1/2)) an
+    eigenvalue lambda >= 0 gives the trace root t = lambda^2 - 2, and
+    t increases with lambda; the positive path eigenvalues become these
+    points (j/a = 1/2 gives lambda = 0 and t = -2). An eigenvalue equal
+    to a path eigenvalue gives a root of unity, which is no root of the
+    Salem factor. ``salem_certificate`` does not rely on this argument:
+    points that fail to separate give a count below m - 1 and False.
+
+    The float j / a is correctly rounded, so equal fractions give one
+    float, and the set keeps each fraction once.
+    """
+    return list({2 * math.cos(2 * math.pi * (j / a)) for a in arms for j in range(1, (a + 1) // 2)})
 
 
-def salem_certificate(f: IntPoly) -> bool:
+def salem_certificate(f: IntPoly, separators: Iterable[float]) -> bool:
     """True when f has one real root tau > 1, the root 1/tau, and every
     other root simple and on the unit circle; proved in exact arithmetic.
 
@@ -257,18 +272,14 @@ def salem_certificate(f: IntPoly) -> bool:
     tau has all its roots on the unit circle (1/tau alone would make its
     constant term a nonzero integer below 1 in modulus).
 
-    Finding the points is a float guide: T is evaluated by Clenshaw's
-    recurrence at t_i = 2 cos(pi i / N), i = 0..N, with
-    N = max(8m, 512), and inside every run of samples of one sign, other
-    than the runs at the ends (x_0 = 2 and x_L = -2 stand for those), the
-    dyadic point p/2^k with the smallest k strictly between the run's
-    first and last sample is taken. Only the exact signs of T(p/2^k)
-    decide; ``_trace_signs`` reads each off an integer ball around
-    2^w T(p/2^k) when the ball excludes 0, and off the exact integer
-    2^(km) T(p/2^k) otherwise. When the guide finds fewer than m - 1
-    changes, an interior run spans no interval, or the exact signs show
-    a count other than m - 1, N doubles, at most ``_GUIDE_DOUBLINGS``
-    times, and then the answer is False.
+    The inner points x_1, ..., x_(L-1) are the caller's separators: each
+    float in (-2, 2) is taken as its exact dyadic value p/2^k (for a
+    tree, ``tree_separators``). Only the exact signs of T there decide;
+    ``_trace_signs`` reads each off an integer ball around 2^w T(p/2^k)
+    when the ball excludes 0, and off the exact integer 2^(km) T(p/2^k)
+    otherwise. Separators that leave two roots of T between neighbours,
+    or too close to a root for the float to land on its side, show fewer
+    than m - 1 changes, and the answer is False.
     """
     deg = f.degree()
     if not (f.is_monic() and f.is_reciprocal() and deg % 2 == 0):
@@ -276,55 +287,19 @@ def salem_certificate(f: IntPoly) -> bool:
     if f.eval_int(1) >= 0:  # T(2) = f(1)
         return False
     m = int(deg) // 2
-    a = f.coeffs[m:]
-    n = max(8 * m, 512)
-    for _ in range(_GUIDE_DOUBLINGS + 1):
-        points = _guide_points(a, n)
-        # the points leave len(points) + 1 intervals for m - 1 changes
-        if points is not None and len(points) >= m - 2:
-            signs = [-1] + _trace_signs(a, points + [(-2, 0)])
-            if sum(x * y < 0 for x, y in zip(signs, signs[1:])) == m - 1:
-                return True
-        n *= 2
-    return False
+    inner = sorted({x for x in separators if -2 < x < 2}, reverse=True)
+    # the points leave len(inner) + 1 intervals for m - 1 changes
+    if len(inner) < m - 2:
+        return False
+    points = [_dyadic(x) for x in inner] + [(-2, 0)]
+    signs = [-1] + _trace_signs(f.coeffs[m:], points)
+    return sum(x * y < 0 for x, y in zip(signs, signs[1:])) == m - 1
 
 
-def _guide_points(a: Sequence[int], n: int) -> Optional[list[tuple[int, int]]]:
-    """Dyadic points (p, k), decreasing, one inside each interior run of
-    one float sign of T at 2 cos(pi i / n), i = 0..n; None when an
-    interior run spans no interval. Samples where T rounds to 0 carry
-    no sign and are left out. T's coefficients a enter divided by their
-    height, so no float overflows and the signs stay the same.
-    """
-    height = max(abs(c) for c in a)
-    t = 2.0 * np.cos(np.pi * np.arange(n + 1) / n)
-    b1 = np.zeros(n + 1)
-    b2 = np.zeros(n + 1)
-    for c in reversed(a[1:]):
-        b1, b2 = c / height + t * b1 - b2, b1
-    sign = np.sign(a[0] / height + t * b1 - 2.0 * b2)
-    t, sign = t[sign != 0], sign[sign != 0]
-    starts = np.flatnonzero(sign[1:] != sign[:-1]) + 1
-    points = []
-    for first, last in zip(starts[:-1], starts[1:] - 1):
-        lo, hi = float(t[last]), float(t[first])
-        if not lo < hi:  # one sample, or samples that round to one float
-            return None
-        points.append(_shortest_dyadic(lo, hi))
-    return points
-
-
-def _shortest_dyadic(lo: float, hi: float) -> tuple[int, int]:
-    """(p, k) with lo < p/2^k < hi and k >= 0 as small as it can be (lo < hi).
-
-    Scaling a float by a power of two is exact, so both comparisons are.
-    """
-    k = 0
-    while True:
-        p = math.floor(lo * 2**k) + 1
-        if p < hi * 2**k:
-            return p, k
-        k += 1
+def _dyadic(x: float) -> tuple[int, int]:
+    """(p, k) with p/2^k equal to the float x exactly."""
+    p, q = x.as_integer_ratio()
+    return p, q.bit_length() - 1
 
 
 def _trace_signs(a: Sequence[int], points: list[tuple[int, int]]) -> list[int]:
@@ -393,8 +368,9 @@ def _exact_trace_value(shifted: list[int], p: int, k: int) -> int:
     return low + p * b1 - (b2 << (2 * k + 1))
 
 
-def classify_remainder(rem: IntPoly) -> str:
-    """The label of the sieve remainder, decided by ``salem_certificate``.
+def classify_remainder(rem: IntPoly, arms: Sequence[int]) -> str:
+    """The label of the sieve remainder of the tree with these arms,
+    decided by ``salem_certificate`` at the tree's separators.
 
     A remainder of exactly 1 is CyclotomicOnly. A certified remainder of
     degree 2 (x^2 - a x + 1 with a > 2) is QuadraticPisot, and one of
@@ -403,7 +379,7 @@ def classify_remainder(rem: IntPoly) -> str:
     """
     if rem.coeffs == (1,):
         return CYCLOTOMIC_ONLY
-    if salem_certificate(rem):
+    if salem_certificate(rem, tree_separators(arms)):
         return QUADRATIC_PISOT if rem.degree() == 2 else SALEM
     raise ClassificationError(f"no Salem certificate for the remainder, {rem.describe()}")
 
@@ -446,38 +422,150 @@ def salem_degree_lower_bound(
 # multiplicity bound certification
 # ----------------------------------------------------------------------
 
-_START_GRID = 4096
-_MAX_GRID = 1 << 26
+# eta_lower is n / 10^12, which ``bound`` prints exactly
+_ETA_SCALE = 10**12
+# the circle proof gives up after examining this many pieces of [-2, 2]
+_MAX_PIECES = 100_000
 
 
+@lru_cache(maxsize=None)
 def _certified_circle_min(f: IntPoly) -> tuple[Fraction, int]:
-    """Certified positive rational lower bound for min_{|z|=1} |f(z)|.
+    """(eta, pieces): eta = n/S, S = 10^12, with n the largest integer
+    such that (n/S)^2 < min_{|z|=1} |f(z)|^2, proved in exact arithmetic,
+    and the number of pieces of [-2, 2] the proof examined.
 
-    Samples N equispaced points, N doubling from ``_START_GRID`` up to
-    ``_MAX_GRID``; any circle point is within arc distance pi/N of a
-    sample, and |f| is Lipschitz along the circle with constant
-    sum_k k*|c_k|. The returned bound subtracts both the Lipschitz slack
-    and a rigorous float evaluation error, so it is a true lower bound.
+    On the circle z = e^(i theta), t = z + 1/z = 2 cos theta runs over
+    [-2, 2] and |f(z)|^2 = f(z) f(1/z) = U(t) with
+    U(t) = u_0 + sum_{j>=1} u_j D_j(t), u_j = sum_i c_i c_(i+j) (the D_j
+    of ``salem_certificate``): an integer polynomial of degree d = deg f.
+    eta depends on f alone, so a float may pick where to look but can
+    never move eta.
+
+    Proof. On a piece [l, r], U(t) = sum_i b_i C(d, i) x^i (1 - x)^(d-i)
+    with x = (t - l)/(r - l), so U >= min_i b_i there, with b_0 = U(l)
+    and b_d = U(r). (Up to positive factors the b_i are the coefficients
+    of (1 + y)^d U((l + r y)/(1 + y)), so min_i b_i > 0 is Descartes' rule
+    of signs with no variation on (0, inf).) The pieces start between the
+    cut points -2, 2 and ``_float_minima``, and n starts as the largest
+    integer with (n/S)^2 < U(p) for the smallest U at a cut p. A piece
+    whose b_i all exceed (n/S)^2 is done. Any other is halved by de
+    Casteljau's rule, and U at its midpoint lowers n when it must. n only
+    falls, so a piece that is done stays done. At the end U > (n/S)^2 on
+    all of [-2, 2], and some evaluated point has U <= ((n + 1)/S)^2: so n
+    is the largest such integer. Where the float search misses a
+    minimum the halving finds it at more cost.
+
+    Raises CertificationError when n < 1 (a root of f on the circle, or
+    min |f| <= 1/S) or after ``_MAX_PIECES`` pieces. f is memoised: the
+    bound of ``multiplicity_bound`` depends on a0 alone.
     """
-    lipschitz = sum(k * abs(c) for k, c in enumerate(f.coeffs))
-    eval_err = Fraction((4 * len(f.coeffs) + 8), 2**52) * f.l1()
-    coeffs_high_first = np.array([float(c) for c in reversed(f.coeffs)])
-    n = _START_GRID
-    while n <= _MAX_GRID:
-        sample_min = math.inf
-        chunk = min(n, 1 << 20)
-        for lo in range(0, n, chunk):
-            idx = np.arange(lo, min(lo + chunk, n))
-            z = np.exp(2j * np.pi * idx / n)
-            vals = np.abs(np.polyval(coeffs_high_first, z))
-            sample_min = min(sample_min, float(vals.min()))
-        bound = Fraction(sample_min) - eval_err - Fraction(lipschitz) * _PI_UPPER / n
-        if bound > 0:
-            return bound, n
-        n *= 2
-    raise CertificationError(
-        f"no positive lower bound on the circle at {_MAX_GRID} samples for {f.describe()}"
-    )
+    c = f.coeffs
+    d = len(c) - 1
+    trace = [sum(x * y for x, y in zip(c, c[j:])) for j in range(d + 1)]
+    u = _trace_to_power(trace)
+    cuts = sorted({-2.0, 2.0, *_float_minima(trace)})
+    todo = [_bernstein(u, _dyadic(lo), _dyadic(hi)) for lo, hi in zip(cuts, cuts[1:])]
+    sq = _ETA_SCALE**2
+    n = min(_grid_below(x * sq, den) for b, den in todo for x in (b[0], b[-1]))
+    pieces = 0
+    while todo:
+        if n < 1:
+            raise CertificationError(f"no positive lower bound on the circle for {f.describe()}")
+        if pieces == _MAX_PIECES:
+            raise CertificationError(
+                f"no lower bound on the circle proved in {_MAX_PIECES} pieces for {f.describe()}"
+            )
+        b, den = todo.pop()
+        pieces += 1
+        floor = n * n * den
+        if all(x * sq > floor for x in b):
+            continue
+        left, right = _halves(b)
+        den <<= d
+        n = min(n, _grid_below(left[-1] * sq, den))
+        todo += [(right, den), (left, den)]
+    return Fraction(n, _ETA_SCALE), pieces
+
+
+def _grid_below(num: int, den: int) -> int:
+    """The largest integer n with n^2 < num/den (den > 0); -1 when num <= 0."""
+    return math.isqrt((num - 1) // den) if num > 0 else -1
+
+
+def _trace_to_power(a: Sequence[int]) -> list[int]:
+    """Power-basis coefficients of a_0 + sum_{j>=1} a_j D_j(t)."""
+    u = [a[0]] + [0] * (len(a) - 1)
+    prev, cur = [2], [0, 1]  # D_0, D_1
+    for aj in a[1:]:
+        for i, x in enumerate(cur):
+            u[i] += aj * x
+        nxt = [0] + cur  # D_(j+1) = t D_j - D_(j-1)
+        for i, x in enumerate(prev):
+            nxt[i] -= x
+        prev, cur = cur, nxt
+    return u
+
+
+def _float_minima(a: Sequence[int]) -> list[float]:
+    """Float guesses at the lowest minima of U = a_0 + sum a_j D_j on
+    [-2, 2]: U is sampled at 2 cos(pi i / N), N = 4 deg U + 4, and every
+    sampled local minimum within |lowest sample| of the lowest sample is
+    returned.
+    """
+    n = 4 * len(a)
+    ts = [2.0 * math.cos(math.pi * i / n) for i in range(n + 1)]
+    vs = [_trace_float(a, t) for t in ts]
+    lowest = min(vs)
+    return [
+        t
+        for i, (t, v) in enumerate(zip(ts, vs))
+        if v <= min(vs[min(i + 1, n)], vs[max(i - 1, 0)]) and v - lowest <= abs(lowest)
+    ]
+
+
+def _trace_float(a: Sequence[int], t: float) -> float:
+    """a_0 + sum_{j>=1} a_j D_j(t) in floats, by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    for c in reversed(a[1:]):
+        b1, b2 = c + t * b1 - b2, b1
+    return a[0] + t * b1 - 2.0 * b2
+
+
+def _bernstein(
+    u: Sequence[int], lo: tuple[int, int], hi: tuple[int, int]
+) -> tuple[list[int], int]:
+    """(B, den): the Bernstein coefficients of u on [lo, hi] are B_i / den,
+    for dyadic ends (p, k) meaning p/2^k.
+
+    With l = p_l/2^k and r = p_r/2^k on one k, H(x) = 2^(kd) u(l + (r - l) x)
+    has integer coefficients (shift by p_l, then scale by p_r - p_l), and
+    the coefficients beta_i of (1 + y)^d H(y / (1 + y)) are
+    C(d, i) 2^(kd) b_i (reverse, shift by 1, reverse). So
+    B_i = beta_i i! (d - i)! and den = d! 2^(kd).
+    """
+    d = len(u) - 1
+    k = max(lo[1], hi[1])
+    pl, pr = lo[0] << (k - lo[1]), hi[0] << (k - hi[1])
+    h = taylor_shift([c << (k * (d - i)) for i, c in enumerate(u)], pl)
+    h = [c * (pr - pl) ** i for i, c in enumerate(h)]
+    beta = taylor_shift(h[::-1], 1)[::-1]
+    fact = [math.factorial(i) for i in range(d + 1)]
+    return [c * fact[i] * fact[d - i] for i, c in enumerate(beta)], fact[d] << (k * d)
+
+
+def _halves(b: list[int]) -> tuple[list[int], list[int]]:
+    """The Bernstein coefficients of the two halves of a piece, on 2^d
+    times the scale of b: de Casteljau's rule at the midpoint, where row i
+    (the sums of neighbouring pairs of row i - 1) is 2^i times the true
+    row."""
+    d = len(b) - 1
+    left, right = [b[0] << d], [b[-1] << d]
+    row = b
+    for i in range(1, d + 1):
+        row = [x + y for x, y in zip(row, row[1:])]
+        left.append(row[0] << (d - i))
+        right.append(row[-1] << (d - i))
+    return left, right[::-1]
 
 
 def multiplicity_bound(a0: int, delta: int) -> MultiplicityBoundTrace:
@@ -485,8 +573,9 @@ def multiplicity_bound(a0: int, delta: int) -> MultiplicityBoundTrace:
     multiplicities of P for three-arm trees with a2 - a1 = delta.
 
     Recipe: divide the blocks by their common root at 1, certify
-    eta <= min |Qtilde| on the circle, bound the block derivatives by
-    coefficient sums, pick the smallest n0 with
+    eta < min |Qtilde| on the circle (``_certified_circle_min``; Qtilde
+    depends on a0 alone, so this runs once per a0), bound the block
+    derivatives by coefficient sums, pick the smallest n0 with
     eta - 2^(1-n0) * F0 > 0, then the smallest c making
 
         eta - 2^(1-n0) F0 - 2^(n0-1)(E+F)/(s-n0+1) - G/(s)_(n0) > 0

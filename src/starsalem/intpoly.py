@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Union
 
 NEG_INF = float("-inf")
@@ -354,3 +355,18 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({self.to_text()!r})"
+
+
+def taylor_shift(coeffs: Iterable[int], s: int) -> list[int]:
+    """Coefficients of p(x + s), low degree first, for the polynomial p
+    with these low-to-high coefficients.
+
+    Repeated synthetic division by x - s: each pass is one ``accumulate``
+    over the high-degree-first list, whose last entry is the next
+    coefficient, and whose steps are plain sums when s = 1.
+    """
+    p = list(coeffs)[::-1]
+    step = None if s == 1 else lambda acc, c: acc * s + c
+    for n in range(len(p), 1, -1):
+        p[:n] = accumulate(p[:n], step)
+    return p[::-1]

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Optional
 
 from .coxeter import StarTree, characteristic_polynomial, coxeter_polynomial
@@ -42,7 +41,7 @@ from .factorize import (
     order_bound,
     salem_degree_lower_bound,
 )
-from .intpoly import IntPoly
+from .intpoly import IntPoly, taylor_shift
 from .roots import dominant_root, lambda_bracket
 
 
@@ -259,9 +258,7 @@ def _bridge_failure(
         return "lambda_tau_bridge"
     # chi(2y + 2) has the coefficients of chi(x + 2) times 2^j > 0, so the
     # same sign variations; shifting by 1 needs only prefix sums
-    shifted = [c << k for k, c in enumerate(chi.coeffs)][::-1]
-    for i in range(n):
-        shifted[: n + 1 - i] = accumulate(shifted[: n + 1 - i])
+    shifted = taylor_shift([c << k for k, c in enumerate(chi.coeffs)], 1)
     signs = [c > 0 for c in shifted if c]
     if sum(a != b for a, b in zip(signs, signs[1:])) != 1:
         return "one_eigenvalue_above_two"

@@ -137,6 +137,18 @@ def from_trace(ts):
     return out
 
 
+def trace_poly(cs):
+    """The power-basis T with z^m T(z + 1/z) = cs, for a reciprocal cs of
+    degree 2m: from_trace run backwards, one top coefficient at a time."""
+    m = (len(cs) - 1) // 2
+    rem, ts = list(cs), [0] * (m + 1)
+    for i in range(m, -1, -1):
+        ts[i] = rem[m + i] if m + i < len(rem) else 0
+        rem = padd(rem, pneg([0] * (m - i) + from_trace([0] * i + [ts[i]])))
+    assert rem == [], cs
+    return ts
+
+
 def eval_sign(cs, x: Fraction) -> int:
     """Exact sign of the polynomial at a rational point."""
     p, q = x.numerator, x.denominator
@@ -207,3 +219,22 @@ def decimal_cell(cs, digits: int):
         else:
             hi = mid
     return Fraction(2 * lo + 1, 2 * scale), (Fraction(lo, scale), Fraction(hi, scale))
+
+
+def scanned_circle_min(cs):
+    """The circle bound that ``multiplicity_bound`` used before its exact
+    proof: the minimum of |f| over N equispaced points of the unit circle,
+    N doubling from 4096, less a float error bound and the Lipschitz slack
+    (sum k |c_k|) * pi / N; the first positive value, as a Fraction."""
+    lipschitz = sum(k * abs(c) for k, c in enumerate(cs))
+    eval_err = Fraction(4 * len(cs) + 8, 2**52) * sum(abs(c) for c in cs)
+    high_first = np.array([float(c) for c in reversed(cs)])
+    n = 4096
+    while n <= 1 << 26:
+        z = np.exp(2j * np.pi * np.arange(n) / n)
+        sample_min = float(np.abs(np.polyval(high_first, z)).min())
+        bound = Fraction(sample_min) - eval_err - Fraction(lipschitz) * Fraction(355, 113) / n
+        if bound > 0:
+            return bound
+        n *= 2
+    raise AssertionError("no positive circle bound up to 2^26 samples")

@@ -32,6 +32,7 @@ from starsalem import (
     qrs_blocks,
     salem_certificate,
     salem_degree_lower_bound,
+    tree_separators,
 )
 from starsalem.scan import _bridge_failure
 
@@ -103,7 +104,7 @@ def test_criterion_03_salem_shape(grid_data):
         assert fz.classification in (SALEM, QUADRATIC_PISOT), (arms, fz.classification)
         s = fz.salem_factor
         assert s.is_reciprocal(), arms
-        assert salem_certificate(s), arms
+        assert salem_certificate(s, tree_separators(arms)), arms
         if fz.classification == QUADRATIC_PISOT:
             assert s.degree() == 2, arms
             quad += 1

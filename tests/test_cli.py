@@ -3,7 +3,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -206,9 +209,10 @@ def test_mann_tall_coefficients(capsys):
 
 
 def test_bound_reports_an_uncertified_circle_in_one_line(capsys, monkeypatch):
-    # a circle scan of 4 and 8 samples leaves a Lipschitz slack above min |Q~|
-    monkeypatch.setattr(factorize, "_START_GRID", 4)
-    monkeypatch.setattr(factorize, "_MAX_GRID", 8)
+    # Q = z^3 - 1 leaves Q~ = z^2 + z + 1, whose roots lie on the circle
+    _, r, s = factorize.block_polys(2, 1)
+    cube = IntPoly((-1, 0, 0, 1))
+    monkeypatch.setattr(factorize, "block_polys", lambda a0, delta: (cube, r, s))
     rc, out, err = run(capsys, "bound", "2", "1")
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and len(err) < 160
@@ -226,7 +230,7 @@ def test_output_to_file(tmp_path, capsys):
 def test_failing_certificate_is_a_data_error(capsys, monkeypatch):
     import starsalem.factorize as factorize
 
-    monkeypatch.setattr(factorize, "salem_certificate", lambda f: False)
+    monkeypatch.setattr(factorize, "salem_certificate", lambda f, separators: False)
     for argv in (["factor", "5", "40", "1005"], ["factor", "5", "40", "1005", "--json"]):
         rc, out, err = run(capsys, *argv)
         assert rc == 3 and out == "", argv
@@ -248,7 +252,9 @@ def test_salem_certificate_runs_only_for_the_label(capsys, monkeypatch, argv, ca
 
     seen = []
     certificate = factorize.salem_certificate
-    monkeypatch.setattr(factorize, "salem_certificate", lambda f: seen.append(f) or certificate(f))
+    monkeypatch.setattr(
+        factorize, "salem_certificate", lambda f, xs: seen.append(f) or certificate(f, xs)
+    )
     rc, _, _ = run(capsys, *argv)
     assert rc == 0 and len(seen) == calls
 
@@ -337,13 +343,21 @@ def test_format_takes_only_what_the_subcommand_writes(capsys, argv, bad):
 
 
 # sha256 of stdout. The converge digest was recorded before the ball screen
-# entered dominant_root and sign_at, the factor digest when its JSON
-# bracket became the decimal cell of tau; every byte must stay the same
+# entered dominant_root and sign_at, the factor digest when the multiplicity
+# bound's circle scan became an exact proof (which lowered m, and with it
+# degree_lower_bound); every byte must stay the same
 PINNED_STDOUT = {
     "converge mbonacci --a0 3 --eta 2 --a1 19,31 --digits 1000":
         "d3070fb1e6629a38e6e7bbe74ec74f153c51152b37891da108304b844c27cd5b",
     "factor 5 40 1005 --digits 30 --json":
-        "64b958792d236e172ddbe17d98080f1fe6178e63b84f1670b68483d22f2ce601",
+        "25ab455e8e1a5f1d07051787fb90b5b35c1a692b080b124258740095019232a5",
+}
+
+# sha256 of the sorted-key JSON without degree_lower_bound, recorded when its
+# JSON bracket became the decimal cell of tau, before the exact circle bound
+PINNED_JSON_BUT_DEGREE_BOUND = {
+    "factor 5 40 1005 --digits 30 --json":
+        "27264fcbedebe0163faa17c16d07bf3562c1f1e21e6953407f87dce81f9b40a8",
 }
 
 
@@ -352,6 +366,61 @@ def test_stdout_is_pinned(capsys, command):
     rc, out, _ = run(capsys, *command.split())
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_JSON_BUT_DEGREE_BOUND))
+def test_json_but_the_degree_bound_is_pinned(capsys, command):
+    rc, out, _ = run(capsys, *command.split())
+    assert rc == 0
+    doc = json.loads(out)
+    del doc["degree_lower_bound"]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_JSON_BUT_DEGREE_BOUND[command]
+
+
+# the console-script commands of CI, less the three slowest, plus poly and bound
+NO_NUMPY_COMMANDS = [
+    "poly 2 3 7",
+    "factor 2 3 7",
+    "factor 5 40 1005 --json",
+    "factor 3 3 5 --json",
+    "factor 2 2 2 2 2",
+    "bound 20 13",
+    "mann 2199023255552 2199023255552 2199023255552 1 2",
+    "converge mbonacci --a0 3 --eta 2 --a1 19,31 --digits 1000",
+    "converge general --prefix 2,4 --r 3 --tails 10:11,20:21,40:41 --digits 200",
+    "grid --a0 2:8 --a1 2:8 --a2 2:8",
+    "scan --a0 2 --eta 1 --a1 4:10 --full-bound",
+    "factor 2 3 7 --digits 1000",
+]
+
+NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+import starsalem.cli as cli
+imported = sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
+sys.modules["numpy"] = None  # from here on every import of numpy raises ImportError
+runs = []
+for command in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(command.split())
+    runs.append([rc, out.getvalue()])
+print(json.dumps({"imported": imported, "runs": runs}))
+"""
+
+
+def test_the_runtime_never_touches_numpy(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, json.dumps(NO_NUMPY_COMMANDS)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["imported"] == []  # import starsalem.cli loads no numpy
+    for command, (rc, out) in zip(NO_NUMPY_COMMANDS, result["runs"], strict=True):
+        assert rc == 0, command
+        assert out == run(capsys, *command.split())[1], command
 
 
 def readme_commands():

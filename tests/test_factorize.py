@@ -12,6 +12,7 @@ from starsalem import (
     CYCLOTOMIC_ONLY,
     QUADRATIC_PISOT,
     SALEM,
+    CertificationError,
     ClassificationError,
     IntPoly,
     OrderError,
@@ -28,9 +29,10 @@ from starsalem import (
     verify_order_bound,
 )
 from starsalem.cyclotomic import CyclotomicTable, default_table, phi_inverse_bound
+import starsalem.factorize as factorize
 from starsalem.factorize import classify_remainder
 
-from oracles import divides_poly, root_moduli
+from oracles import divides_poly, eval_exact, pmul, root_moduli, scanned_circle_min, trace_poly
 
 
 def poly(*cs):
@@ -319,15 +321,17 @@ def test_salem_shape_invariants():
 
 
 def test_classify_remainder_shapes():
-    assert classify_remainder(IntPoly.one()) == CYCLOTOMIC_ONLY
-    assert classify_remainder(poly(1, -3, 1)) == QUADRATIC_PISOT
-    assert classify_remainder(LEHMER) == SALEM
+    assert classify_remainder(IntPoly.one(), (2, 3, 7)) == CYCLOTOMIC_ONLY
+    assert classify_remainder(poly(1, -3, 1), (2, 2, 2, 2, 2)) == QUADRATIC_PISOT
+    assert classify_remainder(LEHMER, (2, 3, 7)) == SALEM
     with pytest.raises(ClassificationError):
-        classify_remainder(poly(1, 3, 1))  # roots negative, none above 1
+        classify_remainder(poly(1, 3, 1), (2, 3, 7))  # roots negative, none above 1
     with pytest.raises(ClassificationError):
-        classify_remainder(poly(2,))
+        classify_remainder(poly(2,), (2, 3, 7))
     with pytest.raises(ClassificationError):
-        classify_remainder(poly(1, 1, 1, 1))  # odd degree, not a Salem shape
+        classify_remainder(poly(1, 1, 1, 1), (2, 3, 7))  # odd degree, not a Salem shape
+    with pytest.raises(ClassificationError):
+        classify_remainder(LEHMER, (2, 3))  # 2 cos(2 pi / 3) alone cannot separate 4 roots
 
 
 def test_repeated_arm_trees_are_classified():
@@ -416,6 +420,80 @@ def test_multiplicity_bound_validation():
         multiplicity_bound(1, 1)
     with pytest.raises(ValueError):
         multiplicity_bound(2, 0)
+
+
+def q_tilde(a0):
+    """Qtilde = (z^(a0+1) - 2 z^a0 + 1)/(z - 1) = z^a0 - z^(a0-1) - ... - 1."""
+    return IntPoly.from_coeffs([-1] * a0 + [1])
+
+
+def test_circle_bound_beats_the_scan(monkeypatch):
+    """The exact bound against the float scan with Lipschitz slack that it
+    replaced: eta never falls and m never rises, on a0 <= 25, delta <= 20."""
+    new = {(a0, d): multiplicity_bound(a0, d) for a0 in range(2, 26) for d in range(1, 21)}
+    scanned = {}
+
+    def scan(f):
+        if f not in scanned:
+            scanned[f] = (scanned_circle_min(list(f.coeffs)), 0)
+        return scanned[f]
+
+    monkeypatch.setattr(factorize, "_certified_circle_min", scan)
+    for (a0, d), tr in new.items():
+        old = multiplicity_bound(a0, d)
+        assert tr.eta_lower >= old.eta_lower, (a0, d)
+        assert tr.m <= old.m, (a0, d)
+    # a0 = 21: the scan's slack ate more than half of the minimum
+    assert new[21, 1].eta_lower > 2 * scanned[q_tilde(21)][0]
+
+
+@pytest.mark.parametrize("a0", [2, 3, 7, 13, 20])
+def test_circle_bound_holds_at_dense_rationals(a0):
+    # U with |Qtilde(z)|^2 = U(z + 1/z), from the oracles' trace conversion
+    cs = list(q_tilde(a0).coeffs)
+    u = trace_poly(pmul(cs, cs[::-1]))
+    eta, _ = factorize._certified_circle_min(q_tilde(a0))
+    assert all(eval_exact(u, Fraction(k, 512)) > eta * eta for k in range(-1024, 1025))
+    # and eta is tight, on the 10^-12 grid: the lowest sample of U is near eta^2
+    assert (eta * 10**12).denominator == 1
+    sampled = min(eval_exact(u, Fraction(k, 512)) for k in range(-1024, 1025))
+    assert sampled - eta * eta < Fraction(1, 1000)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        pytest.param(lambda xs: [], id="no-cuts"),
+        pytest.param(lambda xs: [min(x + 1e-3, 2.0) for x in xs], id="shifted"),
+        pytest.param(lambda xs: [0.0, 1.0, -1.5], id="elsewhere"),
+    ],
+)
+def test_circle_bound_ignores_the_float_start(monkeypatch, start):
+    expected = {a0: factorize._certified_circle_min(q_tilde(a0))[0] for a0 in (3, 8, 19, 24)}
+    minima = factorize._float_minima
+    monkeypatch.setattr(factorize, "_float_minima", lambda a: start(minima(a)))
+    for a0, eta in expected.items():
+        assert factorize._certified_circle_min.__wrapped__(q_tilde(a0))[0] == eta, a0
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        pytest.param(poly(1, 1), id="root-at-minus-1"),
+        pytest.param(poly(1, 1, 1), id="phi-3"),
+        pytest.param(poly(1, 1, 1, 1, 1) * poly(2, 1), id="phi-5-times-2-plus-z"),
+    ],
+)
+def test_circle_bound_fails_on_a_root_on_the_circle(f):
+    with pytest.raises(CertificationError, match="on the circle"):
+        factorize._certified_circle_min.__wrapped__(f)
+
+
+def test_circle_bound_runs_once_per_a0():
+    factorize._certified_circle_min.cache_clear()
+    traces = [multiplicity_bound(a0, d) for a0 in (4, 5) for d in range(1, 8)]
+    assert factorize._certified_circle_min.cache_info().misses == 2
+    assert len({(tr.a0, tr.eta_lower, tr.grid_points) for tr in traces}) == 2
 
 
 # ----------------------------------------------------------------------

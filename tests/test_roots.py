@@ -24,6 +24,7 @@ from starsalem import (
     lambda_bracket,
     mbonacci_poly,
     salem_certificate,
+    tree_separators,
 )
 import starsalem.factorize as factorize
 import starsalem.roots as roots
@@ -425,10 +426,12 @@ def test_fraction_to_decimal():
 # ----------------------------------------------------------------------
 
 PHI_10 = poly(1, -1, 1, -1, 1)
+# 511 Chebyshev points 2 cos(pi i / 512): far more than any input here has roots
+DENSE = [2 * math.cos(math.pi * i / 512) for i in range(1, 512)]
 
 
 def test_lehmer_unit_residual():
-    assert salem_certificate(LEHMER)
+    assert salem_certificate(LEHMER, tree_separators((2, 3, 7)))
     # float oracle: 8 moduli on the circle, and tau and 1/tau
     tau, _ = dominant_root(LEHMER, 20)
     moduli = root_moduli(LEHMER.coeffs)
@@ -437,18 +440,18 @@ def test_lehmer_unit_residual():
 
 
 def test_quadratic_pisot_certifies_with_m_one():
-    # T = t - a: the root a lies above 2 exactly when a > 2
-    assert salem_certificate(poly(1, -3, 1))
-    assert salem_certificate(poly(1, -1000, 1))
-    assert not salem_certificate(poly(1, -2, 1))  # (x - 1)^2
-    assert not salem_certificate(poly(1, -1, 1))  # Phi_6
-    assert not salem_certificate(poly(1, 3, 1))  # roots below -1
+    # T = t - a: the root a lies above 2 exactly when a > 2; no separator needed
+    assert salem_certificate(poly(1, -3, 1), [])
+    assert salem_certificate(poly(1, -1000, 1), [])
+    assert not salem_certificate(poly(1, -2, 1), DENSE)  # (x - 1)^2
+    assert not salem_certificate(poly(1, -1, 1), DENSE)  # Phi_6
+    assert not salem_certificate(poly(1, 3, 1), DENSE)  # roots below -1
 
 
 def test_salem_factor_has_exactly_one_root_outside():
     for arms in [(2, 3, 7), (2, 4, 9), (3, 5, 8)]:
         fz = factor_coxeter(StarTree(arms))
-        assert salem_certificate(fz.salem_factor), arms
+        assert salem_certificate(fz.salem_factor, tree_separators(arms)), arms
         moduli = root_moduli(fz.salem_factor.coeffs)
         assert int(np.sum(moduli > 1 + 1e-8)) == 1, arms
 
@@ -473,37 +476,53 @@ def test_salem_factor_has_exactly_one_root_outside():
     ],
 )
 def test_certificate_can_fail(f):
-    assert not salem_certificate(f)
+    assert not salem_certificate(f, DENSE)
 
 
 def test_cyclotomic_polynomials_do_not_certify():
     # every root on the circle: T has all m roots in (-2, 2) and T(2) > 0
     for n in range(3, 60):
-        assert not salem_certificate(cyclotomic_poly(n)), n
+        assert not salem_certificate(cyclotomic_poly(n), DENSE), n
 
 
-# T = t^3 - 2 (10 t - 1)^2 has roots 0.0978 and 0.1023, closer than the
-# grid spacing there until N = 2048, and one near 200; so this is a
-# degree-6 Salem polynomial
+# T = t^3 - 2 (10 t - 1)^2 has roots 0.0978 and 0.1023, within 0.0045 of
+# each other, and one near 200; so this is a degree-6 Salem polynomial
 CLOSE_TRACE_ROOTS = IntPoly.from_coeffs(from_trace([-2, 40, -200, 1]))
 
 
-def test_certificate_refines_the_guide():
-    # at N = 512 and 1024 one sample falls between the close roots, a run
-    # too short to hold a dyadic point
+def test_certificate_separates_close_roots():
     f = CLOSE_TRACE_ROOTS
     assert f.is_reciprocal() and f.degree() == 6
-    assert factorize._guide_points(f.coeffs[3:], 512) is None
-    assert factorize._guide_points(f.coeffs[3:], 1024) is None
-    assert factorize._guide_points(f.coeffs[3:], 2048) == [(51, 9)]
     moduli = root_moduli(f.coeffs)
     assert np.max(np.abs(moduli[1:-1] - 1)) < 1e-9 and moduli[-1] > 199
-    assert salem_certificate(f)
+    assert salem_certificate(f, [0.1])
+    assert salem_certificate(f, [1.5, 0.1, -1.0])
+    assert salem_certificate(f, [0.1, 0.1, 2.0, -2.0, 7.0])  # repeats and ends are dropped
 
 
-def test_certificate_gives_up_after_the_last_doubling(monkeypatch):
-    monkeypatch.setattr(factorize, "_GUIDE_DOUBLINGS", 1)
-    assert not salem_certificate(CLOSE_TRACE_ROOTS)
+@pytest.mark.parametrize(
+    "separators",
+    [
+        pytest.param([], id="none"),
+        # 2 cos(pi i / 8): both close roots lie between 0.765 and 0
+        pytest.param([2 * math.cos(math.pi * i / 8) for i in range(1, 8)], id="coarse"),
+        pytest.param([0.11], id="above-both"),
+        pytest.param([0.09], id="below-both"),
+        pytest.param([0.12, 0.09], id="around-both"),
+    ],
+)
+def test_certificate_fails_at_coarse_or_misplaced_separators(separators):
+    assert not salem_certificate(CLOSE_TRACE_ROOTS, separators)
+
+
+def test_tree_separators():
+    # j/a in (0, 1/2) for a = 2, 3, 7: 1/3, 1/7, 2/7, 3/7
+    fractions = (Fraction(1, 3), Fraction(1, 7), Fraction(2, 7), Fraction(3, 7))
+    expected = {2 * math.cos(2 * math.pi * x) for x in fractions}
+    assert set(tree_separators((2, 3, 7))) == expected
+    # 1/4, 1/6, 1/3, 1/8, 3/8, 1/9, 2/9, 4/9: 2/8, 2/6 and 3/9 count once
+    assert len(tree_separators((4, 6, 8, 9))) == 8
+    assert tree_separators((2, 2)) == []
 
 
 def test_certificate_matches_the_oracle_on_trace_polynomials():
@@ -525,8 +544,11 @@ def test_certificate_matches_the_oracle_on_trace_polynomials():
         if np.min(gaps) < 1e-4 or np.any(np.abs(np.abs(t_roots) - 2) < 1e-6):
             continue
         expected = int(np.sum(inside)) == m - 1 and int(np.sum(above)) == 1
+        # midpoints between neighbouring real parts of the oracle's roots
+        xs = sorted(t_roots.real)
+        separators = [float(x + y) / 2 for x, y in zip(xs, xs[1:])]
         f = IntPoly.from_coeffs(from_trace(ts))
-        assert salem_certificate(f) == expected, ts
+        assert salem_certificate(f, separators) == expected, ts
         seen[expected] += 1
     assert seen[True] >= 20 and seen[False] >= 100
 
