@@ -144,7 +144,7 @@ def _cmd_factor(args, parser) -> int:
             degree_lower = salem_degree_lower_bound(tree, trace.m)
         except CertificationError:
             degree_lower = None
-    cert = certify_tree(tree, digits=args.digits, factorization=fz)
+    cert = certify_tree(fz, digits=args.digits)
     if args.format == "json":
         doc = fz.to_json_dict(degree_lower_bound=degree_lower)
         doc["certificate"] = None

@@ -10,8 +10,9 @@ so every step stays in exact integer arithmetic and each polynomial is
 derived from a strictly smaller one. The defining property
 prod_{d | n} Phi_d = x^n - 1 is exercised by the test suite; at x = 2
 it gives ``value_at_two``, the modulus of the sieve's exact screen. phi
-comes from a sieve over Python ints, and ``phi_sum`` past it from a
-sublinear recursion.
+has one source, a sieve over Python ints (``phi_values``), and
+``phi_sum`` past it comes from a sublinear recursion. The package reads
+all of this from one process-wide table, ``default_table()``.
 """
 
 from __future__ import annotations
@@ -112,14 +113,6 @@ class CyclotomicTable:
         self._cache[n] = poly
         return poly
 
-    def euler_phi(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        phi = 1
-        for p, e in _factorize(n).items():
-            phi *= (p - 1) * p ** (e - 1)
-        return phi
-
     def value_at_two(self, k: int) -> int:
         """Phi_k(2) = prod_{e | k} (2^(k/e) - 1)^mu(e), by Moebius inversion
         of 2^k - 1 = prod_{d | k} Phi_d(2); mu(e) = 0 unless e is squarefree."""
@@ -185,10 +178,6 @@ def default_table() -> CyclotomicTable:
 
 def cyclotomic_poly(n: int) -> IntPoly:
     return _DEFAULT.cyclotomic(n)
-
-
-def euler_phi(n: int) -> int:
-    return _DEFAULT.euler_phi(n)
 
 
 def phi_sum(b: int) -> int:

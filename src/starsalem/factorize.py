@@ -14,7 +14,9 @@ periodicity scan and by ``verify_mann``. Its candidates are the orders
 with phi(k) <= deg f (under an optional cap), read off the phi sieve.
 One exact integer screen discards every order k for which Phi_k(2) does
 not divide f(2), and every survivor is settled by exact integer
-division. No float enters the sieve.
+division. No float enters the sieve. Every Phi_k, Phi_k(2) and phi
+value used here, by the sieve and by the degree bound alike, comes from
+the one process-wide table, ``cyclotomic.default_table()``.
 
 The remainder's label (Salem, quadratic Pisot or cyclotomic-only) has
 one exact test, ``salem_certificate``, and is computed only when
@@ -49,7 +51,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .cyclotomic import CyclotomicTable, default_table, phi_inverse_bound
+from .cyclotomic import default_table, phi_inverse_bound
 from .coxeter import ArityError, OrderError, StarTree, block_polys, coxeter_polynomial
 from .intpoly import IntPoly, NotDivisible, taylor_shift
 
@@ -164,16 +166,14 @@ def order_bound(a0: int, a1: int, a2: int) -> int:
     return ORDER_BOUND_FACTOR * (a2 - a1 + a0 - 1)
 
 
-def cyclotomic_divisors(
-    f: IntPoly, max_order: Optional[int] = None, table: CyclotomicTable | None = None
-) -> list[int]:
+def cyclotomic_divisors(f: IntPoly, max_order: Optional[int] = None) -> list[int]:
     """Every order k with Phi_k | f (and k <= max_order, if given), ascending.
 
     Screen, then settle:
 
     1. Orders with phi(k) > deg f cannot divide; the candidates are read
-       off the table's phi sieve, which never has to reach past
-       ``phi_inverse_bound(deg f)``.
+       off the phi sieve of the process-wide ``default_table()``, which
+       never has to reach past ``phi_inverse_bound(deg f)``.
     2. Phi_k | f in Z[x] forces Phi_k(2) | f(2), so every order with
        f(2) mod Phi_k(2) != 0 is discarded (``value_at_two`` caches
        Phi_k(2)). When f(2) = 0, none is.
@@ -185,7 +185,7 @@ def cyclotomic_divisors(
         raise ValueError("cannot sieve the zero polynomial")
     if max_order is not None and max_order < 1:
         raise ValueError("max_order must be >= 1")
-    table = table or default_table()
+    table = default_table()
     deg = f.degree()
     cap = phi_inverse_bound(deg)
     if max_order is not None:
@@ -197,9 +197,7 @@ def cyclotomic_divisors(
     return [k for k in survivors if table.divides_coxeter(k, f)]
 
 
-def extract_cyclotomic(
-    f: IntPoly, table: CyclotomicTable | None = None
-) -> tuple[dict[int, int], IntPoly]:
+def extract_cyclotomic(f: IntPoly) -> tuple[dict[int, int], IntPoly]:
     """Divide out every cyclotomic factor of f.
 
     Returns (multiplicities, remainder) with
@@ -208,11 +206,10 @@ def extract_cyclotomic(
     order outside that list can divide it); each is then divided out as
     often as it goes.
     """
-    table = table or default_table()
     mults: dict[int, int] = {}
     rem = f
-    for k in cyclotomic_divisors(f, table=table):
-        phi_k = table.cyclotomic(k)
+    for k in cyclotomic_divisors(f):
+        phi_k = default_table().cyclotomic(k)
         while rem.degree() >= phi_k.degree():
             try:
                 rem = rem.exact_div(phi_k)
@@ -384,14 +381,11 @@ def classify_remainder(rem: IntPoly, arms: Sequence[int]) -> str:
     raise ClassificationError(f"no Salem certificate for the remainder, {rem.describe()}")
 
 
-def factor_coxeter(
-    tree: StarTree, table: CyclotomicTable | None = None
-) -> CoxeterFactorization:
+def factor_coxeter(tree: StarTree) -> CoxeterFactorization:
     """Sieve every cyclotomic factor out of R_T; the remainder is
     classified when ``classification`` is first read."""
-    table = table or default_table()
     rt = coxeter_polynomial(tree)
-    mults, rem = extract_cyclotomic(rt, table)
+    mults, rem = extract_cyclotomic(rt)
     unramified = abs(rem.eval_int(1)) == 1 and abs(rem.eval_int(-1)) == 1
     return CoxeterFactorization(
         arms=tree.arms,
@@ -404,18 +398,15 @@ def factor_coxeter(
     )
 
 
-def salem_degree_lower_bound(
-    tree: StarTree, m: int, table: CyclotomicTable | None = None
-) -> int:
+def salem_degree_lower_bound(tree: StarTree, m: int) -> int:
     """deg R_T - m * sum_{k <= order bound} phi(k); may be negative."""
     if tree.r != 2:
         raise ArityError("degree lower bound is only stated for three-arm trees")
     if m < 1:
         raise ValueError("multiplicity bound m must be >= 1")
-    table = table or default_table()
     bound = order_bound(*tree.arms)
     deg_rt = tree.vertex_count  # equals deg R_T
-    return deg_rt - m * table.phi_sum(bound)
+    return deg_rt - m * default_table().phi_sum(bound)
 
 
 # ----------------------------------------------------------------------
@@ -646,13 +637,7 @@ def multiplicity_bound(a0: int, delta: int) -> MultiplicityBoundTrace:
 # ----------------------------------------------------------------------
 
 def verify_mann(
-    a: int,
-    b: int,
-    c: int,
-    p: int,
-    q: int,
-    search_order: int,
-    table: CyclotomicTable | None = None,
+    a: int, b: int, c: int, p: int, q: int, search_order: int
 ) -> list[tuple[int, complex]]:
     """Roots of unity of order <= search_order with a*z^p + b*z^q + c == 0.
 
@@ -677,15 +662,13 @@ def verify_mann(
     )
     return [
         (n, cmath.exp(2j * cmath.pi * j / n))
-        for n in cyclotomic_divisors(g, search_order, table)
+        for n in cyclotomic_divisors(g, search_order)
         for j in range(n)
         if math.gcd(j, n) == 1
     ]
 
 
-def verify_order_bound(
-    tree: StarTree, table: CyclotomicTable | None = None
-) -> bool:
+def verify_order_bound(tree: StarTree) -> bool:
     """True when every cyclotomic order found in R_T obeys the paper's bound.
 
     The sieve looks at every order that could divide, so this can fail.
@@ -694,5 +677,5 @@ def verify_order_bound(
         raise OrderError("order bound is proven only for a2 > a1 > a0 > 1")
     if tree.excluded:
         raise OrderError(f"{tree.arms} is outside the classified family")
-    fz = factor_coxeter(tree, table=table)
+    fz = factor_coxeter(tree)
     return fz.max_observed_order <= order_bound(*tree.arms)

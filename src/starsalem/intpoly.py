@@ -18,10 +18,11 @@ excludes 0 and the exact accumulator would be large, and from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 NEG_INF = float("-inf")
 
@@ -51,18 +52,6 @@ class IntPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         return IntPoly(tuple(cs))
-
-    @staticmethod
-    def from_terms(terms: Mapping[int, int]) -> "IntPoly":
-        """Build from an exponent -> coefficient mapping."""
-        if not terms:
-            return IntPoly(())
-        cs = [0] * (max(terms) + 1)
-        for e, c in terms.items():
-            if e < 0:
-                raise ValueError(f"negative exponent {e}")
-            cs[e] += c
-        return IntPoly.from_coeffs(cs)
 
     @staticmethod
     def zero() -> "IntPoly":
@@ -98,11 +87,6 @@ class IntPoly:
 
     def degree(self) -> Union[int, float]:
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
@@ -307,20 +291,12 @@ class IntPoly:
         return (acc > 0) - (acc < 0)
 
     def derivative(self, n: int = 1) -> "IntPoly":
-        """Exact n-th derivative."""
+        """Exact n-th derivative: c_i x^i goes to c_i (i)_n x^(i-n), with
+        the falling factorial (i)_n = ``math.perm(i, n)``."""
         if n < 0:
             raise ValueError("derivative order must be >= 0")
-        if n == 0:
-            return self
-        if n > len(self.coeffs) - 1:
-            return IntPoly(())
-        out = []
-        for i in range(n, len(self.coeffs)):
-            fall = 1
-            for j in range(n):
-                fall *= i - j
-            out.append(self.coeffs[i] * fall)
-        return IntPoly.from_coeffs(out)
+        cs = self.coeffs
+        return IntPoly.from_coeffs([cs[i] * math.perm(i, n) for i in range(n, len(cs))])
 
     # ------------------------------------------------------------------
     # rendering

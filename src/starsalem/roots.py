@@ -19,9 +19,10 @@ and the cell are Fractions.
 spectral radius lambda = sqrt(tau) + 1/sqrt(tau) in exact integer
 arithmetic (``math.isqrt`` on scaled integers, rounded outward).
 
-``certify_tree`` puts the two together for a tree's remainder. Whether
-that remainder is Salem is the factorization's label, decided by
-``factorize.salem_certificate``. The float start is the only float in
+``certify_tree`` puts the two together for the remainder of a
+factorization that the caller already holds (``factor_coxeter``), so the
+tree is factored once. Whether that remainder is Salem is the
+factorization's label, decided by ``factorize.salem_certificate``. The float start is the only float in
 this module, and no float value reaches an answer.
 
 The convergence sweeps reproduce the limit behaviour of the Salem roots:
@@ -39,7 +40,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .coxeter import StarTree, coxeter_polynomial, limit_polynomial, mbonacci_poly
-from .cyclotomic import CyclotomicTable
 from .factorize import CoxeterFactorization, factor_coxeter
 from .intpoly import BALL_BITS, IntPoly
 
@@ -60,7 +60,6 @@ class RootCertificate:
 @dataclass(frozen=True)
 class ConvergenceRecord:
     arms: tuple[int, ...]
-    a1: int
     tau: str
     limit_value: str
     gap: str
@@ -357,21 +356,15 @@ def lambda_bracket(
     return Fraction(low, scale), Fraction(high, scale)
 
 
-def certify_tree(
-    tree: StarTree,
-    digits: int = 30,
-    factorization: Optional[CoxeterFactorization] = None,
-    table: CyclotomicTable | None = None,
-) -> Optional[RootCertificate]:
-    """Full dominant-root certificate for a tree, or None when the
-    Coxeter polynomial is a pure product of cyclotomics.
+def certify_tree(fz: CoxeterFactorization, digits: int = 30) -> Optional[RootCertificate]:
+    """Full dominant-root certificate for a factored tree, or None when
+    its Coxeter polynomial is a pure product of cyclotomics.
 
     The spectral radius lambda comes from tau's enclosure through
     ``lambda_bracket``; no characteristic polynomial or matrix is built.
     That tau is a Salem number (or a quadratic unit) is the factorization's
     ``classification``, which this function does not read.
     """
-    fz = factorization or factor_coxeter(tree, table=table)
     if fz.salem_factor.degree() < 1:
         return None
     tau, bracket = dominant_root(fz.salem_factor, digits)
@@ -390,7 +383,6 @@ def converge_mbonacci(
     eta: int,
     a1_values: Sequence[int],
     digits: int = 30,
-    table: CyclotomicTable | None = None,
 ) -> list[ConvergenceRecord]:
     """Salem roots of T(a0, a1, a1 + eta) against the a0-bonacci number."""
     if a0 < 2:
@@ -408,7 +400,6 @@ def converge_mbonacci(
             records.append(
                 ConvergenceRecord(
                     arms=tree.arms,
-                    a1=a1,
                     tau="",
                     limit_value=limit_str,
                     gap="",
@@ -417,13 +408,12 @@ def converge_mbonacci(
                 )
             )
             continue
-        fz = factor_coxeter(tree, table=table)
+        fz = factor_coxeter(tree)
         tau, _ = dominant_root(fz.salem_factor, digits)
         gap = abs(tau - limit)
         records.append(
             ConvergenceRecord(
                 arms=tree.arms,
-                a1=a1,
                 tau=fraction_to_decimal(tau, digits),
                 limit_value=limit_str,
                 gap=fraction_to_decimal(gap, digits),
@@ -460,7 +450,6 @@ def converge_general(
         records.append(
             ConvergenceRecord(
                 arms=arms,
-                a1=arms[len(prefix)],
                 tau=fraction_to_decimal(tau, digits),
                 limit_value=limit_str,
                 gap=fraction_to_decimal(gap, digits),

@@ -4,11 +4,12 @@
 which cyclotomic orders k divide the Coxeter polynomial as a1 varies.
 For each a1 one ``cyclotomic_divisors`` call answers all orders up to
 k_max at once (orders with phi(k) > deg R_T are dropped, the exact screen
-Phi_k(2) | R_T(2) discards most others, exact division settles the rest),
-and a record is written for every (a1, k). Whether Phi_k divides depends
-only on a1 mod k within such a family; the scan verifies that
-residue-class law on every record and aborts loudly if it ever failed,
-since that would falsify the underlying block-shift identity.
+Phi_k(2) | R_T(2) discards most others, exact division settles the rest,
+all from the process-wide ``default_table()``), and a record is written
+for every (a1, k). Whether Phi_k divides depends only on a1 mod k within
+such a family; the scan verifies that residue-class law on every record
+and aborts loudly if it ever failed, since that would falsify the
+underlying block-shift identity.
 
 ``grid_verify`` sweeps a triple grid and re-checks every certified
 bound: the paper's cyclotomic order bound (against the orders an uncapped
@@ -30,7 +31,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .coxeter import StarTree, characteristic_polynomial, coxeter_polynomial
-from .cyclotomic import CyclotomicTable, default_table
 from .factorize import (
     CertificationError,
     CoxeterFactorization,
@@ -62,7 +62,6 @@ def periodicity_scan(
     eta: int,
     k_max: int,
     a1_range: tuple[int, int],
-    table: CyclotomicTable | None = None,
 ) -> list[ScanRecord]:
     """Divisibility records for T(a0, a1, a1 + eta), a1 in the given range.
 
@@ -74,12 +73,11 @@ def periodicity_scan(
     lo, hi = a1_range
     if lo <= a0:
         raise ValueError(f"a1 range must start above a0={a0}, got {a1_range}")
-    table = table or default_table()
     records: list[ScanRecord] = []
     seen: dict[tuple[int, int], tuple[bool, int]] = {}
     for a1 in range(lo, hi + 1):
         arms = (a0, a1, a1 + eta)
-        hits = set(cyclotomic_divisors(coxeter_polynomial(StarTree(arms)), k_max, table))
+        hits = set(cyclotomic_divisors(coxeter_polynomial(StarTree(arms)), k_max))
         for k in range(1, k_max + 1):
             div = k in hits
             rec = ScanRecord(arms=arms, k=k, divides=div, a1_mod_k=a1 % k)
@@ -102,13 +100,11 @@ def grid_verify(
     a1_range: tuple[int, int],
     a2_range: tuple[int, int],
     digits: int = 15,
-    table: CyclotomicTable | None = None,
 ) -> dict:
     """Re-check every certified bound on a grid of strictly ordered triples.
 
     Returns a JSON-ready summary; failures are collected, not raised.
     """
-    table = table or default_table()
     traces: dict[tuple[int, int], Optional[MultiplicityBoundTrace]] = {}
     summary = {
         "triples": 0,
@@ -145,7 +141,7 @@ def grid_verify(
                     summary["skipped_excluded"] += 1
                     continue
                 summary["triples"] += 1
-                fz = factor_coxeter(tree, table=table)
+                fz = factor_coxeter(tree)
                 summary["max_observed_order"] = max(
                     summary["max_observed_order"], fz.max_observed_order
                 )
@@ -154,7 +150,7 @@ def grid_verify(
                 )
                 _check_order(tree, fz, summary)
                 _check_multiplicity(tree, fz, trace_for(a0, a2 - a1), summary)
-                _check_degree_bound(tree, fz, trace_for(a0, a2 - a1), summary, table)
+                _check_degree_bound(tree, fz, trace_for(a0, a2 - a1), summary)
                 _check_bridge(tree, fz, digits, summary)
     return summary
 
@@ -198,12 +194,11 @@ def _check_degree_bound(
     fz: CoxeterFactorization,
     trace: Optional[MultiplicityBoundTrace],
     summary: dict,
-    table: CyclotomicTable,
 ) -> None:
     if trace is None:
         summary["degree_bound_vacuous"] += 1
         return
-    bound = salem_degree_lower_bound(tree, trace.m, table)
+    bound = salem_degree_lower_bound(tree, trace.m)
     if bound <= 0:
         summary["degree_bound_vacuous"] += 1
         return

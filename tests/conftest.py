@@ -20,6 +20,6 @@ def grid_data():
     start = time.perf_counter()
     factorizations = {}
     for arms in itertools.combinations(range(2, GRID_MAX_A2 + 1), 3):
-        factorizations[arms] = factor_coxeter(StarTree(arms), table=table)
+        factorizations[arms] = factor_coxeter(StarTree(arms))
     elapsed = time.perf_counter() - start
     return {"factorizations": factorizations, "factor_seconds": elapsed, "table": table}

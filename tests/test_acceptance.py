@@ -77,7 +77,7 @@ def test_criterion_02_decomposition_exact(grid_data):
             prod = prod * table.cyclotomic(k) ** mult
         assert prod == rt, f"reassembly failed for {arms}"
         assert (
-            cyclotomic_divisors(fz.salem_factor, table=table) == []
+            cyclotomic_divisors(fz.salem_factor) == []
         ), f"remainder of {arms} still has a cyclotomic factor"
     elapsed = time.perf_counter() - start + grid_data["factor_seconds"]
     assert elapsed < 300.0, f"decomposition work took {elapsed:.1f}s, budget 300s"

@@ -351,6 +351,10 @@ PINNED_STDOUT = {
         "d3070fb1e6629a38e6e7bbe74ec74f153c51152b37891da108304b844c27cd5b",
     "factor 5 40 1005 --digits 30 --json":
         "25ab455e8e1a5f1d07051787fb90b5b35c1a692b080b124258740095019232a5",
+    "grid --a0 2:8 --a1 2:8 --a2 2:8":
+        "21ff2e5f9e0cff35b1628c404a7f8d4cf36cecee636ed15ab65e50b31d96eeb0",
+    "scan --a0 2 --eta 1 --a1 4:10 --full-bound":
+        "d08065c92b8bea112b031706fbeb7764ccda5fd762cfe0748b13100ed9805d3c",
 }
 
 # sha256 of the sorted-key JSON without degree_lower_bound, recorded when its
@@ -439,6 +443,27 @@ def test_readme_command_examples_run(capsys):
     for argv in commands:
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    # each print's comment up to any ";" is what it prints; "..." elides the middle
+    expected = [
+        line.split("#", 1)[1].split(";")[0].strip()
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    exec(code, {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(expected) == 4
+    for got, want in zip(printed, expected):
+        if " ... " in want:
+            head, tail = want.split(" ... ")
+            assert got.startswith(head) and got.endswith(tail), (got, want)
+        else:
+            assert got == want
+    assert printed[2:] == ["1.176280818259917506544070338474", "2.006593618346016732650515917682"]
 
 
 def test_digits_floor():

@@ -14,6 +14,7 @@ from starsalem import (
     certify_tree,
     characteristic_polynomial,
     coxeter_polynomial,
+    factor_coxeter,
     limit_polynomial,
     mbonacci_poly,
     p_polynomial,
@@ -282,7 +283,7 @@ def test_spectral_radius_affine_boundary():
 
 
 def test_spectral_radius_lehmer_tree():
-    cert = certify_tree(StarTree((2, 3, 7)), digits=30)
+    cert = certify_tree(factor_coxeter(StarTree((2, 3, 7))), digits=30)
     lo, hi = cert.lam_bracket
     assert 2 < lo < hi and hi - lo < Fraction(1, 10**34)
     chi = characteristic_polynomial(StarTree((2, 3, 7)))

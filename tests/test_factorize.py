@@ -28,7 +28,7 @@ from starsalem import (
     verify_mann,
     verify_order_bound,
 )
-from starsalem.cyclotomic import CyclotomicTable, default_table, phi_inverse_bound
+from starsalem.cyclotomic import default_table, phi_inverse_bound
 import starsalem.factorize as factorize
 from starsalem.factorize import classify_remainder
 
@@ -77,19 +77,18 @@ def test_extract_lehmer_has_no_cyclotomic_part():
 
 def test_extract_excluded_triples():
     # frozen from an independent sieve run
-    table = default_table()
-    mults, rem = extract_cyclotomic(coxeter_polynomial(StarTree((2, 3, 4))), table)
+    mults, rem = extract_cyclotomic(coxeter_polynomial(StarTree((2, 3, 4))))
     assert mults == {2: 1, 18: 1} and rem == IntPoly.one()
-    mults, rem = extract_cyclotomic(coxeter_polynomial(StarTree((2, 3, 5))), table)
+    mults, rem = extract_cyclotomic(coxeter_polynomial(StarTree((2, 3, 5))))
     assert mults == {30: 1} and rem == IntPoly.one()
-    mults, rem = extract_cyclotomic(coxeter_polynomial(StarTree((2, 3, 6))), table)
+    mults, rem = extract_cyclotomic(coxeter_polynomial(StarTree((2, 3, 6))))
     assert mults == {1: 2, 2: 1, 3: 1, 5: 1} and rem == IntPoly.one()
 
 
 def test_extract_respects_multiplicity():
     table = default_table()
     f = table.cyclotomic(4) ** 3 * table.cyclotomic(5) * poly(-2, 0, 1)
-    mults, rem = extract_cyclotomic(f, table)
+    mults, rem = extract_cyclotomic(f)
     assert mults == {4: 3, 5: 1}
     assert rem == poly(-2, 0, 1)
 
@@ -100,7 +99,7 @@ def test_extract_reassembles_exactly():
     for _ in range(15):
         arms = sorted(rng.sample(range(2, 20), 3))
         f = coxeter_polynomial(StarTree(tuple(arms)))
-        mults, rem = extract_cyclotomic(f, table)
+        mults, rem = extract_cyclotomic(f)
         prod = rem
         for k, m in mults.items():
             prod = prod * table.cyclotomic(k) ** m
@@ -110,8 +109,8 @@ def test_extract_reassembles_exactly():
 def test_remainder_purity():
     table = default_table()
     for arms in [(2, 3, 7), (2, 4, 9), (3, 7, 11)]:
-        fz = factor_coxeter(StarTree(arms), table=table)
-        assert cyclotomic_divisors(fz.salem_factor, table=table) == []
+        fz = factor_coxeter(StarTree(arms))
+        assert cyclotomic_divisors(fz.salem_factor) == []
         # independent naive re-check on small orders
         for k in range(1, 40):
             assert not divides_poly(
@@ -152,8 +151,8 @@ def test_cyclotomic_divisors_grid_trees_match_brute_force():
     for tree in trees:
         f = coxeter_polynomial(tree)
         brute = brute_divisors(f, full_cap(f), table)
-        assert cyclotomic_divisors(f, table=table) == brute, tree.arms
-        assert cyclotomic_divisors(f, full_cap(f), table) == brute, tree.arms
+        assert cyclotomic_divisors(f) == brute, tree.arms
+        assert cyclotomic_divisors(f, full_cap(f)) == brute, tree.arms
 
 
 def test_cyclotomic_divisors_respects_max_order():
@@ -178,13 +177,16 @@ def test_cyclotomic_divisors_planted_factor_at_phi_edge(g):
     table = default_table()
     f = table.cyclotomic(240) * g  # phi(240) = 64
     cap = 480
-    found = cyclotomic_divisors(f, cap, table)
+    found = cyclotomic_divisors(f, cap)
     assert 240 in found
     assert found == brute_divisors(f, cap, table)
 
 
-def counting_table():
-    table = CyclotomicTable()
+@pytest.fixture
+def counting_table(monkeypatch):
+    """The process-wide table, with every order that reaches exact
+    division recorded in ``settled``."""
+    table = default_table()
     settled = []
     original = table.divides_coxeter
 
@@ -192,43 +194,43 @@ def counting_table():
         settled.append(k)
         return original(k, f)
 
-    table.divides_coxeter = divides_coxeter
+    monkeypatch.setattr(table, "divides_coxeter", divides_coxeter)
     return table, settled
 
 
-def test_cyclotomic_divisors_screen_discards_most_orders():
-    table, settled = counting_table()
+def test_cyclotomic_divisors_screen_discards_most_orders(counting_table):
+    table, settled = counting_table
     f = coxeter_polynomial(StarTree((2, 5, 40)))
-    assert cyclotomic_divisors(f, 5000, table) == [2, 5]
+    assert cyclotomic_divisors(f, 5000) == [2, 5]
     phis = table.phi_values(5000)
     candidates = [k for k in range(1, 5001) if phis[k] <= f.degree()]
     assert len(candidates) == 88
     assert len(settled) < len(candidates) // 4
 
 
-def test_cyclotomic_divisors_tall_input_is_settled_exactly():
-    table, settled = counting_table()
+def test_cyclotomic_divisors_tall_input_is_settled_exactly(counting_table):
+    table, settled = counting_table
     tall = poly(1, 1 << 45, 0, 1)  # height 2^45: the screen is exact at any height
     f = table.cyclotomic(7) * table.cyclotomic(12) ** 2 * tall
     cap = full_cap(f)
-    assert cyclotomic_divisors(f, table=table) == [7, 12]
+    assert cyclotomic_divisors(f) == [7, 12]
     phis = table.phi_values(cap)
     candidates = [k for k in range(1, cap + 1) if phis[k] <= f.degree()]
     # exactly the orders with Phi_k(2) | f(2) are settled: 3 of 32
     assert settled == [k for k in candidates if f.eval_int(2) % table.value_at_two(k) == 0]
     assert settled == [1, 7, 12] and len(candidates) == 32
     assert brute_divisors(f, cap, table) == [7, 12]
-    mults, rem = extract_cyclotomic(f, table)
+    mults, rem = extract_cyclotomic(f)
     assert mults == {7: 1, 12: 2} and rem == tall
 
 
-def test_cyclotomic_divisors_settles_every_candidate_when_f_vanishes_at_2():
+def test_cyclotomic_divisors_settles_every_candidate_when_f_vanishes_at_2(counting_table):
     # f(2) = 0 is divisible by every Phi_k(2), so the screen discards
     # nothing and exact division alone decides
-    table, settled = counting_table()
+    table, settled = counting_table
     f = poly(-2, 1) * table.cyclotomic(7) * table.cyclotomic(12) ** 2
     assert f.eval_int(2) == 0
-    assert cyclotomic_divisors(f, table=table) == [7, 12]
+    assert cyclotomic_divisors(f) == [7, 12]
     phis = table.phi_values(full_cap(f))
     assert settled == [k for k in range(1, len(phis)) if phis[k] <= f.degree()]
 
@@ -243,7 +245,7 @@ def test_cyclotomic_divisors_near_the_height_limit():
         g = IntPoly.from_coeffs([rng.randint(-bound, bound) for _ in range(40)] + [1])
         f = table.cyclotomic(k) * g
         assert f.height() <= 1 << 40
-        assert cyclotomic_divisors(f, 250, table) == brute_divisors(f, 250, table) == [k]
+        assert cyclotomic_divisors(f, 250) == brute_divisors(f, 250, table) == [k]
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,11 +261,11 @@ def test_cyclotomic_divisors_random_products_match_brute_force(planted, g):
     for k, m in planted:
         f = f * table.cyclotomic(k) ** m
     cap = min(full_cap(f), 400)
-    found = cyclotomic_divisors(f, cap, table)
+    found = cyclotomic_divisors(f, cap)
     assert found == brute_divisors(f, cap, table)
     assert {k for k, _ in planted} <= set(found)
-    mults, rem = extract_cyclotomic(f, table)
-    assert sorted(mults) == cyclotomic_divisors(f, table=table)
+    mults, rem = extract_cyclotomic(f)
+    assert sorted(mults) == cyclotomic_divisors(f)
     assert [k for k in mults if k <= cap] == found
     prod = rem
     for k, m in mults.items():

@@ -634,7 +634,7 @@ def test_trace_signs_trust_the_ball_only_past_its_radius(monkeypatch):
 # ----------------------------------------------------------------------
 
 def test_certificate_for_lehmer_tree():
-    cert = certify_tree(StarTree((2, 3, 7)), digits=30)
+    cert = certify_tree(factor_coxeter(StarTree((2, 3, 7))), digits=30)
     assert cert is not None
     assert cert.tau == LEHMER_TAU_30
     # lambda = sqrt(tau) + 1/sqrt(tau), mapped by the decimal module
@@ -650,7 +650,7 @@ def test_certificate_for_lehmer_tree():
 
 
 def test_certificate_none_for_cyclotomic_only():
-    assert certify_tree(StarTree((2, 3, 5)), digits=15) is None
+    assert certify_tree(factor_coxeter(StarTree((2, 3, 5))), digits=15) is None
 
 
 # ----------------------------------------------------------------------

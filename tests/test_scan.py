@@ -6,12 +6,14 @@ import pytest
 import starsalem.scan as scan
 from starsalem import (
     IntPoly,
+    PeriodicityViolation,
     StarTree,
     coxeter_polynomial,
     factor_coxeter,
     grid_verify,
     periodicity_scan,
 )
+from starsalem.cli import main
 from starsalem.cyclotomic import default_table
 from starsalem.scan import _acampo_side, _check_order
 
@@ -62,6 +64,36 @@ def test_scan_validation():
         periodicity_scan(2, 1, 5, (2, 10))  # a1 range must start above a0
     with pytest.raises(ValueError):
         periodicity_scan(2, 0, 5, (4, 10))
+
+
+def _hide_order_two_at_a1_7(monkeypatch):
+    """Make the sieve miss Phi_2 | R_T for T(2, 7, 8) alone. Phi_2 divides
+    R_T for every a1 of the family a0 = 2, eta = 1, so a1 = 5 and a1 = 7,
+    both odd, now disagree."""
+    real = scan.cyclotomic_divisors
+    target = coxeter_polynomial(StarTree((2, 7, 8)))
+    monkeypatch.setattr(
+        scan,
+        "cyclotomic_divisors",
+        lambda f, max_order: [k for k in real(f, max_order) if (f, k) != (target, 2)],
+    )
+
+
+def test_scan_periodicity_check_can_fail(monkeypatch):
+    _hide_order_two_at_a1_7(monkeypatch)
+    with pytest.raises(PeriodicityViolation) as exc:
+        periodicity_scan(2, 1, 6, (4, 10))
+    message = str(exc.value)
+    for witness in ("k=2", "a1 mod k=1", "a1=5", "a1=7"):
+        assert witness in message, message
+
+
+def test_periodicity_violation_is_a_data_error(capsys, monkeypatch):
+    _hide_order_two_at_a1_7(monkeypatch)
+    rc = main("scan --a0 2 --eta 1 --k-max 6 --a1 4:10".split())
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err.startswith("error: residue-class law failed for k=2") and err.count("\n") == 1
 
 
 def test_grid_verify_small():
@@ -153,9 +185,7 @@ def test_bridge_fails_with_two_eigenvalues_above_two(monkeypatch):
     rt = tau_poly * IntPoly.from_coeffs([1, -3, 1])
     real_factor, real_root = scan.factor_coxeter, scan.dominant_root
     monkeypatch.setattr(scan, "characteristic_polynomial", lambda tree: chi)
-    monkeypatch.setattr(
-        scan, "factor_coxeter", lambda tree, table: replace(real_factor(tree, table=table), rt=rt)
-    )
+    monkeypatch.setattr(scan, "factor_coxeter", lambda tree: replace(real_factor(tree), rt=rt))
     monkeypatch.setattr(scan, "dominant_root", lambda f, digits: real_root(tau_poly, digits))
     _assert_bridge_failed(_lehmer_box_summary(), "one_eigenvalue_above_two")
 
