@@ -22,8 +22,9 @@ arithmetic (``math.isqrt`` on scaled integers, rounded outward).
 ``certify_tree`` puts the two together for the remainder of a
 factorization that the caller already holds (``factor_coxeter``), so the
 tree is factored once. Whether that remainder is Salem is the
-factorization's label, decided by ``factorize.salem_certificate``. The float start is the only float in
-this module, and no float value reaches an answer.
+factorization's label, decided by ``factorize.salem_certificate``. The
+float start is the only float in this module, and no float value reaches
+an answer.
 
 The convergence sweeps reproduce the limit behaviour of the Salem roots:
 with two arms growing they approach the m-bonacci number of the fixed

@@ -194,7 +194,8 @@ def counting_table(monkeypatch):
         settled.append(k)
         return original(k, f)
 
-    monkeypatch.setattr(table, "divides_coxeter", divides_coxeter)
+    # set on the instance's own dict, so that undoing it removes the entry
+    monkeypatch.setitem(vars(table), "divides_coxeter", divides_coxeter)
     return table, settled
 
 
