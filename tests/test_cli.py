@@ -345,7 +345,8 @@ def test_format_takes_only_what_the_subcommand_writes(capsys, argv, bad):
 # sha256 of stdout. The converge digest was recorded before the ball screen
 # entered dominant_root and sign_at, the factor digest when the multiplicity
 # bound's circle scan became an exact proof (which lowered m, and with it
-# degree_lower_bound); every byte must stay the same
+# degree_lower_bound), the poly and converge general digests while R_T was
+# still divided out of P; every byte must stay the same
 PINNED_STDOUT = {
     "converge mbonacci --a0 3 --eta 2 --a1 19,31 --digits 1000":
         "d3070fb1e6629a38e6e7bbe74ec74f153c51152b37891da108304b844c27cd5b",
@@ -355,6 +356,16 @@ PINNED_STDOUT = {
         "21ff2e5f9e0cff35b1628c404a7f8d4cf36cecee636ed15ab65e50b31d96eeb0",
     "scan --a0 2 --eta 1 --a1 4:10 --full-bound":
         "d08065c92b8bea112b031706fbeb7764ccda5fd762cfe0748b13100ed9805d3c",
+    "poly 2 3 7":
+        "562f4f62d5410210d88a0fa07cc37042c5bc896c45cd3a7f14109ae4627844bb",
+    "poly 3 3 5":
+        "0d66e35e707cebcdefe689a4a7c37e73af9fbc5dc25c8289406c8caa0a8822bd",
+    "poly 2 4 10 11 --format json":
+        "c152edfdae2d7c0c86f5ac98343e8bf9815e307ebdd133843d01897ee1bb85a1",
+    "poly 5 40 1005 --format json":
+        "2abe3f57d93dec319d91f543c6720aec34a4747971b27bd3887d8f4b5db6787a",
+    "converge general --prefix 2,4 --r 3 --tails 10:11,20:21,40:41 --digits 200":
+        "5591dd6b68f28965641842d80d406d957b8b635b4844956c19e46fc77fba9859",
 }
 
 # sha256 of the sorted-key JSON without degree_lower_bound, recorded when its
