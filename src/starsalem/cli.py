@@ -242,10 +242,7 @@ def _cmd_bound(args, parser) -> int:
 
 def _cmd_mann(args, parser) -> int:
     hits = verify_mann(args.a, args.b, args.c, args.p, args.q, args.search_order)
-    doc = [
-        {"order": n, "root_re": repr(z.real), "root_im": repr(z.imag)}
-        for n, z in hits
-    ]
+    doc = [{"order": n, "numerator": j} for n, j in hits]
     _emit(_dump_json(doc) + "\n", args.output)
     return 0
 
@@ -316,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, ("json",))
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("mann", help="roots of unity solving a*z^p + b*z^q + c = 0")
+    p = sub.add_parser("mann", help="roots exp(2 pi i j/n) of a*z^p + b*z^q + c = 0")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)

@@ -4,9 +4,10 @@ A star-like tree T(a_0, ..., a_r) has one central vertex and r+1 paths
 ("arms") of a_0 - 1, ..., a_r - 1 edges attached to it. Everything this
 module produces is derived from the arm-length vector:
 
-* ``p_polynomial``       the cleared-denominator expansion
+* ``coxeter_polynomial`` R_T = (z+1) prod_i [a_i] - z sum_i [a_i-1] prod_{j!=i} [a_j]
+                         over the repunits [a] = 1 + z + ... + z^(a-1)
+* ``p_polynomial``       P = (z-1)^{r+1} R_T, derived from R_T; as z^a - 1 = (z-1)[a],
                          P = prod(z^{a_i}-1)(z+1) - z sum_i (z^{a_i-1}-1) prod_{j!=i}(z^{a_j}-1)
-* ``coxeter_polynomial`` R_T = P / (z-1)^{r+1}, the Coxeter polynomial
 * ``qrs_blocks``         for r = 2 the split P = z^{a1+a2} Q + z^{a1+1} R + S
 * ``limit_polynomial``   the limit of the leading block when the last
                          r - k arms grow without bound
@@ -14,9 +15,10 @@ module produces is derived from the arm-length vector:
 * ``characteristic_polynomial``  chi_T, the characteristic polynomial of
                          the tree's adjacency matrix
 
-All computation is exact integer arithmetic. R_T is symmetric in the
-arms, so a tree stores its arms in ascending order: T(7, 3, 2) and
-T(2, 3, 7) are the same tree and get the same answers.
+All computation is exact integer arithmetic. Multiplying by [a] is a
+windowed prefix sum, so R_T takes no general product and no division.
+R_T is symmetric in the arms, so a tree stores its arms in ascending
+order: T(7, 3, 2) and T(2, 3, 7) are the same tree and get the same answers.
 
 A'Campo's identity (A'Campo 1976) ties the two polynomials of a tree on
 n vertices together: R_T(z) = z^(n/2) chi_T(z^(1/2) + z^(-1/2)). So a
@@ -27,8 +29,9 @@ the adjacency matrix; ``scan.grid_verify`` checks the identity exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .intpoly import IntPoly, NotDivisible
+from .intpoly import IntPoly
 
 EXCLUDED_TRIPLES = frozenset({(2, 3, 4), (2, 3, 5), (2, 3, 6)})
 
@@ -95,38 +98,39 @@ class BlockDecomposition:
         return self.q.shift(self.shifts[0]) + self.r.shift(self.shifts[1]) + self.s
 
 
-def _arm_product_and_sum(arms: tuple[int, ...]) -> tuple[IntPoly, IntPoly]:
-    """prod_i (z^{a_i}-1) and z sum_i (z^{a_i-1}-1) prod_{j!=i} (z^{a_j}-1)."""
-    prod_all = IntPoly.one()
+def _times_repunit(cs: list[int], a: int) -> list[int]:
+    """[a] times cs (low degree first): window sums, as differences of prefix sums."""
+    sums = list(accumulate(cs + [0] * (a - 1)))
+    return [x - y for x, y in zip(sums, [0] * a + sums)]
+
+
+def _times_z_minus_one(cs: list[int], n: int) -> list[int]:
+    """Coefficients of (z-1)^n times cs, one difference pass per factor."""
+    for _ in range(n):
+        cs = [y - x for x, y in zip(cs + [0], [0] + cs)]
+    return cs
+
+
+def _repunit_rule(arms: tuple[int, ...], c: int) -> list[int]:
+    """(z + c) prod_i [a_i] - z sum_i [a_i - 1] prod_{j!=i} [a_j], arm by arm."""
+    prod, rest = [1], []
     for a in arms:
-        prod_all = prod_all * IntPoly.x_pow_minus_one(a)
-    acc = IntPoly.zero()
-    for i, a in enumerate(arms):
-        term = IntPoly.x_pow_minus_one(a - 1)
-        for j, b in enumerate(arms):
-            if j != i:
-                term = term * IntPoly.x_pow_minus_one(b)
-        acc = acc + term
-    return prod_all, acc.shift(1)
-
-
-def p_polynomial(tree: StarTree) -> IntPoly:
-    """Exact expansion of (z-1)^(r+1) * R_T from the arm lengths."""
-    prod_all, arm_sum = _arm_product_and_sum(tree.arms)
-    return prod_all * IntPoly.from_coeffs([1, 1]) - arm_sum
+        # a product rule over the arms so far: prod = prod_j [a_j] and
+        # rest = sum_i [a_i - 1] prod_{j != i} [a_j], one degree lower
+        rest = [x + y for x, y in zip(_times_repunit(rest, a), _times_repunit(prod, a - 1))]
+        prod = _times_repunit(prod, a)
+    return [c * x + y - z for x, y, z in zip(prod + [0], [0] + prod, [0] + rest + [0])]
 
 
 def coxeter_polynomial(tree: StarTree) -> IntPoly:
-    """R_T = P / (z-1)^(r+1); its degree equals the vertex count."""
-    p = p_polynomial(tree)
-    divisor = IntPoly.from_coeffs([-1, 1]) ** (tree.r + 1)
-    try:
-        rt = p.exact_div(divisor)
-    except NotDivisible as exc:  # mathematically impossible; implementation bug
-        raise InternalInconsistency(
-            f"(z-1)^{tree.r + 1} does not divide P for arms {tree.arms}"
-        ) from exc
-    return rt
+    """R_T, the repunit rule with c = 1; its degree equals the vertex count."""
+    return IntPoly.from_coeffs(_repunit_rule(tree.arms, 1))
+
+
+def p_polynomial(tree: StarTree) -> IntPoly:
+    """P = (z-1)^(r+1) R_T, R_T with cleared denominators."""
+    rt = coxeter_polynomial(tree)
+    return IntPoly.from_coeffs(_times_z_minus_one(list(rt.coeffs), tree.r + 1))
 
 
 def block_polys(a0: int, delta: int) -> tuple[IntPoly, IntPoly, IntPoly]:
@@ -166,7 +170,8 @@ def limit_polynomial(prefix_arms: tuple[int, ...], r: int) -> IntPoly:
         (z + 1 - r + k) prod_{i<=k} (z^{a_i} - 1)
             - z sum_{i<=k} (z^{a_i - 1} - 1) prod_{j<=k, j!=i} (z^{a_j} - 1)
 
-    whose dominant root is the limit of the tree's Salem roots.
+    whose dominant root is the limit of the tree's Salem roots. It is
+    (z-1)^(k+1) times ``_repunit_rule`` of the prefix with c = 1 - r + k.
     """
     prefix = tuple(int(a) for a in prefix_arms)
     k = len(prefix) - 1
@@ -178,8 +183,7 @@ def limit_polynomial(prefix_arms: tuple[int, ...], r: int) -> IntPoly:
         raise ValueError("arm lengths must be >= 2")
     if any(a >= b for a, b in zip(prefix, prefix[1:])):
         raise OrderError(f"prefix arms must be strictly increasing, got {prefix}")
-    prod_all, arm_sum = _arm_product_and_sum(prefix)
-    return prod_all * IntPoly.from_coeffs([1 - r + k, 1]) - arm_sum
+    return IntPoly.from_coeffs(_times_z_minus_one(_repunit_rule(prefix, 1 - r + k), k + 1))
 
 
 def mbonacci_poly(m: int) -> IntPoly:

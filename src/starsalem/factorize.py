@@ -44,7 +44,6 @@ arithmetic.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -638,15 +637,15 @@ def multiplicity_bound(a0: int, delta: int) -> MultiplicityBoundTrace:
 
 def verify_mann(
     a: int, b: int, c: int, p: int, q: int, search_order: int
-) -> list[tuple[int, complex]]:
+) -> list[tuple[int, int]]:
     """Roots of unity of order <= search_order with a*z^p + b*z^q + c == 0.
 
     Clearing negative exponents gives the integer polynomial
     g = x^(-min(p, q, 0)) * (a*x^p + b*x^q + c), which vanishes at a
     primitive n-th root exactly when Phi_n divides it; the orders come
-    from ``cyclotomic_divisors``. Returns one (order, root) pair per
-    primitive root of each such order. Every returned order divides
-    6*gcd(p, q).
+    from ``cyclotomic_divisors``. Returns the exact pair (n, j) of each
+    primitive root exp(2 pi i j / n), 0 <= j < n and gcd(j, n) = 1, of each
+    such order n. Every returned order divides 6*gcd(p, q).
     """
     if a == 0 or b == 0 or c == 0:
         raise ValueError("a, b, c must be nonzero")
@@ -661,7 +660,7 @@ def verify_mann(
         + IntPoly.monomial(-low, c)
     )
     return [
-        (n, cmath.exp(2j * cmath.pi * j / n))
+        (n, j)
         for n in cyclotomic_divisors(g, search_order)
         for j in range(n)
         if math.gcd(j, n) == 1

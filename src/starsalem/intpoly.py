@@ -72,13 +72,6 @@ class IntPoly:
             return IntPoly(())
         return IntPoly((0,) * exponent + (int(coeff),))
 
-    @staticmethod
-    def x_pow_minus_one(n: int) -> "IntPoly":
-        """x**n - 1"""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return IntPoly((-1,) + (0,) * (n - 1) + (1,))
-
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .coxeter import StarTree, coxeter_polynomial, limit_polynomial, mbonacci_poly
+from .coxeter import StarTree, limit_polynomial, mbonacci_poly
 from .factorize import CoxeterFactorization, factor_coxeter
 from .intpoly import BALL_BITS, IntPoly
 
@@ -379,25 +379,20 @@ def certify_tree(fz: CoxeterFactorization, digits: int = 30) -> Optional[RootCer
     )
 
 
-def converge_mbonacci(
-    a0: int,
-    eta: int,
-    a1_values: Sequence[int],
-    digits: int = 30,
+def _convergence_sweep(
+    limit_poly: IntPoly, trees: Sequence[StarTree], digits: int
 ) -> list[ConvergenceRecord]:
-    """Salem roots of T(a0, a1, a1 + eta) against the a0-bonacci number."""
-    if a0 < 2:
-        raise ValueError("a0 must be >= 2")
-    if eta < 1:
-        raise ValueError("eta must be >= 1")
-    limit, _ = dominant_root(mbonacci_poly(a0), digits)
+    """Salem roots of the trees against the dominant root of limit_poly.
+
+    Each tree is factored and its Salem factor rooted; a tree whose
+    remainder is 1 has no root off the unit circle and gets a note.
+    """
+    limit, _ = dominant_root(limit_poly, digits)
     limit_str = fraction_to_decimal(limit, digits)
     records = []
-    for a1 in a1_values:
-        if a1 <= a0:
-            raise ValueError(f"a1 must exceed a0, got a1={a1}, a0={a0}")
-        tree = StarTree((a0, a1, a1 + eta))
-        if tree.excluded:
+    for tree in trees:
+        fz = factor_coxeter(tree)
+        if fz.salem_factor.degree() < 1:
             records.append(
                 ConvergenceRecord(
                     arms=tree.arms,
@@ -409,7 +404,6 @@ def converge_mbonacci(
                 )
             )
             continue
-        fz = factor_coxeter(tree)
         tau, _ = dominant_root(fz.salem_factor, digits)
         gap = abs(tau - limit)
         records.append(
@@ -422,6 +416,24 @@ def converge_mbonacci(
             )
         )
     return records
+
+
+def converge_mbonacci(
+    a0: int,
+    eta: int,
+    a1_values: Sequence[int],
+    digits: int = 30,
+) -> list[ConvergenceRecord]:
+    """Salem roots of T(a0, a1, a1 + eta) against the a0-bonacci number."""
+    if a0 < 2:
+        raise ValueError("a0 must be >= 2")
+    if eta < 1:
+        raise ValueError("eta must be >= 1")
+    for a1 in a1_values:
+        if a1 <= a0:
+            raise ValueError(f"a1 must exceed a0, got a1={a1}, a0={a0}")
+    trees = [StarTree((a0, a1, a1 + eta)) for a1 in a1_values]
+    return _convergence_sweep(mbonacci_poly(a0), trees, digits)
 
 
 def converge_general(
@@ -442,19 +454,5 @@ def converge_general(
         if any(a >= b for a, b in zip(arms, arms[1:])):
             raise ValueError(f"full arm vector must be strictly increasing, got {arms}")
         schedule.append(arms)
-    limit, _ = dominant_root(limit_polynomial(prefix, r), digits)
-    limit_str = fraction_to_decimal(limit, digits)
-    records = []
-    for arms in schedule:
-        tau, _ = dominant_root(coxeter_polynomial(StarTree(arms)), digits)
-        gap = abs(tau - limit)
-        records.append(
-            ConvergenceRecord(
-                arms=arms,
-                tau=fraction_to_decimal(tau, digits),
-                limit_value=limit_str,
-                gap=fraction_to_decimal(gap, digits),
-                gap_value=gap,
-            )
-        )
-    return records
+    limit_poly = limit_polynomial(prefix, r)  # checks the prefix's arms first
+    return _convergence_sweep(limit_poly, [StarTree(arms) for arms in schedule], digits)

@@ -168,6 +168,20 @@ def test_converge_excluded_goes_to_stderr(capsys):
     assert "note" in err
 
 
+def test_both_sweeps_note_a_remainder_of_one(capsys):
+    # R_T(2, 3, 4) is a product of cyclotomics; both sweeps note the tree
+    # and give T(2, 6, 7) the same row against the same limit, the golden ratio
+    general = run(
+        capsys, "converge", "general", "--prefix", "2", "--r", "2", "--tails", "3:4,6:7"
+    )
+    mbonacci = run(capsys, "converge", "mbonacci", "--a0", "2", "--eta", "1", "--a1", "3,6")
+    assert general == mbonacci
+    rc, out, err = general
+    assert rc == 0
+    assert [row["a_arms"] for row in csv.DictReader(io.StringIO(out))] == ["2 6 7"]
+    assert err == "note: arms (2, 3, 4): skipped: no root leaves the unit circle for these arms\n"
+
+
 def test_scan_csv(capsys):
     rc, out, _ = run(capsys, "scan", "--a0", "2", "--eta", "1", "--k-max", "6", "--a1", "4:10")
     assert rc == 0
@@ -196,8 +210,8 @@ def test_bound_json(capsys):
 def test_mann_json(capsys):
     rc, out, _ = run(capsys, "mann", "1", "1", "1", "1", "2", "--search-order", "30")
     assert rc == 0
-    doc = json.loads(out)
-    assert [d["order"] for d in doc] == [3, 3]
+    # exp(2 pi i j / n) as the exact pair (order n, numerator j)
+    assert json.loads(out) == [{"order": 3, "numerator": 1}, {"order": 3, "numerator": 2}]
 
 
 def test_mann_tall_coefficients(capsys):
@@ -393,9 +407,11 @@ def test_json_but_the_degree_bound_is_pinned(capsys, command):
     assert digest == PINNED_JSON_BUT_DEGREE_BOUND[command]
 
 
-# the console-script commands of CI, less the three slowest, plus poly and bound
+# the console-script commands of CI, less the three slowest
 NO_NUMPY_COMMANDS = [
     "poly 2 3 7",
+    "poly 2 4 10 11 --format json",
+    "converge general --prefix 2 --r 2 --tails 3:4,6:7 --digits 20",
     "factor 2 3 7",
     "factor 5 40 1005 --json",
     "factor 3 3 5 --json",

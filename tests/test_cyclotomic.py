@@ -36,7 +36,7 @@ def test_product_identity_up_to_200():
         for d in range(1, n + 1):
             if n % d == 0:
                 prod = prod * table.cyclotomic(d)
-        assert prod == IntPoly.x_pow_minus_one(n), n
+        assert prod == IntPoly.monomial(n) - IntPoly.one(), n
 
 
 def test_degree_equals_phi_up_to_2000():
@@ -113,7 +113,7 @@ def test_divides_coxeter_folding():
     assert not table.divides_coxeter(4, f)
     assert not table.divides_coxeter(5, f)
     # folding agrees with plain division on larger inputs
-    g = IntPoly.x_pow_minus_one(60)
+    g = IntPoly.monomial(60) - IntPoly.one()
     for k in (1, 2, 5, 6, 12, 20, 60, 7, 9, 11):
         assert table.divides_coxeter(k, g) == table.cyclotomic(k).divides(g)
 

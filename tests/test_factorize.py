@@ -504,16 +504,16 @@ def test_circle_bound_runs_once_per_a0():
 # ----------------------------------------------------------------------
 
 def test_mann_forces_one():
-    hits = verify_mann(1, 1, -2, 1, 1, 50)
-    assert [n for n, _ in hits] == [1]
-    assert abs(hits[0][1] - 1.0) < 1e-12
+    # z = exp(2 pi i 0 / 1) = 1
+    assert verify_mann(1, 1, -2, 1, 1, 50) == [(1, 0)]
 
 
 def test_mann_cube_roots():
     hits = verify_mann(1, 1, 1, 1, 2, 50)
-    assert sorted(n for n, _ in hits) == [3, 3]
-    for n, z in hits:
-        assert abs(z**3 - 1) < 1e-9 and abs(z - 1) > 0.5
+    assert hits == [(3, 1), (3, 2)]
+    for n, j in hits:
+        z = np.exp(2j * np.pi * j / n)
+        assert abs(z + z**2 + 1) < 1e-12
 
 
 def test_mann_no_solutions():
