@@ -360,7 +360,8 @@ def test_format_takes_only_what_the_subcommand_writes(capsys, argv, bad):
 # entered dominant_root and sign_at, the factor digest when the multiplicity
 # bound's circle scan became an exact proof (which lowered m, and with it
 # degree_lower_bound), the poly and converge general digests while R_T was
-# still divided out of P; every byte must stay the same
+# still divided out of P, the bound digests while multiplicity_bound still
+# selected n0 and c in Fraction arithmetic; every byte must stay the same
 PINNED_STDOUT = {
     "converge mbonacci --a0 3 --eta 2 --a1 19,31 --digits 1000":
         "d3070fb1e6629a38e6e7bbe74ec74f153c51152b37891da108304b844c27cd5b",
@@ -380,6 +381,16 @@ PINNED_STDOUT = {
         "2abe3f57d93dec319d91f543c6720aec34a4747971b27bd3887d8f4b5db6787a",
     "converge general --prefix 2,4 --r 3 --tails 10:11,20:21,40:41 --digits 200":
         "5591dd6b68f28965641842d80d406d957b8b635b4844956c19e46fc77fba9859",
+    "bound 2 1":
+        "40bd053ccf049a8b4ea06161b55481960fed7ad9e8c2ac8d22ccf13000ae7b81",
+    "bound 7 3":
+        "417490961dfa1a37b1f08a5a0f57a9cddd15f3f0f5d55bbefe5c219fc3a4dfb4",
+    "bound 20 13":
+        "1f09d8a97cc6cd520e4222815dd45811d648ea52586d1b0b79fa3ef620a1c7ba",
+    "bound 25 20":
+        "0b10e3ffa677f5f4b06a03d8fba3d25dfa93eed5d834742658cd3d17dbc2e8fb",
+    "bound 5 965":
+        "d2046d0fec421b0e8cc1e4f9e9f3ef1602f54b11fa1d2bdcb2ddbb4661561278",
 }
 
 # sha256 of the sorted-key JSON without degree_lower_bound, recorded when its
