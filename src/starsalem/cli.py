@@ -5,11 +5,11 @@ bound, mann. ``factor`` takes a tree with any number of arms, in any
 order: its sieve needs no order cap. Ranges are ``lo:hi`` with lo <= hi.
 Data goes to stdout (or --output), diagnostics to stderr.
 Numeric fields in machine-readable output are exact decimal strings,
-never binary floats. Exit codes: 0 success, 2 usage error, 3 for a
-classification failure (a remainder other than 1 that the exact Salem
-certificate does not prove), a periodicity violation or a polynomial
-with no root above 1. ``factor`` prints the label the certificate
-decided, and nothing on stdout when it fails.
+never binary floats. Exit codes: 0 success, 2 usage error or unwritable
+--output, 3 for a classification failure (a remainder other than 1 that
+the exact Salem certificate does not prove), a periodicity violation or
+a polynomial with no root above 1. ``factor`` prints the label the
+certificate decided, and nothing on stdout when it fails.
 """
 
 from __future__ import annotations
@@ -336,7 +336,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ClassificationError, PeriodicityViolation, NoSignChange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (ValueError, CertificationError) as exc:
+    except (ValueError, CertificationError, OSError) as exc:  # OSError: --output
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

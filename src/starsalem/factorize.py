@@ -38,8 +38,8 @@ min_{|z|=1} |Qtilde(z)| is the grid value n/10^12 just below it, proved
 in the trace basis (|Qtilde|^2 = U(z + 1/z) > eta^2 on [-2, 2], by
 exact Bernstein coefficients with bisection; a float search only picks
 where to cut), all remaining suprema are bounded by coefficient-sum
-norms, and the selection inequalities are evaluated in exact rational
-arithmetic.
+norms, and the selection inequalities are decided in integers:
+cross-multiplied by the denominators of eta = p/q and of each term.
 """
 
 from __future__ import annotations
@@ -124,10 +124,12 @@ class MultiplicityBoundTrace:
     grid_points: int  # pieces of [-2, 2] the circle proof examined
 
     def to_json_dict(self) -> dict:
+        # eta_lower is n/10^12 by construction: print n's digits, never rounded up
+        whole, frac = divmod(int(self.eta_lower * _ETA_SCALE), _ETA_SCALE)
         return {
             "a0": self.a0,
             "delta": self.delta,
-            "eta_lower": _fraction_str(self.eta_lower),
+            "eta_lower": f"{whole}.{frac:012d}",
             "eta_lower_exact": f"{self.eta_lower.numerator}/{self.eta_lower.denominator}",
             "f0_upper": self.f0_upper,
             "en_upper": self.en_upper,
@@ -138,20 +140,6 @@ class MultiplicityBoundTrace:
             "m": self.m,
             "grid_points": self.grid_points,
         }
-
-
-def _fraction_str(x: Fraction, places: int = 12) -> str:
-    """Fixed-point decimal string, truncated toward zero.
-
-    ``eta_lower`` is a lower bound and must never print rounded up, so
-    this is kept apart from ``roots.fraction_to_decimal``, which rounds to
-    nearest: ``bound 2 1`` prints 0.997699028622, where rounding would
-    give 0.997699028623.
-    """
-    scale = 10**places
-    q, r = divmod(abs(x.numerator) * scale, x.denominator)
-    sign = "-" if x < 0 else ""
-    return f"{sign}{q // scale}.{str(q % scale).zfill(places)}"
 
 
 # ----------------------------------------------------------------------
@@ -558,6 +546,17 @@ def _halves(b: list[int]) -> tuple[list[int], list[int]]:
     return left, right[::-1]
 
 
+def _derivative_norms(f: IntPoly, n: int) -> list[int]:
+    """||f^(k)||_1 for k = 1..n in one pass: row k holds |c_i| (i)_k, and
+    each row is the one before times (i - k + 1)."""
+    row = [abs(c) for c in f.coeffs]
+    norms = []
+    for k in range(1, n + 1):
+        row = [x * (i - k + 1) for i, x in enumerate(row)]
+        norms.append(sum(row))
+    return norms
+
+
 def multiplicity_bound(a0: int, delta: int) -> MultiplicityBoundTrace:
     """Effectively computable bound m(a0, delta) on unit-circle root
     multiplicities of P for three-arm trees with a2 - a1 = delta.
@@ -565,13 +564,17 @@ def multiplicity_bound(a0: int, delta: int) -> MultiplicityBoundTrace:
     Recipe: divide the blocks by their common root at 1, certify
     eta < min |Qtilde| on the circle (``_certified_circle_min``; Qtilde
     depends on a0 alone, so this runs once per a0), bound the block
-    derivatives by coefficient sums, pick the smallest n0 with
+    derivatives by coefficient sums (E and F the largest over orders
+    1..n0, G at order n0), pick the smallest n0 with
     eta - 2^(1-n0) * F0 > 0, then the smallest c making
 
         eta - 2^(1-n0) F0 - 2^(n0-1)(E+F)/(s-n0+1) - G/(s)_(n0) > 0
 
     for all s = a1 + a2 > c. Trees with a1 + a2 <= c have
     deg Ptilde <= c + a0, so m = max(n0, c + a0) + 1 works in all cases.
+    Both are decided in integers, with eta = p/q: n0 is
+    1 + bitlength(F0 q // p), and c's inequality is multiplied through by
+    its denominators.
     """
     if a0 < 2:
         raise ValueError("a0 must be >= 2")
@@ -583,37 +586,32 @@ def multiplicity_bound(a0: int, delta: int) -> MultiplicityBoundTrace:
     eta_lower, grid_points = _certified_circle_min(q_tilde)
     f0_upper = r_tilde.l1()
 
-    n0 = 1
-    while eta_lower - Fraction(2) ** (1 - n0) * f0_upper <= 0:
-        n0 += 1
-        if n0 > 10_000:
-            raise CertificationError("n0 selection did not terminate")
+    p, q = eta_lower.numerator, eta_lower.denominator
+    n0 = 1 + (f0_upper * q // p).bit_length()  # the least n0 with p 2^(n0-1) > F0 q
+    en_upper = max(_derivative_norms(q_tilde, n0))
+    fn_upper = max(_derivative_norms(r_tilde, n0))
+    gn_upper = _derivative_norms(s_tilde, n0)[-1]
 
-    en_upper = max(q_tilde.derivative(k).l1() for k in range(1, n0 + 1))
-    fn_upper = max(r_tilde.derivative(k).l1() for k in range(1, n0 + 1))
-    gn_upper = s_tilde.derivative(n0).l1()
+    # eta - 2^(1-n0) F0 = head/den > 0 and 2^(n0-1)(E+F) = mid, so c's
+    # inequality at s >= n0 is head/den > mid/(s-n0+1) + G/(s)_(n0), cross-multiplied
+    scale = 1 << (n0 - 1)
+    head, den, mid = p * scale - f0_upper * q, q * scale, scale * (en_upper + fn_upper)
 
-    head = eta_lower - Fraction(2) ** (1 - n0) * f0_upper
+    def holds(s: int) -> bool:
+        span, perm = s - n0 + 1, math.perm(s, n0)
+        return head * span * perm > den * (mid * perm + gn_upper * span)
 
-    def bracket_positive(s: int) -> bool:
-        if s < n0:
-            return False
-        mid = Fraction(2 ** (n0 - 1) * (en_upper + fn_upper), s - n0 + 1)
-        tail = Fraction(gn_upper, math.perm(s, n0))  # the falling factorial (s)_(n0)
-        return head - mid - tail > 0
-
+    # the right side falls to 0 as s grows and head > 0, so the doubling stops
     s_hi = n0
-    while not bracket_positive(s_hi):
+    while not holds(s_hi):
         s_hi *= 2
-        if s_hi > 1 << 200:
-            raise CertificationError("bracket never became positive")
-    s_lo = n0 - 1  # bracket_positive is monotone for s >= n0
+    s_lo = n0 - 1  # holds is monotone for s >= n0
     while s_lo + 1 < s_hi:
-        mid = (s_lo + s_hi) // 2
-        if bracket_positive(mid):
-            s_hi = mid
+        s = (s_lo + s_hi) // 2
+        if holds(s):
+            s_hi = s
         else:
-            s_lo = mid
+            s_lo = s
     c = s_hi - 1
 
     return MultiplicityBoundTrace(

@@ -238,3 +238,25 @@ def scanned_circle_min(cs):
             return bound
         n *= 2
     raise AssertionError("no positive circle bound up to 2^26 samples")
+
+
+def multiplicity_head(eta, f0: int, n0: int) -> Fraction:
+    """eta - 2^(1-n0) F0: the paper's n0 is the least n0 >= 1 that makes
+    this positive."""
+    return eta - Fraction(2) ** (1 - n0) * f0
+
+
+def multiplicity_bracket_holds(eta, f0: int, e: int, f: int, g: int, n0: int, s: int) -> bool:
+    """The paper's inequality for c at s = a1 + a2, in Fraction form:
+
+        eta - 2^(1-n0) F0 - 2^(n0-1)(E+F)/(s-n0+1) - G/(s)_(n0) > 0,
+
+    taken as false for s < n0; the paper's c is the largest s where it
+    fails."""
+    if s < n0:
+        return False
+    falling = 1
+    for i in range(n0):
+        falling *= s - i
+    middle = Fraction(2 ** (n0 - 1) * (e + f), s - n0 + 1)
+    return multiplicity_head(eta, f0, n0) - middle - Fraction(g, falling) > 0

@@ -241,6 +241,15 @@ def test_output_to_file(tmp_path, capsys):
     assert json.loads(target.read_text())["m"] == 37
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    rc, out, err = run(capsys, "factor", "2", "3", "7", "--output", str(target))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+    assert not target.exists()
+
+
 def test_failing_certificate_is_a_data_error(capsys, monkeypatch):
     import starsalem.factorize as factorize
 

@@ -28,11 +28,21 @@ from starsalem import (
     verify_mann,
     verify_order_bound,
 )
+from starsalem.coxeter import block_polys
 from starsalem.cyclotomic import default_table, phi_inverse_bound
 import starsalem.factorize as factorize
 from starsalem.factorize import classify_remainder
 
-from oracles import divides_poly, eval_exact, pmul, root_moduli, scanned_circle_min, trace_poly
+from oracles import (
+    divides_poly,
+    eval_exact,
+    multiplicity_bracket_holds,
+    multiplicity_head,
+    pmul,
+    root_moduli,
+    scanned_circle_min,
+    trace_poly,
+)
 
 
 def poly(*cs):
@@ -408,14 +418,34 @@ def test_multiplicity_trace_2_1():
     assert tr.m == 37
 
 
-def test_multiplicity_trace_invariants():
-    for a0 in (2, 3, 4):
-        for delta in (1, 2, 3):
-            tr = multiplicity_bound(a0, delta)
-            assert tr.eta_lower > 0
-            assert tr.eta_lower - Fraction(2) ** (1 - tr.n0) * tr.f0_upper > 0
-            assert tr.m == max(tr.n0, tr.c + tr.a0) + 1
-            assert tr.m >= 1
+def test_multiplicity_trace_invariants(monkeypatch):
+    """n0 and c are the least values that pass the paper's inequalities,
+    decided by the Fraction oracle, and E, F, G are the norms of the
+    blocks' derivatives."""
+
+    def check(tr):
+        q, r, s = (b.exact_div(poly(-1, 1)) for b in block_polys(tr.a0, tr.delta))
+        assert tr.f0_upper == r.l1()
+        assert tr.en_upper == max(q.derivative(k).l1() for k in range(1, tr.n0 + 1))
+        assert tr.fn_upper == max(r.derivative(k).l1() for k in range(1, tr.n0 + 1))
+        assert tr.gn_upper == s.derivative(tr.n0).l1()
+        assert tr.eta_lower > 0
+        assert multiplicity_head(tr.eta_lower, tr.f0_upper, tr.n0) > 0
+        assert tr.n0 == 1 or multiplicity_head(tr.eta_lower, tr.f0_upper, tr.n0 - 1) <= 0
+        args = (tr.eta_lower, tr.f0_upper, tr.en_upper, tr.fn_upper, tr.gn_upper, tr.n0)
+        assert multiplicity_bracket_holds(*args, tr.c + 1)
+        assert not multiplicity_bracket_holds(*args, tr.c)
+        assert tr.m == max(tr.n0, tr.c + tr.a0) + 1
+
+    for a0 in range(2, 26):
+        for delta in range(1, 21):
+            check(multiplicity_bound(a0, delta))
+    # at eta = 10^-12, the smallest the circle proof can return, c passes
+    # 2^200, where the doubling once gave up on a bound that exists
+    monkeypatch.setattr(factorize, "_certified_circle_min", lambda f: (Fraction(1, 10**12), 1))
+    tr = multiplicity_bound(25, 20)
+    assert tr.c.bit_length() > 200
+    check(tr)
 
 
 def test_multiplicity_bound_validation():
