@@ -170,7 +170,12 @@ def _cmd_factor(args, parser) -> int:
         f"remainder (degree {fz.salem_factor.degree()}): {fz.salem_factor}",
         f"order bound: {fz.proven_order_bound or 'none'}",
         f"unramified: {fz.unramified}",
-        f"degree lower bound: {degree_lower}",
+        "degree lower bound: "
+        + (
+            "none" if degree_lower is None
+            else f"vacuous ({degree_lower})" if degree_lower <= 0
+            else str(degree_lower)
+        ),
     ]
     if cert is not None:
         lines += [

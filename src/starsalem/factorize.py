@@ -45,14 +45,14 @@ cross-multiplied by the denominators of eta = p/q and of each term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import default_table, phi_inverse_bound
 from .coxeter import ArityError, OrderError, StarTree, block_polys, coxeter_polynomial
-from .intpoly import IntPoly, NotDivisible, taylor_shift
+from .intpoly import IntPoly, taylor_shift
 
 ORDER_BOUND_FACTOR = 420
 
@@ -126,19 +126,9 @@ class MultiplicityBoundTrace:
     def to_json_dict(self) -> dict:
         # eta_lower is n/10^12 by construction: print n's digits, never rounded up
         whole, frac = divmod(int(self.eta_lower * _ETA_SCALE), _ETA_SCALE)
-        return {
-            "a0": self.a0,
-            "delta": self.delta,
+        return asdict(self) | {
             "eta_lower": f"{whole}.{frac:012d}",
             "eta_lower_exact": f"{self.eta_lower.numerator}/{self.eta_lower.denominator}",
-            "f0_upper": self.f0_upper,
-            "en_upper": self.en_upper,
-            "fn_upper": self.fn_upper,
-            "gn_upper": self.gn_upper,
-            "n0": self.n0,
-            "c": self.c,
-            "m": self.m,
-            "grid_points": self.grid_points,
         }
 
 
@@ -190,19 +180,20 @@ def extract_cyclotomic(f: IntPoly) -> tuple[dict[int, int], IntPoly]:
     Returns (multiplicities, remainder) with
     prod_k Phi_k^[m_k] * remainder == f exactly. The orders come from one
     ``cyclotomic_divisors`` call on f (the remainder divides f, so no
-    order outside that list can divide it); each is then divided out as
-    often as it goes.
+    order outside that list can divide it). The sieve settled that Phi_k
+    divides f, and so the remainder, which lost only factors prime to it:
+    Phi_k is divided out once untested, then again while
+    ``divides_coxeter`` says it divides the remainder.
     """
+    table = default_table()
     mults: dict[int, int] = {}
     rem = f
     for k in cyclotomic_divisors(f):
-        phi_k = default_table().cyclotomic(k)
-        while rem.degree() >= phi_k.degree():
-            try:
-                rem = rem.exact_div(phi_k)
-            except NotDivisible:
-                break
-            mults[k] = mults.get(k, 0) + 1
+        phi_k = table.cyclotomic(k)
+        mults[k] = 0
+        while not mults[k] or table.divides_coxeter(k, rem):
+            rem = rem.exact_div(phi_k)
+            mults[k] += 1
     return mults, rem
 
 

@@ -187,8 +187,12 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     the Newton point leaves the bracket, the step fails to halve the one
     before, or a cell is not proved, so a start far from the root cannot
     crawl towards it by about x/deg a step. The value behind each step has
-    the exact sign of f at the point, and before each bisection the last
-    points on either side of the root move the bracket's ends.
+    the exact sign of f at the point. A bisection's midpoint moves its end
+    of the bracket at once, and the last points on either side of the root
+    move the ends before the next one, so each bisection at least halves
+    the bracket. There is no step cap: the loop ends on an exact zero, a
+    proved cell, or a bracket one cell wide, where its midpoint's cell or a
+    neighbour is proved or the ArithmeticError raised.
 
     Only the bracket's ends and the cell are Fractions. A Newton step
     at x = p/q works on integers A and B with f(x)/f'(x) = A/(qB): the
@@ -250,11 +254,15 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     step_num, step_den = 1, 0
     # the last points p/q with f of the sign s_lo, and of the other sign
     below = above = None
+    mid = None  # p/q when it is the midpoint of a bisection
 
     deg = len(f.coeffs) - 1
     df = f.derivative(1)
     top_bits = (10 ** (digits + 9)).bit_length()
-    for _ in range(120):
+    # every accepted Newton step at least halves the one before, and every
+    # bisection halves the bracket, so the loop reaches either a step below
+    # 1/(16 S) or a bracket one cell wide
+    while True:
         a = None
         if deg * max(p.bit_length(), q.bit_length()) >= BALL_BITS:
             # the new point is rounded to about twice the places of x, but
@@ -271,11 +279,12 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
             if a == 0:
                 return root_at(Fraction(p, q))
             b, _ = df.scaled_value(p, q)
-        # A has the exact sign of f(x)
+        # A has the exact sign of f(x); a midpoint moves its end at once
         if (a > 0) == (s_lo > 0):
-            below = (p, q)
+            below, lo = (p, q), mid or lo
         else:
-            above = (p, q)
+            above, hi = (p, q), mid or hi
+        mid = None
         # the Newton point is num/den with den = q|B| > 0, the step |A|/den
         num, den = (p * b - a, q * b) if b > 0 else (a - p * b, -q * b)
         if b and inside(num, den) and 2 * abs(a) * step_den < step_num * den:
@@ -297,24 +306,15 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
             lo = Fraction(*below)
         if above and inside(*above):
             hi = Fraction(*above)
-        step_num, step_den = ((hi - lo) / 2).as_integer_ratio()
-        p, q = ((lo + hi) / 2).as_integer_ratio()
-
-    while hi - lo > Fraction(1, scale):
         mid = (lo + hi) / 2
-        s = f.sign_at(mid)
-        if s == 0:
-            return root_at(mid)
-        if s == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    # the root is within 1/(2S) of the midpoint, so in its cell or a neighbour
-    p, q = ((lo + hi) / 2).as_integer_ratio()
-    found = proved_cell(p, q)
-    if found:
-        return found
-    raise ArithmeticError(f"{f.describe()} has roots closer together than 10^-{digits + 5}")
+        p, q = mid.as_integer_ratio()
+        if (hi - lo) * scale <= 1:
+            # the root is within 1/(2S) of the midpoint, so in its cell or a neighbour
+            found = proved_cell(p, q)
+            if found:
+                return found
+            raise ArithmeticError(f"{f.describe()} has roots closer together than 10^-{digits + 5}")
+        step_num, step_den = ((hi - lo) / 2).as_integer_ratio()
 
 
 def lambda_bracket(

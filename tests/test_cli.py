@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import starsalem.cli as cli
 import starsalem.factorize as factorize
 from starsalem import IntPoly
 from starsalem.cli import main
@@ -118,6 +119,26 @@ def test_factor_text(capsys):
     assert "tau: 1.176280818" in out
     assert "order bound: 2100\n" in out
     assert out.endswith("\nlambda: 2.006593618346\n")
+
+
+@pytest.mark.parametrize(
+    "arms, bound, line",
+    [
+        (("2", "3", "7"), -296321652, "vacuous (-296321652)"),
+        (("2", "3", "7"), 0, "vacuous (0)"),
+        (("2", "3", "7"), 5, "5"),
+        (("3", "3", "5"), None, "none"),
+    ],
+)
+def test_factor_text_says_when_the_degree_bound_is_vacuous(monkeypatch, capsys, arms, bound, line):
+    # the JSON keeps the exact integer, or null where no bound applies
+    if bound not in (None, -296321652):
+        monkeypatch.setattr(cli, "salem_degree_lower_bound", lambda tree, m: bound)
+    rc, out, _ = run(capsys, "factor", *arms)
+    assert rc == 0
+    assert f"\ndegree lower bound: {line}\n" in out
+    rc, out, _ = run(capsys, "factor", *arms, "--json")
+    assert json.loads(out)["degree_lower_bound"] == bound
 
 
 def test_factor_four_arms_needs_no_cap(capsys):
@@ -490,6 +511,14 @@ def test_readme_command_examples_run(capsys):
     for argv in commands:
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+def test_readme_factor_block_is_its_stdout(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("`factor 2 3 7` prints:\n\n```\n", 1)[1].split("```", 1)[0]
+    rc, out, _ = run(capsys, "factor", "2", "3", "7")
+    assert rc == 0
+    assert out == block
 
 
 def test_readme_library_example_prints_its_comments(capsys):

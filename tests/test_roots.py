@@ -358,12 +358,40 @@ def test_a_ball_that_holds_0_does_not_steer_newton(monkeypatch, sign_at_calls, h
     assert len(sign_at_calls) == signs
 
 
-@pytest.mark.parametrize("f", [LEHMER, T_20_30_1000], ids=["lehmer", "T20-30-1000"])
-def test_bisection_alone_gives_the_same_root(monkeypatch, f):
-    # with f' = 0 every Newton step falls back to bisection
-    expected = dominant_root(f, 30)
+@pytest.mark.parametrize(
+    "f, digits",
+    [(LEHMER, 30), (T_20_30_1000, 30), (LEHMER, 60)],
+    ids=["lehmer", "T20-30-1000", "lehmer-60"],
+)
+def test_bisection_alone_gives_the_same_root(monkeypatch, f, digits):
+    # with f' = 0 every Newton step falls back to bisection; at 60 digits
+    # the bracket (1, 3] takes 217 halvings to reach one cell
+    expected = dominant_root(f, digits)
     monkeypatch.setattr(IntPoly, "derivative", lambda self, n=1: IntPoly.zero())
-    assert dominant_root(f, 30) == expected
+    assert dominant_root(f, digits) == expected
+
+
+def test_newton_steps_away_from_the_root_do_not_slow_bisection(monkeypatch):
+    # with f' negated every Newton step heads away from the root. Were the
+    # ends moved only before a bisection, such steps could wander on the
+    # midpoint's side and leave the next bracket wider than half; as the
+    # midpoint moves its end at once, they leave the bracket and are refused
+    expected = dominant_root(LEHMER, 60)
+    derivative = IntPoly.derivative
+    values = []
+    for name in ("scaled_value", "ball_value"):
+        method = getattr(IntPoly, name)
+        monkeypatch.setattr(
+            IntPoly, name, lambda self, *args, method=method: values.append(1) or method(self, *args)
+        )
+    counts = []
+    for guide in (lambda self, n=1: IntPoly.zero(), lambda self, n=1: -derivative(self, n)):
+        monkeypatch.setattr(IntPoly, "derivative", guide)
+        values.clear()
+        assert dominant_root(LEHMER, 60) == expected
+        counts.append(len(values))
+    bisection_alone, away = counts
+    assert away <= bisection_alone + 8
 
 
 FLOAT_STARTS = {
