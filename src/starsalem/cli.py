@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -46,15 +47,28 @@ DATA_ERROR = 3
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w") as fh:
+def _run(args, parser) -> None:
+    """Write the subcommand's text to stdout, or to --output. That file is
+    opened to append before the work, so an unwritable path fails at once
+    and an existing file keeps its bytes unless the run succeeds; a file
+    made here goes again if the run fails."""
+    if not args.output:
+        sys.stdout.write(args.func(args, parser))
+        return
+    made = not os.path.exists(args.output)
+    fh = open(args.output, "a")
+    try:
+        with fh:
+            text = args.func(args, parser)
+            fh.truncate(0)
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except BaseException:
+        if made:
+            os.remove(args.output)
+        raise
 
 
 def _parse_arms(values: Sequence[str], parser: argparse.ArgumentParser) -> StarTree:
@@ -88,7 +102,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 # subcommand handlers
 # ----------------------------------------------------------------------
 
-def _cmd_poly(args, parser) -> int:
+def _cmd_poly(args, parser) -> str:
     tree = _parse_arms(args.arms, parser)
     if not tree.strictly_ordered:
         print(
@@ -114,8 +128,7 @@ def _cmd_poly(args, parser) -> int:
                 "s": blocks.s.json_coeffs(),
                 "shifts": list(blocks.shifts),
             }
-        _emit(_dump_json(doc) + "\n", args.output)
-        return 0
+        return _dump_json(doc)
     lines = [
         f"arms: {tree.arms}",
         f"coxeter polynomial (degree {rt.degree()}): {rt}",
@@ -129,11 +142,10 @@ def _cmd_poly(args, parser) -> int:
             f"S block: {blocks.s}",
             f"shifts: z^{blocks.shifts[0]} Q + z^{blocks.shifts[1]} R + S = P",
         ]
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_factor(args, parser) -> int:
+def _cmd_factor(args, parser) -> str:
     tree = _parse_arms(args.arms, parser)
     fz = factor_coxeter(tree)
     label = fz.classification  # an uncertified remainder exits 3 before any root is computed
@@ -154,8 +166,7 @@ def _cmd_factor(args, parser) -> int:
                 "lambda": cert.lam,
                 "bracket": [fraction_text(x) for x in cert.bracket],
             }
-        _emit(_dump_json(doc) + "\n", args.output)
-        return 0
+        return _dump_json(doc)
     lines = [
         f"arms: {tree.arms}",
         f"classification: {label}",
@@ -182,8 +193,7 @@ def _cmd_factor(args, parser) -> int:
             f"tau: {cert.tau}",
             f"lambda: {fraction_to_decimal(sum(cert.lam_bracket) / 2, 12)}",
         ]
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _convergence_csv(records) -> str:
@@ -196,7 +206,7 @@ def _convergence_csv(records) -> str:
     return _csv_text(["a_arms", "tau", "limit", "gap"], rows)
 
 
-def _cmd_converge(args, parser) -> int:
+def _cmd_converge(args, parser) -> str:
     if args.mode == "mbonacci":
         if args.a0 is None or args.eta is None or args.a1 is None:
             parser.error("converge mbonacci needs --a0, --eta and --a1")
@@ -211,11 +221,10 @@ def _cmd_converge(args, parser) -> int:
             for chunk in args.tails.split(",")
         ]
         records = converge_general(prefix, args.r, tails, digits=args.digits)
-    _emit(_convergence_csv(records), args.output)
-    return 0
+    return _convergence_csv(records)
 
 
-def _cmd_scan(args, parser) -> int:
+def _cmd_scan(args, parser) -> str:
     k_max = args.k_max
     if args.full_bound:
         k_max = ORDER_BOUND_FACTOR * (args.eta + args.a0 - 1)
@@ -224,32 +233,28 @@ def _cmd_scan(args, parser) -> int:
         [args.a0, args.eta, rec.arms[1], rec.k, rec.a1_mod_k, int(rec.divides)]
         for rec in records
     ]
-    _emit(_csv_text(["a0", "eta", "a1", "k", "a1_mod_k", "divides"], rows), args.output)
-    return 0
+    return _csv_text(["a0", "eta", "a1", "k", "a1_mod_k", "divides"], rows)
 
 
-def _cmd_grid(args, parser) -> int:
+def _cmd_grid(args, parser) -> str:
     summary = grid_verify(
         _parse_range(args.a0),
         _parse_range(args.a1),
         _parse_range(args.a2),
         digits=args.digits,
     )
-    _emit(_dump_json(summary) + "\n", args.output)
-    return 0
+    return _dump_json(summary)
 
 
-def _cmd_bound(args, parser) -> int:
+def _cmd_bound(args, parser) -> str:
     trace = multiplicity_bound(args.a0, args.delta)
-    _emit(_dump_json(trace.to_json_dict()) + "\n", args.output)
-    return 0
+    return _dump_json(trace.to_json_dict())
 
 
-def _cmd_mann(args, parser) -> int:
+def _cmd_mann(args, parser) -> str:
     hits = verify_mann(args.a, args.b, args.c, args.p, args.q, args.search_order)
     doc = [{"order": n, "numerator": j} for n, j in hits]
-    _emit(_dump_json(doc) + "\n", args.output)
-    return 0
+    return _dump_json(doc)
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +342,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "digits", 30) is not None and getattr(args, "digits", 30) < 10:
         parser.error("--digits must be at least 10")
     try:
-        return args.func(args, parser)
+        _run(args, parser)
+        return 0
     except (ClassificationError, PeriodicityViolation, NoSignChange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -13,17 +13,22 @@ module produces is derived from the arm-length vector:
                          r - k arms grow without bound
 * ``mbonacci_poly``      x^m - x^{m-1} - ... - x - 1
 * ``characteristic_polynomial``  chi_T, the characteristic polynomial of
-                         the tree's adjacency matrix
+                         the tree's adjacency matrix, unpacked from one
+                         point value of ``_chi_value``
 
 All computation is exact integer arithmetic. Multiplying by [a] is a
 windowed prefix sum, so R_T takes no general product and no division.
+chi_T is read through its values q^n chi_T(p/q), each one integer from
+the path recurrence; its coefficients are the balanced base-2^s digits
+of its value at 2^s, for a width s proved wide enough (``_slot_bits``).
 R_T is symmetric in the arms, so a tree stores its arms in ascending
 order: T(7, 3, 2) and T(2, 3, 7) are the same tree and get the same answers.
 
 A'Campo's identity (A'Campo 1976) ties the two polynomials of a tree on
 n vertices together: R_T(z) = z^(n/2) chi_T(z^(1/2) + z^(-1/2)). So a
 root tau > 1 of R_T gives the eigenvalue sqrt(tau) + 1/sqrt(tau) > 2 of
-the adjacency matrix; ``scan.grid_verify`` checks the identity exactly.
+the adjacency matrix; ``scan.grid_verify`` checks the identity exactly,
+at one point x = 2^s where equal values prove equal coefficients.
 """
 
 from __future__ import annotations
@@ -193,26 +198,64 @@ def mbonacci_poly(m: int) -> IntPoly:
     return IntPoly.from_coeffs([-1] * m + [1])
 
 
-def characteristic_polynomial(tree: StarTree) -> IntPoly:
-    """chi_T = det(x I - A) for the tree's adjacency matrix A, exactly.
+def _chi_value(tree: StarTree, p: int, q: int, plus: bool = False) -> int:
+    """q^n chi_T(p/q) for the tree's n vertices, as one integer, or with
+    plus=True the same rule with every minus made a plus (chi+, for q = 1).
 
-    Expanding along the centre c, whose neighbours u_i start the arms:
-
-        chi_T = x chi(T - c) - sum_i chi(T - c - u_i),
-
-    where T - c is the disjoint union of the paths P_{a_i - 1} and
-    T - c - u_i swaps P_{a_i - 1} for P_{a_i - 2}. Path polynomials follow
-    chi_{P_m} = x chi_{P_{m-1}} - chi_{P_{m-2}} (chi_{P_0} = 1,
-    chi_{P_1} = x). The product and the sum of products are accumulated
-    arm by arm, like a product rule, with three multiplications per arm.
+    Expanding det(x I - A) along the centre c, whose neighbours u_i start
+    the arms: chi_T = x chi(T - c) - sum_i chi(T - c - u_i), where T - c is
+    the disjoint union of the paths P_{a_i - 1} and T - c - u_i swaps
+    P_{a_i - 1} for P_{a_i - 2}; chi_{P_m} = x chi_{P_{m-1}} - chi_{P_{m-2}}.
+    Times q^m that is P_m = p P_{m-1} - q^2 P_{m-2} on the integers
+    P_m = q^m chi_{P_m}(p/q), and the result is p prod - q^2 rest. R_T takes
+    no part, so comparing the two proves something.
     """
-    paths = [IntPoly.one(), IntPoly.x()]
+    c = 1 if plus else -q * q
+    paths = [1, p]
     for _ in range(2, tree.arms[-1]):
-        paths.append(paths[-1].shift(1) - paths[-2])
-    prod, rest = IntPoly.one(), IntPoly.zero()
+        paths.append(p * paths[-1] + c * paths[-2])
+    prod, rest = 1, 0
     for a in tree.arms:
-        # over the arms so far: prod = prod_j chi(P_{a_j - 1}) and
-        # rest = sum_i chi(P_{a_i - 2}) prod_{j != i} chi(P_{a_j - 1})
+        # over the arms so far: prod = prod_j P_{a_j - 1} and
+        # rest = sum_i P_{a_i - 2} prod_{j != i} P_{a_j - 1}
         rest = rest * paths[a - 1] + prod * paths[a - 2]
-        prod = prod * paths[a - 1]
-    return prod.shift(1) - rest
+        prod *= paths[a - 1]
+    return p * prod + c * rest
+
+
+def _slot_bits(tree: StarTree, t: int) -> int:
+    """A width s with 2^(s-1) > |c| for every coefficient c of chi(x + t),
+    t >= 0, and also of x^n chi(x + 1/x) when t = 1.
+
+    Proof, for whatever polynomial chi the rule of ``_chi_value`` computes.
+    Read that rule over Z[y] with p = y and q = 1: it builds chi, and with
+    plus=True chi+. Each step adds, or multiplies by y or by earlier terms;
+    if f+ and g+ have nonnegative coefficients at least the |coefficients|
+    of f and g, then f+ + g+, y f+ and f+ g+ bound f +- g, y f and f g the
+    same way. So by induction chi+ bounds chi. Hence chi(x + t) =
+    sum c_k (x + t)^k is bounded coefficientwise by chi+(x + t), whose
+    coefficients are nonnegative with sum chi+(1 + t); and
+    x^n chi(x + 1/x) = sum c_k x^(n-k) (x^2 + 1)^k by x^n chi+(x + 1/x),
+    with sum chi+(2). s = bits(chi+(1 + t)) + 1 puts 2^(s-1) above that sum.
+    """
+    return _chi_value(tree, 1 + t, 1, plus=True).bit_length() + 1
+
+
+def _balanced_digits(v: int, s: int) -> list[int]:
+    """The digits d_k in [-2^(s-1), 2^(s-1)) of v = sum_k d_k 2^(sk), low
+    first: the coefficients of the polynomial with value v at 2^s whenever
+    all of them lie in that range."""
+    digits = []
+    while v:
+        d = v & ((1 << s) - 1)  # v mod 2^s, for either sign of v
+        d -= (d >> (s - 1)) << s  # into [-2^(s-1), 2^(s-1))
+        digits.append(d)
+        v = (v - d) >> s
+    return digits
+
+
+def characteristic_polynomial(tree: StarTree) -> IntPoly:
+    """chi_T = det(x I - A) for the tree's adjacency matrix A: the value of
+    ``_chi_value`` at 2^s, unpacked with the width s of ``_slot_bits``."""
+    s = _slot_bits(tree, 0)
+    return IntPoly(tuple(_balanced_digits(_chi_value(tree, 1 << s, 1), s)))

@@ -62,10 +62,6 @@ class IntPoly:
         return IntPoly((1,))
 
     @staticmethod
-    def x() -> "IntPoly":
-        return IntPoly((0, 1))
-
-    @staticmethod
     def monomial(exponent: int, coeff: int = 1) -> "IntPoly":
         """coeff * x**exponent"""
         if coeff == 0:
@@ -81,16 +77,9 @@ class IntPoly:
     def degree(self) -> Union[int, float]:
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
-    def constant(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
-
     def height(self) -> int:
         """Largest absolute coefficient (0 for the zero polynomial)."""
         return max((abs(c) for c in self.coeffs), default=0)
-
-    def length(self) -> int:
-        """Number of nonzero coefficients."""
-        return sum(1 for c in self.coeffs if c)
 
     def l1(self) -> int:
         """Sum of absolute coefficient values."""

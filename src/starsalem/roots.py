@@ -197,11 +197,12 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     Only the bracket's ends and the cell are Fractions. A Newton step
     at x = p/q works on integers A and B with f(x)/f'(x) = A/(qB): the
     Newton point is (pB - A)/(qB) and the step |A|/(q|B|). Where
-    deg * max(bits(p), bits(q)) reaches ``BALL_BITS``, A = q * c_f and
-    B = c_f' are the centres of integer balls around 2^w f(x) and
-    2^w f'(x) (``IntPoly.ball_value``), with w up to twice bits(q), when
-    both balls exclude 0. Otherwise A = q^d f(x) and B = q^(d-1) f'(x) are
-    exact (``IntPoly.scaled_value``). A rough step costs at most an
+    deg * max(bits(p), bits(q)) reaches ``BALL_BITS``, A = q * c_f is the
+    centre of an integer ball around 2^w f(x) (``IntPoly.ball_value``),
+    with w up to twice bits(q), when that ball excludes 0; then B = c_f',
+    the centre of the ball around 2^w f'(x), when it excludes 0 too, and
+    else B = 0, which bisects. Otherwise A = q^d f(x) and B = q^(d-1) f'(x)
+    are exact (``IntPoly.scaled_value``). A rough step costs at most an
     iteration: no Newton point decides the answer.
     """
     if digits < 1:
@@ -271,9 +272,10 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
             w = min(2 * q.bit_length(), top_bits) + 64
             w += deg * max(0, p.bit_length() - q.bit_length() + 1)
             ca, ra = f.ball_value(p, q, w)
-            cb, rb = df.ball_value(p, q, w)
-            if abs(ca) > ra and abs(cb) > rb:
-                a, b = q * ca, cb
+            if abs(ca) > ra:
+                # f's ball alone gives the sign that moves the bracket
+                cb, rb = df.ball_value(p, q, w)
+                a, b = q * ca, cb if abs(cb) > rb else 0
         if a is None:
             a, _ = f.scaled_value(p, q)
             if a == 0:

@@ -16,12 +16,14 @@ bound: the paper's cyclotomic order bound (against the orders an uncapped
 sieve finds, so the check can fail), the multiplicity bound, the Salem
 degree lower bound (when it is informative), and the bridge
 lambda = sqrt(tau) + 1/sqrt(tau) between the dominant root and the
-tree's spectral radius. The bridge is exact: the characteristic
-polynomial chi_T of the tree's adjacency matrix is built from the path
-recurrence, A'Campo's identity x^n chi_T(x + 1/x) = R_T(x^2) is checked
-coefficient by coefficient, chi_T must change sign across the lambda
-enclosure mapped from tau's, and Descartes' rule on chi_T(x + 2) (exact
-for a real-rooted polynomial) shows that lambda is its only root above 2.
+tree's spectral radius. The bridge is exact, and it reads point values
+q^n chi_T(p/q) of the characteristic polynomial of the tree's adjacency
+matrix, each one integer from the path recurrence (``coxeter._chi_value``):
+A'Campo's identity x^n chi_T(x + 1/x) = R_T(x^2) is checked at x = 2^s,
+wide enough that equal values prove equal coefficients; chi_T must change
+sign across the lambda enclosure mapped from tau's; and Descartes' rule on
+chi_T(x + 2), unpacked from its value at 2^s + 2 (exact for a real-rooted
+polynomial), shows that lambda is its only root above 2.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .coxeter import StarTree, characteristic_polynomial, coxeter_polynomial
+from .coxeter import StarTree, _balanced_digits, _chi_value, _slot_bits, coxeter_polynomial
 from .factorize import (
     CertificationError,
     CoxeterFactorization,
@@ -41,7 +43,7 @@ from .factorize import (
     order_bound,
     salem_degree_lower_bound,
 )
-from .intpoly import IntPoly, taylor_shift
+from .intpoly import IntPoly
 from .roots import dominant_root, lambda_bracket
 
 
@@ -142,133 +144,87 @@ def grid_verify(
                     continue
                 summary["triples"] += 1
                 fz = factor_coxeter(tree)
-                summary["max_observed_order"] = max(
-                    summary["max_observed_order"], fz.max_observed_order
-                )
-                summary["max_observed_multiplicity"] = max(
-                    summary["max_observed_multiplicity"], fz.max_observed_multiplicity
-                )
-                _check_order(tree, fz, summary)
-                _check_multiplicity(tree, fz, trace_for(a0, a2 - a1), summary)
-                _check_degree_bound(tree, fz, trace_for(a0, a2 - a1), summary)
-                _check_bridge(tree, fz, digits, summary)
+                for key in ("max_observed_order", "max_observed_multiplicity"):
+                    summary[key] = max(summary[key], getattr(fz, key))
+                trace = trace_for(a0, a2 - a1)
+                for check, outcome in (
+                    ("order_bound", _check_order(tree, fz)),
+                    ("multiplicity", _check_multiplicity(tree, fz, trace)),
+                    ("degree_bound", _check_degree_bound(tree, fz, trace)),
+                    ("bridge", _check_bridge(tree, fz, digits)),
+                ):
+                    # an outcome is "pass", "uncertified", "vacuous" or what failed
+                    if outcome in ("pass", "uncertified", "vacuous"):
+                        summary[f"{check}_{outcome}"] += 1
+                    else:
+                        summary[f"{check}_fail"] += 1
+                        summary["failures"].append({"arms": list(tree.arms), "check": outcome})
     return summary
 
 
-def _fail(summary: dict, tree: StarTree, what: str) -> None:
-    summary["failures"].append({"arms": list(tree.arms), "check": what})
-
-
-def _check_order(tree: StarTree, fz: CoxeterFactorization, summary: dict) -> None:
-    if fz.max_observed_order <= order_bound(*tree.arms):
-        summary["order_bound_pass"] += 1
-    else:
-        summary["order_bound_fail"] += 1
-        _fail(summary, tree, "order_bound")
+def _check_order(tree: StarTree, fz: CoxeterFactorization) -> str:
+    return "pass" if fz.max_observed_order <= order_bound(*tree.arms) else "order_bound"
 
 
 def _check_multiplicity(
-    tree: StarTree,
-    fz: CoxeterFactorization,
-    trace: Optional[MultiplicityBoundTrace],
-    summary: dict,
-) -> None:
+    tree: StarTree, fz: CoxeterFactorization, trace: Optional[MultiplicityBoundTrace]
+) -> str:
     if trace is None:
-        summary["multiplicity_uncertified"] += 1
-        return
+        return "uncertified"
     # the bound concerns roots of P = (z-1)^(r+1) R_T, so the factor at
     # order 1 carries an extra r+1
     ok = all(
         mult + (tree.r + 1 if k == 1 else 0) <= trace.m
         for k, mult in fz.cyclotomic_factors.items()
     )
-    if ok:
-        summary["multiplicity_pass"] += 1
-    else:
-        summary["multiplicity_fail"] += 1
-        _fail(summary, tree, "multiplicity_bound")
+    return "pass" if ok else "multiplicity_bound"
 
 
 def _check_degree_bound(
-    tree: StarTree,
-    fz: CoxeterFactorization,
-    trace: Optional[MultiplicityBoundTrace],
-    summary: dict,
-) -> None:
-    if trace is None:
-        summary["degree_bound_vacuous"] += 1
-        return
-    bound = salem_degree_lower_bound(tree, trace.m)
+    tree: StarTree, fz: CoxeterFactorization, trace: Optional[MultiplicityBoundTrace]
+) -> str:
+    bound = 0 if trace is None else salem_degree_lower_bound(tree, trace.m)
     if bound <= 0:
-        summary["degree_bound_vacuous"] += 1
-        return
-    if fz.salem_factor.degree() >= bound:
-        summary["degree_bound_pass"] += 1
-    else:
-        summary["degree_bound_fail"] += 1
-        _fail(summary, tree, "degree_lower_bound")
+        return "vacuous"
+    return "pass" if fz.salem_factor.degree() >= bound else "degree_lower_bound"
 
 
-def _check_bridge(
-    tree: StarTree,
-    fz: CoxeterFactorization,
-    digits: int,
-    summary: dict,
-) -> None:
+def _check_bridge(tree: StarTree, fz: CoxeterFactorization, digits: int) -> str:
     if fz.salem_factor.degree() < 1:
-        summary["bridge_fail"] += 1
-        _fail(summary, tree, "bridge: no dominant root for non-excluded triple")
-        return
+        return "bridge: no dominant root for non-excluded triple"
     _, tau_bracket = dominant_root(fz.salem_factor, digits)
-    failed = _bridge_failure(
-        characteristic_polynomial(tree), fz.rt, lambda_bracket(tau_bracket, digits)
-    )
-    if failed is None:
-        summary["bridge_pass"] += 1
-    else:
-        summary["bridge_fail"] += 1
-        _fail(summary, tree, failed)
+    return _bridge_failure(tree, fz.rt, lambda_bracket(tau_bracket, digits)) or "pass"
 
 
-def _bridge_failure(
-    chi: IntPoly, rt: IntPoly, lam: tuple[Fraction, Fraction]
-) -> Optional[str]:
-    """The first of the three bridge checks that fails, or None.
+def _bridge_failure(tree: StarTree, rt: IntPoly, lam: tuple[Fraction, Fraction]) -> Optional[str]:
+    """The first of the three bridge checks that fails, or None. Each reads
+    values q^n chi(p/q) = ``_chi_value(tree, p, q)``, n = vertex count.
 
-    1. ``acampo_identity``: x^n chi(x + 1/x) == R_T(x^2), n = deg chi.
+    1. ``acampo_identity``: x^n chi(x + 1/x) == R_T(x^2) at x = B = 2^s,
+       that is _chi_value at (B^2 + 1, B) against R_T(B^2). Every
+       coefficient of either side is below B/2 in absolute value (the
+       left by ``_slot_bits``), so the difference of the two polynomials
+       has coefficients below B, and it is 0 when its value at B is: the
+       lowest nonzero one would be a multiple of B.
     2. ``lambda_tau_bridge``: chi has opposite nonzero signs at the ends
        of the lambda enclosure (whose lower end is >= 2), so a root of
        chi lies strictly inside it.
-    3. ``one_eigenvalue_above_two``: chi(x + 2) has exactly one sign
-       variation. chi_T is real-rooted (A is symmetric), and Descartes'
-       rule is exact for real-rooted polynomials, so chi_T has exactly one
-       root above 2, which check 2 puts inside the enclosure.
+    3. ``one_eigenvalue_above_two``: chi(x + 2), unpacked from its value
+       at 2^s + 2 in balanced base 2^s, has exactly one sign variation.
+       chi_T is real-rooted (A is symmetric), and Descartes' rule is exact
+       for real-rooted polynomials, so chi_T has exactly one root above 2,
+       which check 2 puts inside the enclosure.
     """
-    n = len(chi.coeffs) - 1
-    expect = [0] * (2 * len(rt.coeffs) - 1)
-    expect[::2] = rt.coeffs
-    if n < 1 or _acampo_side(chi.coeffs) != expect:
+    s = max(_slot_bits(tree, 1), rt.height().bit_length() + 1)
+    base = 1 << s
+    packed = sum(c << (2 * s * k) for k, c in enumerate(rt.coeffs))  # R_T(B^2)
+    if _chi_value(tree, base * base + 1, base) != packed:
         return "acampo_identity"
-    if chi.sign_at(lam[0]) * chi.sign_at(lam[1]) >= 0:
+    lo, hi = (_chi_value(tree, x.numerator, x.denominator) for x in lam)
+    if lo * hi >= 0:
         return "lambda_tau_bridge"
-    # chi(2y + 2) has the coefficients of chi(x + 2) times 2^j > 0, so the
-    # same sign variations; shifting by 1 needs only prefix sums
-    shifted = taylor_shift([c << k for k, c in enumerate(chi.coeffs)], 1)
-    signs = [c > 0 for c in shifted if c]
+    s = _slot_bits(tree, 2)
+    signs = [d > 0 for d in _balanced_digits(_chi_value(tree, (1 << s) + 2, 1), s) if d]
     if sum(a != b for a, b in zip(signs, signs[1:])) != 1:
         return "one_eigenvalue_above_two"
     return None
-
-
-def _acampo_side(cs: tuple[int, ...]) -> list[int]:
-    """Coefficients of x^n f(x + 1/x) for f = sum c_k y^k of degree n.
-
-    One Horner pass in y = x + 1/x on a list of ints: with P_n = c_n and
-    P_k = (x^2 + 1) P_{k+1} + c_k x^(n-k), P_0 is the result.
-    """
-    n = len(cs) - 1
-    acc = [cs[n]]
-    for k in range(n - 1, -1, -1):
-        acc = [a + b for a, b in zip(acc + [0, 0], [0, 0] + acc)]
-        acc[n - k] += cs[k]
-    return acc

@@ -17,7 +17,6 @@ from starsalem import (
     QUADRATIC_PISOT,
     SALEM,
     StarTree,
-    characteristic_polynomial,
     coxeter_polynomial,
     converge_general,
     converge_mbonacci,
@@ -160,9 +159,10 @@ def test_criterion_05_lambda_tau_bridge(grid_data):
             continue
         _, bracket = dominant_root(fz.salem_factor, 20)
         lo, hi = lambda_bracket(bracket, 20)
-        # exact: A'Campo's identity, a sign change of chi_T across the
-        # enclosure, and one eigenvalue above 2
-        failed = _bridge_failure(characteristic_polynomial(tree), fz.rt, (lo, hi))
+        # exact, from point values of chi_T: A'Campo's identity at one
+        # packed point, a sign change across the enclosure, and one
+        # eigenvalue above 2
+        failed = _bridge_failure(tree, fz.rt, (lo, hi))
         assert failed is None, (arms, failed)
         # float oracle: the enclosure sits within 1e-9 of eigvalsh
         lam = spectral_radius(arms)

@@ -271,6 +271,31 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("grid_verify ran before --output was checked")
+
+    monkeypatch.setattr(cli, "grid_verify", must_not_run)
+    target = tmp_path / "missing" / "x"
+    argv = ["grid", "--a0", "6:19", "--a1", "6:19", "--a2", "6:19", "--output", str(target)]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+def test_a_run_that_fails_later_leaves_the_output_file_as_it_was(
+    tmp_path, capsys, monkeypatch, existing
+):
+    monkeypatch.setattr(factorize, "salem_certificate", lambda f, separators: False)
+    target = tmp_path / "out.json"
+    if existing:
+        target.write_text("kept\n")
+    rc, out, _ = run(capsys, "factor", "5", "40", "1005", "--json", "--output", str(target))
+    assert rc == 3 and out == ""
+    assert target.read_text() == "kept\n" if existing else not target.exists()
+
+
 def test_failing_certificate_is_a_data_error(capsys, monkeypatch):
     import starsalem.factorize as factorize
 
@@ -391,7 +416,9 @@ def test_format_takes_only_what_the_subcommand_writes(capsys, argv, bad):
 # bound's circle scan became an exact proof (which lowered m, and with it
 # degree_lower_bound), the poly and converge general digests while R_T was
 # still divided out of P, the bound digests while multiplicity_bound still
-# selected n0 and c in Fraction arithmetic; every byte must stay the same
+# selected n0 and c in Fraction arithmetic, the 6:19 grid digest while the
+# bridge still compared chi_T with R_T coefficient by coefficient; every
+# byte must stay the same
 PINNED_STDOUT = {
     "converge mbonacci --a0 3 --eta 2 --a1 19,31 --digits 1000":
         "d3070fb1e6629a38e6e7bbe74ec74f153c51152b37891da108304b844c27cd5b",
@@ -399,6 +426,8 @@ PINNED_STDOUT = {
         "25ab455e8e1a5f1d07051787fb90b5b35c1a692b080b124258740095019232a5",
     "grid --a0 2:8 --a1 2:8 --a2 2:8":
         "21ff2e5f9e0cff35b1628c404a7f8d4cf36cecee636ed15ab65e50b31d96eeb0",
+    "grid --a0 6:19 --a1 6:19 --a2 6:19":
+        "31f604cad1ea64a0547f738106a438634d146a288aa8b95e9707bceb3e03d6ee",
     "scan --a0 2 --eta 1 --a1 4:10 --full-bound":
         "d08065c92b8bea112b031706fbeb7764ccda5fd762cfe0748b13100ed9805d3c",
     "poly 2 3 7":

@@ -21,6 +21,9 @@ from starsalem import (
     qrs_blocks,
 )
 
+from starsalem.coxeter import _chi_value, _slot_bits
+from starsalem.intpoly import taylor_shift
+
 from oracles import adjacency, coxeter, p_cleared, spectral_radius
 
 LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
@@ -304,3 +307,35 @@ def test_spectral_radius_matches_dense_eigensolver():
         assert list(chi.coeffs) == [int(round(c)) for c in np.poly(adjacency(arms))[::-1]], arms
         lam = Fraction(spectral_radius(arms))
         assert chi.sign_at(lam - eps) * chi.sign_at(lam + eps) < 0, arms
+
+
+def _random_trees(seed, count):
+    rng = random.Random(seed)
+    return [
+        StarTree(tuple(rng.randint(2, 12) for _ in range(rng.randint(2, 6))))
+        for _ in range(count)
+    ]
+
+
+def test_chi_value_is_the_scaled_value_of_chi():
+    rng = random.Random(7)
+    for tree in _random_trees(11, 60):
+        chi = characteristic_polynomial(tree)
+        for _ in range(5):
+            p, q = rng.randint(-10**12, 10**12), rng.randint(1, 10**12)
+            assert _chi_value(tree, p, q) == chi.scaled_value(p, q)[0], (tree.arms, p, q)
+
+
+def test_slot_bits_bound_the_coefficients_they_pack():
+    # every |coefficient| of chi(x + t), and of x^n chi(x + 1/x) for t = 1,
+    # lies below 2^(s-1)
+    for tree in _random_trees(12, 40) + [StarTree((2, 3, 60)), StarTree((19, 20, 21))]:
+        chi, n = characteristic_polynomial(tree), tree.vertex_count
+        for t in (0, 1, 2):
+            half = 1 << (_slot_bits(tree, t) - 1)
+            assert max(map(abs, taylor_shift(chi.coeffs, t))) < half, (tree.arms, t)
+        acampo = IntPoly.zero()
+        for k, c in enumerate(chi.coeffs):
+            acampo = acampo + (IntPoly.from_coeffs([1, 0, 1]) ** k).shift(n - k) * c
+        assert acampo.height() < 1 << (_slot_bits(tree, 1) - 1), tree.arms
+

@@ -329,7 +329,7 @@ def test_salem_shape_invariants():
         s = fz.salem_factor
         assert fz.classification == SALEM
         assert s.is_reciprocal()
-        assert s.constant() == 1
+        assert s.coeffs[0] == 1
         assert abs(s.eval_int(1)) * abs(s.eval_int(-1)) >= 1
 
 

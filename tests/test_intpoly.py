@@ -10,7 +10,6 @@ from starsalem.intpoly import BALL_BITS
 
 from oracles import eval_exact, eval_sign
 
-X = IntPoly.x()
 ONE = IntPoly.one()
 
 
@@ -45,9 +44,6 @@ def test_height_length_reciprocal():
     assert f.height() == 2
     assert poly(1, -3, 1).is_reciprocal()
     assert not poly(-1, -1, 1).is_reciprocal()
-    # length of the R block for arms (3, 5, 8): z^5 - z^3 + z^2 - 1
-    r = poly(-1, 0, 1, -1, 0, 1)
-    assert r.length() == 4
 
 
 # ----------------------------------------------------------------------

@@ -339,8 +339,9 @@ def test_any_valid_ball_gives_the_same_root(monkeypatch, arms, digits):
 def test_a_ball_that_holds_0_does_not_steer_newton(monkeypatch, sign_at_calls, held):
     # valid balls around f (or f') that always hold 0, centred on
     # -sign(c) (|c| + r), so the centres point Newton the wrong way: every
-    # step must come from exact values, and sign_at falls through to them
-    # too, so the run takes the same signs as with the real balls
+    # step must come from exact values (or, for f', bisect on f's ball),
+    # and sign_at falls through to them too, so the run takes the same
+    # signs as with the real balls
     f = factor_coxeter(StarTree((3, 31, 33))).salem_factor
     expected = dominant_root(f, 1000)
     signs = len(sign_at_calls)
@@ -369,6 +370,24 @@ def test_bisection_alone_gives_the_same_root(monkeypatch, f, digits):
     expected = dominant_root(f, digits)
     monkeypatch.setattr(IntPoly, "derivative", lambda self, n=1: IntPoly.zero())
     assert dominant_root(f, digits) == expected
+
+
+def test_a_ball_of_f_alone_moves_the_bracket(monkeypatch):
+    # with f' = 0 its ball always holds 0; f's ball still gives each sign,
+    # so the bisection to a 30-digit cell of T(20, 30, 1000) evaluates f
+    # exactly at most once (119 times when f' forced the exact pass too)
+    expected = dominant_root(T_20_30_1000, 30)
+    scaled_value = IntPoly.scaled_value
+    exact_f = []
+
+    def counted(self, p, q):
+        exact_f.append(self == T_20_30_1000)
+        return scaled_value(self, p, q)
+
+    monkeypatch.setattr(IntPoly, "derivative", lambda self, n=1: IntPoly.zero())
+    monkeypatch.setattr(IntPoly, "scaled_value", counted)
+    assert dominant_root(T_20_30_1000, 30) == expected
+    assert exact_f.count(True) <= 1
 
 
 def test_newton_steps_away_from_the_root_do_not_slow_bisection(monkeypatch):

@@ -15,7 +15,7 @@ from starsalem import (
 )
 from starsalem.cli import main
 from starsalem.cyclotomic import default_table
-from starsalem.scan import _acampo_side, _check_order
+from starsalem.scan import _bridge_failure, _check_order
 
 from oracles import divides_poly
 
@@ -113,13 +113,9 @@ def test_grid_verify_small():
 def test_order_check_fails_on_an_order_past_the_bound():
     tree = StarTree((2, 4, 5))  # order bound 840
     fz = factor_coxeter(tree)
-    summary = {"order_bound_pass": 0, "order_bound_fail": 0, "failures": []}
-    _check_order(tree, fz, summary)
-    _check_order(tree, replace(fz, max_observed_order=840), summary)
-    assert summary["order_bound_pass"] == 2 and summary["failures"] == []
-    _check_order(tree, replace(fz, max_observed_order=841), summary)
-    assert summary["order_bound_fail"] == 1
-    assert summary["failures"] == [{"arms": [2, 4, 5], "check": "order_bound"}]
+    assert _check_order(tree, fz) == "pass"
+    assert _check_order(tree, replace(fz, max_observed_order=840)) == "pass"
+    assert _check_order(tree, replace(fz, max_observed_order=841)) == "order_bound"
 
 
 def test_grid_verify_default_cli_grid():
@@ -171,27 +167,43 @@ def test_bridge_fails_on_a_wrong_tau_bracket(monkeypatch):
 
 
 def test_bridge_fails_on_a_wrong_characteristic_polynomial(monkeypatch):
-    real = scan.characteristic_polynomial
-    monkeypatch.setattr(scan, "characteristic_polynomial", lambda tree: real(tree) + IntPoly.one())
+    # the values of chi_T + 1
+    real = scan._chi_value
+    monkeypatch.setattr(
+        scan, "_chi_value", lambda tree, p, q: real(tree, p, q) + q**tree.vertex_count
+    )
     _assert_bridge_failed(_lehmer_box_summary(), "acampo_identity")
+
+
+@pytest.mark.parametrize("change", [1, -1])
+def test_packed_acampo_identity_sees_one_changed_coefficient(monkeypatch, change):
+    # chi_T + change * x^k for every k: its value at B + 1/B moves by
+    # change * B^(n-k) (B^2 + 1)^k, never 0, so the one packed comparison
+    # must fail whichever coefficient is off
+    tree = StarTree((2, 3, 7))
+    fz = factor_coxeter(tree)
+    _, tau = scan.dominant_root(fz.salem_factor, 15)
+    lam = scan.lambda_bracket(tau, 15)
+    assert _bridge_failure(tree, fz.rt, lam) is None
+    real, n = scan._chi_value, tree.vertex_count
+    for k in range(n + 1):
+        monkeypatch.setattr(
+            scan, "_chi_value", lambda t, p, q, k=k: real(t, p, q) + change * p**k * q ** (n - k)
+        )
+        assert _bridge_failure(tree, fz.rt, lam) == "acampo_identity", k
 
 
 def test_bridge_fails_with_two_eigenvalues_above_two(monkeypatch):
     # chi = (x^2 - 9)(x^2 - 5) has the roots 3 and sqrt 5 above 2; its
     # A'Campo partner is (w^2 - 7w + 1)(w^2 - 3w + 1), and the tau of
-    # w^2 - 7w + 1 maps to lambda = 3, so checks 1 and 2 pass
+    # w^2 - 7w + 1 maps to lambda = 3, so checks 1 and 2 pass. Its values
+    # q^4 chi(p/q) stand in for the tree's; the slot widths that the tree
+    # T(2, 3, 7) gives are wide enough for this chi too
     chi = IntPoly.from_coeffs([-9, 0, 1]) * IntPoly.from_coeffs([-5, 0, 1])
     tau_poly = IntPoly.from_coeffs([1, -7, 1])
     rt = tau_poly * IntPoly.from_coeffs([1, -3, 1])
     real_factor, real_root = scan.factor_coxeter, scan.dominant_root
-    monkeypatch.setattr(scan, "characteristic_polynomial", lambda tree: chi)
+    monkeypatch.setattr(scan, "_chi_value", lambda tree, p, q: chi.scaled_value(p, q)[0])
     monkeypatch.setattr(scan, "factor_coxeter", lambda tree: replace(real_factor(tree), rt=rt))
     monkeypatch.setattr(scan, "dominant_root", lambda f, digits: real_root(tau_poly, digits))
     _assert_bridge_failed(_lehmer_box_summary(), "one_eigenvalue_above_two")
-
-
-def test_acampo_side_expands_x_plus_one_over_x():
-    # x^2 ((x + 1/x)^2 - 9) = x^4 - 7x^2 + 1
-    assert _acampo_side((-9, 0, 1)) == [1, 0, -7, 0, 1]
-    # x^1 (x + 1/x) = x^2 + 1
-    assert _acampo_side((0, 1)) == [1, 0, 1]
