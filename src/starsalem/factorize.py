@@ -281,12 +281,16 @@ def _trace_signs(a: Sequence[int], points: list[tuple[int, int]]) -> list[int]:
     """Exact signs of T at the dyadic points p/2^k, all in [-2, 2].
 
     An integer ball screens each point first. With
-    w = 64 + bits(2m^2 + 1), ``_trace_balls`` runs Clenshaw's recurrence
+    w = 32 + bits(2m^2 + 1), ``_trace_balls`` runs Clenshaw's recurrence
     b_j = a_j + t b_{j+1} - b_{j+2} in fixed point on B_j ~ 2^w b_j,
     flooring p B_{j+1} / 2^k, and returns v ~ 2^w T(t) with
     |v - 2^w T(t)| <= r = 2m^2 + 1. When |v| > r, v has the sign of T(t);
     every other point, and so every root of T, goes to
-    ``_exact_trace_value``, whose sign is exact.
+    ``_exact_trace_value``, whose sign is exact. The radius holds for any
+    w, so w only decides how often that happens: a ball clears r once
+    2^w |T(t)| > 2r, so wherever |T(t)| > 2^-31. At the separators of the
+    degree-1048 trees T(a0, a1, 1050 - a0 - a1) with a0 in (2, 3, 5, 8,
+    13, 20) and a1 in (30, 40, 50), every ball clears r by 20 bits or more.
 
     Proof of the radius. Let e_j = B_j - 2^w b_j. Each floor takes some
     delta_j in [0, 1) off, so e_j = t e_{j+1} - e_{j+2} - delta_j from
@@ -302,7 +306,7 @@ def _trace_signs(a: Sequence[int], points: list[tuple[int, int]]) -> list[int]:
     r = 2 * m * m + 1
     shifted: dict[int, list[int]] = {}  # a_j 2^(k(m-j)) for j = m, ..., 0
     signs = []
-    for (p, k), v in zip(points, _trace_balls(a, points, 64 + r.bit_length())):
+    for (p, k), v in zip(points, _trace_balls(a, points, 32 + r.bit_length())):
         if abs(v) <= r:
             if k not in shifted:
                 shifted[k] = [a[j] << (k * (m - j)) for j in range(m, -1, -1)]

@@ -5,8 +5,12 @@ at 1 + 2^-20 and height + 2, a float Newton search safeguarded by
 bisection, run on the reversed polynomial so that nothing overflows at
 high degree, picks the first Newton point; the bracket's midpoint takes
 its place when floats cannot find the root. Exact Newton steps follow,
-safeguarded by bisection the same way, with points rounded to short
-decimals so the rationals stay small. It returns the cell
+safeguarded by bisection the same way, with points rounded to place
+counts planned back from digits + 9 (about half of it, a quarter, ...),
+so the rationals stay small; the cell is tried as soon as Newton's
+quadratic convergence predicts the next point inside it, so at high
+precision the last Newton step is taken at about half the width. It
+returns the cell
 [n, n + 1] / 10^(digits+5) of the decimal grid that holds the root,
 proved by exact signs at its two ends, so the answer depends neither on
 the float start nor on the path Newton took. The Newton steps are formed
@@ -71,6 +75,25 @@ class ConvergenceRecord:
 # steps of the float search before it gives up: bisection alone would
 # take about 52 + log2(tau) of them
 _SEED_STEPS = 100
+
+# dominant_root rounds each Newton point to a place count planned back
+# from digits + 9: every count is half the next one plus _LADDER_PAD, down
+# to _LADDER_FLOOR. A point on count c whose step resolves c - 12 places or
+# more still fills the next count, as 2 (c - 12) + 10 >= 2 c - 15; a
+# smaller pad would cost an extra step, never an answer.
+_LADDER_PAD = 8
+# Below this count a point takes twice its step's places plus 10. A float
+# start holds at most about 17 places, so the first Newton point stays
+# under the ladder or lands on a count of 40 or more, finer than twice
+# those places either way, and the first two steps show K.
+_LADDER_FLOOR = 40
+# Places past the cell's digits + 5 that a predicted error must reach before
+# the cell is tried. Resolved places come from bit lengths (off by up to 1,
+# 2 once doubled), K is read from two steps far from the root, and the
+# point itself is rounded to digits + 9 places. A wrong prediction costs one
+# try that fails (2 or 3 signs) or one more Newton step: the exact signs at
+# the cell's ends decide it either way.
+_CELL_MARGIN = 10
 
 # 2000 bits is 603 decimal digits, under 640, the lowest int-to-str limit
 # Python accepts (sys.set_int_max_str_digits)
@@ -158,6 +181,16 @@ def _float_seed(f: IntPoly, lo: Fraction, hi: Fraction, s_lo: int) -> Optional[f
     return None
 
 
+def _cell_is_due(resolved: int, log_k: Optional[int], digits: int) -> bool:
+    """Whether ``dominant_root``'s new Newton point is predicted to lie
+    within 10^-(digits + 5 + ``_CELL_MARGIN``) of the root. Newton's error
+    after a step s is about K s^2, so after a step that resolved
+    ``resolved`` places it has about 2 resolved - log10 K; with K not yet
+    known (``log_k`` None) there is no prediction. It only chooses where
+    the cell is tried: exact signs decide it."""
+    return log_k is not None and 2 * resolved - log_k >= digits + 5 + _CELL_MARGIN
+
+
 def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     """The real root of f in (1, infinity), to ``digits`` decimal places.
 
@@ -178,21 +211,38 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     Strategy: after the exact signs at those two ends, a float search
     (``_float_seed``) finds a float near the root, and exact Newton steps
     start there, or at the bracket's midpoint when floats cannot find it.
-    The Newton steps are rounded to about twice the decimal places the
-    step has resolved (so denominators stay small). Once a step is below
-    1/(16 S), the signs at the ends of the new point's cell decide it, with
-    one more sign at the far end of the neighbouring cell when both ends
-    lie on one side of the root. The next point is the midpoint of the
-    bracket (lo, hi) instead (the rtsafe rule of ``_float_seed``) whenever
-    the Newton point leaves the bracket, the step fails to halve the one
-    before, or a cell is not proved, so a start far from the root cannot
-    crawl towards it by about x/deg a step. The value behind each step has
-    the exact sign of f at the point. A bisection's midpoint moves its end
-    of the bracket at once, and the last points on either side of the root
-    move the ends before the next one, so each bisection at least halves
-    the bracket. There is no step cap: the loop ends on an exact zero, a
-    proved cell, or a bracket one cell wide, where its midpoint's cell or a
-    neighbour is proved or the ArithmeticError raised.
+    Each Newton point is rounded to a place count planned back from
+    D = digits + 9: D, D // 2 + 8, and so on down to 40 (Brent and
+    Zimmermann, Modern Computer Arithmetic, 4.2), the largest of them
+    within twice the places the step resolved plus 10, or that bound itself
+    below the ladder, so denominators stay small. The rounding goes towards
+    the point the step started from: Newton points land on the side of the
+    root from which its iterates approach it monotonically, and rounding
+    past them could move them off it, where a rough step may converge only
+    linearly. Newton's error after a
+    step s is about K s^2, K ~ |f''/2f'| near the root; log10 K is read
+    once, as 2 r0 - r1 from two consecutive steps that resolved r0 and r1
+    places, when the point between them was rounded to at least 2 r0
+    places. The cell is tried when the new point is predicted within
+    10^-(digits + 15) of the root (``_cell_is_due``), or when the step
+    itself is below 1/(16 S), which covers a K that no pair showed: the
+    signs at the ends of the point's cell decide it, with one more sign at
+    the far end of the neighbouring cell when both ends lie on one side of
+    the root. A cell not proved costs those signs only, and Newton goes
+    on. The next point is the midpoint of the bracket (lo, hi) instead
+    (the rtsafe rule of ``_float_seed``) whenever the Newton point leaves
+    the bracket or the step fails to halve the one before, so a start far
+    from the root cannot crawl towards it by about x/deg a step. The value
+    behind each step has the exact sign of f at the point. A bisection's
+    midpoint moves its end of the bracket at once, and the last points on
+    either side of the root move the ends before the next one, so each
+    bisection at least halves the bracket. There is no step cap: every
+    accepted step halves the one before, from points on finitely many
+    decimal grids, and every bisection halves the bracket, so the loop ends
+    on an exact zero, a proved cell, or a bracket one cell wide, where its
+    midpoint's cell or a neighbour is proved or the ArithmeticError raised.
+    K and the place counts only choose where to look. With log10 K below
+    about 9, the last Newton evaluation is at D // 2 + 8 places.
 
     Only the bracket's ends and the cell are Fractions. A Newton step
     at x = p/q works on integers A and B with f(x)/f'(x) = A/(qB): the
@@ -256,13 +306,20 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     # the last points p/q with f of the sign s_lo, and of the other sign
     below = above = None
     mid = None  # p/q when it is the midpoint of a bisection
+    # when p/q is a Newton point: the places its step resolved, and the
+    # places it was rounded to; None after a bisection
+    last = places = None
+    log_k = None  # about log10 |f''/2f'| near the root, once two steps show it
 
     deg = len(f.coeffs) - 1
     df = f.derivative(1)
     top_bits = (10 ** (digits + 9)).bit_length()
-    # every accepted Newton step at least halves the one before, and every
-    # bisection halves the bracket, so the loop reaches either a step below
-    # 1/(16 S) or a bracket one cell wide
+    ladder = [digits + 9]
+    while ladder[-1] // 2 + _LADDER_PAD >= _LADDER_FLOOR:
+        ladder.append(ladder[-1] // 2 + _LADDER_PAD)
+    # every accepted Newton step halves the one before, and every bisection
+    # halves the bracket, so the loop reaches a bracket one cell wide unless
+    # a proved cell or an exact zero ends it first
     while True:
         a = None
         if deg * max(p.bit_length(), q.bit_length()) >= BALL_BITS:
@@ -293,23 +350,35 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
             step_num, step_den = abs(a), den
             # about the decimal places the step has resolved, from bit lengths
             resolved = max(0, (den.bit_length() - abs(a).bit_length()) * 30103 // 100_000)
-            q = 10 ** min(2 * resolved + 10, digits + 9)
-            p = num * q // den
-            if 16 * abs(a) * scale >= den:
-                continue
-            found = proved_cell(p, q)
-            if found:
-                return found
-        # f'(x) = 0, the Newton point left (lo, hi), the step did not halve
-        # the last one, or its cell was not proved: bisect (the rtsafe rule).
-        # The last points move the ends first; moving them at every step
-        # would cost exact comparisons with ends of digits + 9 places
+            if log_k is None and last is not None and places >= 2 * last:
+                # x = p/q is the last Newton point, rounded no coarser than
+                # its error K 10^(-2 last), so this step measures that error
+                log_k = max(0, 2 * last - resolved)
+            last = resolved
+            # the largest planned count this step can fill; below the
+            # ladder, twice the resolved places and a pad of 10
+            places = max((c for c in ladder if c <= 2 * resolved + 10), default=2 * resolved + 10)
+            q = 10**places
+            # rounded towards x, so that a point on the side of the root from
+            # which Newton's iterates approach it monotonically stays there
+            p = -(-num * q // den) if (a > 0) == (b > 0) else num * q // den
+            if 16 * abs(a) * scale < den or _cell_is_due(resolved, log_k, digits):
+                found = proved_cell(p, q)
+                if found:
+                    return found
+            # a cell not proved costs its signs only: Newton goes on
+            continue
+        # f'(x) = 0, the Newton point left (lo, hi) or the step did not
+        # halve the last one: bisect (the rtsafe rule). The last points move
+        # the ends first; moving them at every step would cost exact
+        # comparisons with ends of digits + 9 places
         if below and inside(*below):
             lo = Fraction(*below)
         if above and inside(*above):
             hi = Fraction(*above)
         mid = (lo + hi) / 2
         p, q = mid.as_integer_ratio()
+        last = None
         if (hi - lo) * scale <= 1:
             # the root is within 1/(2S) of the midpoint, so in its cell or a neighbour
             found = proved_cell(p, q)

@@ -336,7 +336,8 @@ LARGE_TREES = [(a0, a1, 1050 - a0 - a1) for a0 in (2, 3, 5, 8, 13, 20) for a1 in
 def test_factor_certifies_the_large_trees(capsys, monkeypatch):
     import starsalem.factorize as factorize
 
-    # the integer-ball screen settles every trace sign the certificates need
+    # the integer-ball screen settles every trace sign the certificates
+    # need, at the width w = 32 + bits(2m^2 + 1) of _trace_signs
     exact_trace_values = []
     exact = factorize._exact_trace_value
     monkeypatch.setattr(
@@ -344,6 +345,15 @@ def test_factor_certifies_the_large_trees(capsys, monkeypatch):
         "_exact_trace_value",
         lambda shifted, p, k: exact_trace_values.append((p, k)) or exact(shifted, p, k),
     )
+    widths = []
+    balls = factorize._trace_balls
+
+    def recorded(a, points, w):
+        m = len(a) - 1
+        widths.append(w - (2 * m * m + 1).bit_length())
+        return balls(a, points, w)
+
+    monkeypatch.setattr(factorize, "_trace_balls", recorded)
     checked = 0
     for arms in LARGE_TREES:
         rc, out, err = run(capsys, "factor", *map(str, arms), "--digits", "10", "--json")
@@ -363,6 +373,7 @@ def test_factor_certifies_the_large_trees(capsys, monkeypatch):
             assert abs(moduli[0] * float(cert["tau"]) - 1) < 1e-9, arms
             checked += 1
     assert checked == 3
+    assert widths == [32] * len(LARGE_TREES)
     assert exact_trace_values == []
 
 
@@ -417,11 +428,17 @@ def test_format_takes_only_what_the_subcommand_writes(capsys, argv, bad):
 # degree_lower_bound), the poly and converge general digests while R_T was
 # still divided out of P, the bound digests while multiplicity_bound still
 # selected n0 and c in Fraction arithmetic, the 6:19 grid digest while the
-# bridge still compared chi_T with R_T coefficient by coefficient; every
-# byte must stay the same
+# bridge still compared chi_T with R_T coefficient by coefficient, the
+# converge mbonacci digests for a1 14,36 and 24,26 while dominant_root's
+# Newton ladder still took two full-width steps before trying the cell;
+# every byte must stay the same
 PINNED_STDOUT = {
     "converge mbonacci --a0 3 --eta 2 --a1 19,31 --digits 1000":
         "d3070fb1e6629a38e6e7bbe74ec74f153c51152b37891da108304b844c27cd5b",
+    "converge mbonacci --a0 2 --eta 1 --a1 14,36 --digits 1000":
+        "d5a8767240eaf79e5639d7c52a723922044796964e71e11ec152f1df524dbc3a",
+    "converge mbonacci --a0 3 --eta 1 --a1 24,26 --digits 1000":
+        "9ba91a53f2eece68efac1a9646ced7e90e2c4cb23df987ec53662c3d51d3b82b",
     "factor 5 40 1005 --digits 30 --json":
         "25ab455e8e1a5f1d07051787fb90b5b35c1a692b080b124258740095019232a5",
     "grid --a0 2:8 --a1 2:8 --a2 2:8":

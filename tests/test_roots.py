@@ -320,19 +320,32 @@ T_20_30_1000 = factor_coxeter(StarTree((20, 30, 1000))).salem_factor
 def test_any_valid_ball_gives_the_same_root(monkeypatch, arms, digits):
     # widen every ball by |c| / 2^k and move its centre by half that: still
     # a valid ball, but from k = 2 (Newton steps off by up to 29%) to
-    # k = 1000 (nearly the real one) the path changes, and the cell must not
+    # k = 1000 (nearly the real one) the path changes, and the cell must not.
+    # Nor may the cost: flooring each ladder point puts it below the root,
+    # where these steps fall short of it, so Newton converges linearly: 5121
+    # passes at k = 2 on T(3, 31, 33), against 10 with the real balls
     f = factor_coxeter(StarTree(arms)).salem_factor
+    ball_value = IntPoly.ball_value
+    passes = []
+
+    def counted(self, p, q, w):
+        passes.append(w)
+        return ball_value(self, p, q, w)
+
+    monkeypatch.setattr(IntPoly, "ball_value", counted)
     expected = dominant_root(f, digits)
     check_cell(f, digits, expected)
-    ball_value = IntPoly.ball_value
+    real = len(passes)
     for k in (2, 6, 30, 1000):
         def loose(self, p, q, w, k=k):
-            c, r = ball_value(self, p, q, w)
+            c, r = counted(self, p, q, w)
             slack = abs(c) >> k
             return c + slack // 2, r + slack
 
         monkeypatch.setattr(IntPoly, "ball_value", loose)
+        passes.clear()
         assert dominant_root(f, digits) == expected, k
+        assert len(passes) <= real + 4, k
 
 
 @pytest.mark.parametrize("held", [0, 1], ids=["f", "f'"])
@@ -357,6 +370,56 @@ def test_a_ball_that_holds_0_does_not_steer_newton(monkeypatch, sign_at_calls, h
     sign_at_calls.clear()
     assert dominant_root(f, 1000) == expected
     assert len(sign_at_calls) == signs
+
+
+@pytest.mark.parametrize("f, digits", ORACLE_CASES + FALLBACK_CASES)
+def test_the_predicted_error_only_chooses_where_to_look(monkeypatch, f, digits):
+    # a prediction that always fires tries the cell after every accepted
+    # Newton step, and one that never fires leaves the tries to a step
+    # below 1/(16 S); the exact signs at the cell's ends decide either way
+    expected = dominant_root(f, digits)
+    for fires in (True, False):
+        monkeypatch.setattr(roots, "_cell_is_due", lambda resolved, log_k, digits, fires=fires: fires)
+        assert dominant_root(f, digits) == expected, fires
+
+
+def test_newton_stays_at_half_width_at_1000_digits(monkeypatch):
+    # T(2, 24, 25) at 1000 digits: the ladder's place counts are 1009, 512,
+    # 264, ..., and from its 512-place point the predicted error sends the
+    # next point to the cell. Newton evaluates f and f' at points of at most
+    # (1000 + 9) // 2 + 8 = 512 places; only the 2 or 3 signs at the ends of
+    # the cell take f at full width. A ladder that doubles from the start
+    # (..., 488, 966, 1009 places) and tries the cell only after a step
+    # below 1/(16 S) fails this
+    f = factor_coxeter(StarTree((2, 24, 25))).salem_factor
+    half = (10**512).bit_length()
+    ball_value, scaled_value, sign_at = IntPoly.ball_value, IntPoly.scaled_value, IntPoly.sign_at
+    signs, inside_sign = [], []
+    evaluations = []  # (degree, bits of q, whether sign_at asked for it)
+
+    def tracked_sign(self, v):
+        signs.append(v)
+        inside_sign.append(True)
+        try:
+            return sign_at(self, v)
+        finally:
+            inside_sign.pop()
+
+    def tracked(method):
+        def evaluate(self, p, q, *w):
+            evaluations.append((self.degree(), q.bit_length(), bool(inside_sign)))
+            return method(self, p, q, *w)
+        return evaluate
+
+    monkeypatch.setattr(IntPoly, "sign_at", tracked_sign)
+    monkeypatch.setattr(IntPoly, "ball_value", tracked(ball_value))
+    monkeypatch.setattr(IntPoly, "scaled_value", tracked(scaled_value))
+    check_cell(f, 1000, dominant_root(f, 1000))
+    # every evaluation of f and f' that sign_at did not ask for is Newton's
+    newton = [(degree, bits) for degree, bits, signed in evaluations if not signed]
+    assert {degree for degree, _ in newton} == {f.degree(), f.degree() - 1}
+    assert max(bits for _, bits in newton) <= half
+    assert 2 <= sum(x.denominator.bit_length() > half for x in signs) <= 3
 
 
 @pytest.mark.parametrize(
@@ -526,6 +589,12 @@ def test_certificate_can_fail(f):
     assert not salem_certificate(f, DENSE)
 
 
+def test_certificate_fails_at_a_root_on_1():
+    # (z - 1)^2 has T = t - 2, so T(2) = f(1) = 0: with no sign change to
+    # find (m - 1 = 0), only the test f(1) < 0 refuses it
+    assert not salem_certificate(IntPoly.from_coeffs([1, -2, 1]), [0.0, 1.0])
+
+
 def test_cyclotomic_polynomials_do_not_certify():
     # every root on the circle: T has all m roots in (-2, 2) and T(2) > 0
     for n in range(3, 60):
@@ -659,7 +728,7 @@ def test_trace_signs_fall_through_where_the_ball_holds_0(monkeypatch):
     # T = t^3 is 2^-120 at t = 2^-40, below the ball's resolution: its
     # centre is 0, and only the exact recurrence sees the sign
     a = from_trace([0, 0, 0, 1])[3:]
-    assert factorize._trace_balls(a, [(1, 40)], 64 + (19).bit_length()) == [0]
+    assert factorize._trace_balls(a, [(1, 40)], 32 + (19).bit_length()) == [0]
     assert factorize._trace_signs(a, [(1, 40), (-1, 40)]) == [1, -1]
     assert calls[1:] == [(1, 40), (-1, 40)]
 

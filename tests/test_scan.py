@@ -11,11 +11,12 @@ from starsalem import (
     coxeter_polynomial,
     factor_coxeter,
     grid_verify,
+    multiplicity_bound,
     periodicity_scan,
 )
 from starsalem.cli import main
 from starsalem.cyclotomic import default_table
-from starsalem.scan import _bridge_failure, _check_order
+from starsalem.scan import _bridge_failure, _check_multiplicity, _check_order
 
 from oracles import divides_poly
 
@@ -118,6 +119,17 @@ def test_order_check_fails_on_an_order_past_the_bound():
     assert _check_order(tree, replace(fz, max_observed_order=841)) == "order_bound"
 
 
+def test_multiplicity_check_adds_r_plus_1_at_order_1():
+    # no strictly ordered tree has Phi_1 | R_T, so the grid never feeds
+    # this case: with Phi_1 once, the roots of P = (z - 1)^3 R_T at 1 number
+    # 1 + 3 on a three-arm tree, past m = 3; at order 2 the same count passes
+    tree = StarTree((2, 4, 5))
+    fz = factor_coxeter(tree)
+    trace = replace(multiplicity_bound(2, 1), m=3)
+    assert _check_multiplicity(tree, replace(fz, cyclotomic_factors={2: 3}), trace) == "pass"
+    assert _check_multiplicity(tree, replace(fz, cyclotomic_factors={1: 1}), trace) == "multiplicity_bound"
+
+
 def test_grid_verify_default_cli_grid():
     summary = grid_verify((2, 15), (2, 15), (2, 15))
     assert summary["failures"] == []
@@ -191,6 +203,15 @@ def test_packed_acampo_identity_sees_one_changed_coefficient(monkeypatch, change
             scan, "_chi_value", lambda t, p, q, k=k: real(t, p, q) + change * p**k * q ** (n - k)
         )
         assert _bridge_failure(tree, fz.rt, lam) == "acampo_identity", k
+
+
+def test_bridge_fails_at_an_exact_zero_of_chi():
+    # T(2, 3, 8) has 11 vertices and is bipartite, so chi_T(0) = 0: an
+    # enclosure that ends at 0 has no sign change to show, whatever the
+    # sign at its other end
+    tree = StarTree((2, 3, 8))
+    assert scan._chi_value(tree, 0, 1) == 0
+    assert _bridge_failure(tree, coxeter_polynomial(tree), (Fraction(0), Fraction(3))) == "lambda_tau_bridge"
 
 
 def test_bridge_fails_with_two_eigenvalues_above_two(monkeypatch):
