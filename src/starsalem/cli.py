@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "digits", 30) is not None and getattr(args, "digits", 30) < 10:
+    if getattr(args, "digits", 30) < 10:
         parser.error("--digits must be at least 10")
     try:
         _run(args, parser)

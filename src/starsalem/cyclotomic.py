@@ -60,8 +60,6 @@ def phi_inverse_bound(d: int) -> int:
 
 def _compose_x_pow(f: IntPoly, k: int) -> IntPoly:
     """f(x^k): spreads coefficients, no arithmetic."""
-    if k == 1:
-        return f
     cs = [0] * ((len(f.coeffs) - 1) * k + 1) if f.coeffs else []
     for i, c in enumerate(f.coeffs):
         cs[i * k] = c

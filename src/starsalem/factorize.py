@@ -26,10 +26,10 @@ proves that every root of a reciprocal remainder other than tau and
 trace polynomial T, where f(z) = z^m T(z + 1/z), in (-2, 2). The points
 are the tree's own separators 2 cos(2 pi j / a_i) (``tree_separators``),
 each taken as the exact dyadic value of its float; the signs there are
-exact. An integer ball screens each sign first: a fixed-point Clenshaw
-pass whose rounding error is bounded through the Chebyshev polynomials U_n, so a
-ball that excludes 0 has the sign of T, and every other point goes to
-the exact integer recurrence. A remainder other than 1 that it does not
+exact. One fixed-point Clenshaw pass gives them, its rounding error
+bounded through the Chebyshev polynomials U_n: a ball that excludes 0
+has the sign of T, and every other point is recomputed by the same pass
+at a width where it is exact. A remainder other than 1 that it does not
 certify raises ClassificationError, whatever the tree's arms.
 
 ``multiplicity_bound`` certifies the effectively computable bound m on
@@ -251,10 +251,11 @@ def salem_certificate(f: IntPoly, separators: Iterable[float]) -> bool:
     float in (-2, 2) is taken as its exact dyadic value p/2^k (for a
     tree, ``tree_separators``). Only the exact signs of T there decide;
     ``_trace_signs`` reads each off an integer ball around 2^w T(p/2^k)
-    when the ball excludes 0, and off the exact integer 2^(km) T(p/2^k)
-    otherwise. Separators that leave two roots of T between neighbours,
-    or too close to a root for the float to land on its side, show fewer
-    than m - 1 changes, and the answer is False.
+    when the ball excludes 0, and otherwise off the same pass at w = km,
+    which is the exact integer 2^(km) T(p/2^k). Separators that leave two
+    roots of T between neighbours, or too close to a root for the float to
+    land on its side, show fewer than m - 1 changes, and the answer is
+    False.
     """
     deg = f.degree()
     if not (f.is_monic() and f.is_reciprocal() and deg % 2 == 0):
@@ -268,6 +269,11 @@ def salem_certificate(f: IntPoly, separators: Iterable[float]) -> bool:
         return False
     points = [_dyadic(x) for x in inner] + [(-2, 0)]
     signs = [-1] + _trace_signs(f.coeffs[m:], points)
+    # a sign 0 (a root of T at a point) counts as no change on either
+    # side, so a double root there cannot pass for two simple ones; public
+    # callers need this (T of S Phi_6^2 has the double root t = 1), while
+    # sieve remainders have no cyclotomic factor and so no trace root at
+    # a separator
     return sum(x * y < 0 for x, y in zip(signs, signs[1:])) == m - 1
 
 
@@ -280,17 +286,17 @@ def _dyadic(x: float) -> tuple[int, int]:
 def _trace_signs(a: Sequence[int], points: list[tuple[int, int]]) -> list[int]:
     """Exact signs of T at the dyadic points p/2^k, all in [-2, 2].
 
-    An integer ball screens each point first. With
-    w = 32 + bits(2m^2 + 1), ``_trace_balls`` runs Clenshaw's recurrence
-    b_j = a_j + t b_{j+1} - b_{j+2} in fixed point on B_j ~ 2^w b_j,
-    flooring p B_{j+1} / 2^k, and returns v ~ 2^w T(t) with
-    |v - 2^w T(t)| <= r = 2m^2 + 1. When |v| > r, v has the sign of T(t);
-    every other point, and so every root of T, goes to
-    ``_exact_trace_value``, whose sign is exact. The radius holds for any
-    w, so w only decides how often that happens: a ball clears r once
-    2^w |T(t)| > 2r, so wherever |T(t)| > 2^-31. At the separators of the
-    degree-1048 trees T(a0, a1, 1050 - a0 - a1) with a0 in (2, 3, 5, 8,
-    13, 20) and a1 in (30, 40, 50), every ball clears r by 20 bits or more.
+    One recurrence decides them all. ``_trace_balls`` runs Clenshaw's
+    recurrence b_j = a_j + t b_{j+1} - b_{j+2} in fixed point on
+    B_j ~ 2^w b_j, flooring p B_{j+1} / 2^k, and returns v ~ 2^w T(t)
+    with |v - 2^w T(t)| <= r = 2m^2 + 1 at any w, and v = 2^w T(t) once
+    w >= km. Every point is screened at w = 32 + bits(r): when |v| > r, v
+    has the sign of T(t). Every other point, and so every root of T, is
+    recomputed at w = km, where v is exact. The screen's w only decides
+    how often that happens: a ball clears r once 2^w |T(t)| > 2r, so
+    wherever |T(t)| > 2^-31. At the separators of the degree-1048 trees
+    T(a0, a1, 1050 - a0 - a1) with a0 in (2, 3, 5, 8, 13, 20) and a1 in
+    (30, 40, 50), every ball clears r by 20 bits or more.
 
     Proof of the radius. Let e_j = B_j - 2^w b_j. Each floor takes some
     delta_j in [0, 1) off, so e_j = t e_{j+1} - e_{j+2} - delta_j from
@@ -301,16 +307,21 @@ def _trace_signs(a: Sequence[int], points: list[tuple[int, int]]) -> list[int]:
     step v = 2^w a_0 + floor(p B_1 / 2^k) - 2 B_2 then misses 2^w T(t)
     by t e_1 - delta_0 - 2 e_2, at most 2 |e_1| + 1 + 2 |e_2| = 2m^2 + 1
     for |t| <= 2.
+
+    Proof of exactness at w >= km. b_j is a polynomial in t of degree
+    m - j, so 2^(k(m-j)) b_j is an integer, and 2^w b_j is an integer
+    divisible by 2^(kj). Suppose B_(j+1) = 2^w b_(j+1) with j + 1 >= 1:
+    then p B_(j+1) is divisible by 2^k, its floor takes nothing off, and
+    B_j = 2^w b_j. So every delta_j is 0, every e_j is 0, and the radius
+    above is 0: v = 2^w T(t), which for w = km is the integer
+    2^(km) T(p/2^k).
     """
     m = len(a) - 1
     r = 2 * m * m + 1
-    shifted: dict[int, list[int]] = {}  # a_j 2^(k(m-j)) for j = m, ..., 0
     signs = []
     for (p, k), v in zip(points, _trace_balls(a, points, 32 + r.bit_length())):
         if abs(v) <= r:
-            if k not in shifted:
-                shifted[k] = [a[j] << (k * (m - j)) for j in range(m, -1, -1)]
-            v = _exact_trace_value(shifted[k], p, k)
+            [v] = _trace_balls(a, [(p, k)], k * m)
         signs.append((v > 0) - (v < 0))
     return signs
 
@@ -320,8 +331,9 @@ def _trace_balls(a: Sequence[int], points: list[tuple[int, int]], w: int) -> lis
 
     B_j = 2^w a_j + floor(p B_{j+1} / 2^k) - B_{j+2} for j = m, ..., 1,
     then v = 2^w a_0 + floor(p B_1 / 2^k) - 2 B_2. The integers stay
-    near w + log2(height m^2) bits, where the exact B_j grow by k bits
-    a step; ``_trace_signs`` proves the radius.
+    near w + log2(height m^2) bits; ``_trace_signs`` proves the radius
+    2m^2 + 1 at any w, and 0 at w >= km, where the B_j are exact and grow
+    by k bits a step.
     """
     *top, low = [c << w for c in reversed(a)]
     balls = []
@@ -331,20 +343,6 @@ def _trace_balls(a: Sequence[int], points: list[tuple[int, int]], w: int) -> lis
             b1, b2 = c + (p * b1 >> k) - b2, b1
         balls.append(low + (p * b1 >> k) - 2 * b2)
     return balls
-
-
-def _exact_trace_value(shifted: list[int], p: int, k: int) -> int:
-    """2^(km) T(p/2^k), from shifted = [a_j 2^(k(m-j)) for j = m, ..., 0].
-
-    Clenshaw's recurrence with t = p/2^k runs on the integers
-    B_j = 2^(k(m-j)) b_j = a_j 2^(k(m-j)) + p B_{j+1} - 2^(2k) B_{j+2},
-    and T(t) = a_0 + t b_1 - 2 b_2.
-    """
-    *top, low = shifted
-    b1 = b2 = 0
-    for c in top:
-        b1, b2 = c + p * b1 - (b2 << (2 * k)), b1
-    return low + p * b1 - (b2 << (2 * k + 1))
 
 
 def classify_remainder(rem: IntPoly, arms: Sequence[int]) -> str:

@@ -249,26 +249,20 @@ class IntPoly:
         """Exact sign of the value at a rational point (-1, 0 or 1).
 
         When the exact accumulator, deg * max(bits(p), bits(q)) bits,
-        reaches ``BALL_BITS``, balls at w = bits(q) + 64, doubled while 4w
-        stays under that size, screen first: a ball that excludes 0 has the
-        sign of the value. Otherwise the sign is that of ``scaled_value``,
-        the value times a positive power of q. A ball centred exactly on 0
-        goes straight to ``scaled_value``: at a rational root every
-        Horner partial value is an integer, so each wider ball would be
-        centred on 0 too.
+        reaches ``BALL_BITS`` and is more than 4w for w = bits(q) + 64, one
+        ball at w screens first: a ball that excludes 0 has the sign of the
+        value. Otherwise the sign is that of ``scaled_value``, the value
+        times a positive power of q.
         """
         x = Fraction(v)
         p, q = x.numerator, x.denominator
         size = (len(self.coeffs) - 1) * max(p.bit_length(), q.bit_length())
         if size >= BALL_BITS:
             w = q.bit_length() + 64
-            while 4 * w < size:
+            if 4 * w < size:
                 c, r = self.ball_value(p, q, w)
                 if abs(c) > r:
                     return 1 if c > 0 else -1
-                if c == 0:
-                    break
-                w *= 2
         acc, _ = self.scaled_value(p, q)
         return (acc > 0) - (acc < 0)
 

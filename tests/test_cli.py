@@ -337,19 +337,15 @@ def test_factor_certifies_the_large_trees(capsys, monkeypatch):
     import starsalem.factorize as factorize
 
     # the integer-ball screen settles every trace sign the certificates
-    # need, at the width w = 32 + bits(2m^2 + 1) of _trace_signs
+    # need, at the width w = 32 + bits(2m^2 + 1) of _trace_signs: no
+    # point is recomputed exactly, at w = km
     exact_trace_values = []
-    exact = factorize._exact_trace_value
-    monkeypatch.setattr(
-        factorize,
-        "_exact_trace_value",
-        lambda shifted, p, k: exact_trace_values.append((p, k)) or exact(shifted, p, k),
-    )
     widths = []
     balls = factorize._trace_balls
 
     def recorded(a, points, w):
         m = len(a) - 1
+        exact_trace_values.extend((p, k) for p, k in points if w == k * m)
         widths.append(w - (2 * m * m + 1).bit_length())
         return balls(a, points, w)
 

@@ -168,8 +168,8 @@ def test_sign_at_past_the_cutoff(monkeypatch):
     monkeypatch.setattr(IntPoly, "ball_value", counted_ball)
     root = Fraction(ROOT_C, 10**40)
     assert SCREENED.degree() * root.denominator.bit_length() >= BALL_BITS
-    # at the root the first ball is centred exactly on 0, so no wider one
-    # is tried: the exact evaluation decides
+    # at the root the ball is centred exactly on 0: the exact evaluation
+    # decides
     assert SCREENED.sign_at(root) == 0
     assert len(exact_calls) == 1
     assert ball_calls == [root.denominator.bit_length() + 64]
@@ -178,11 +178,13 @@ def test_sign_at_past_the_cutoff(monkeypatch):
         assert SCREENED.sign_at(x) == sign == eval_sign(list(SCREENED.coeffs), x)
     assert len(exact_calls) == 1  # the ball decided both
     # (10^40 x - C)^101 is about 10^-4040 at these points, too small for
-    # any ball tried, so the exact evaluation decides
+    # the one ball tried at each, so the exact evaluation decides
     tiny = poly(-ROOT_C, 10**40) ** 101
+    ball_calls.clear()
     for offset, sign in ((Fraction(-1, 10**80), -1), (Fraction(7, 10**75), 1)):
         x = root + offset
         assert tiny.sign_at(x) == sign == eval_sign(list(tiny.coeffs), x)
+    assert ball_calls == [330, 314]  # bits(10^80) + 64, bits(10^75) + 64
     assert len(exact_calls) == 3
 
 

@@ -595,6 +595,30 @@ def test_certificate_fails_at_a_root_on_1():
     assert not salem_certificate(IntPoly.from_coeffs([1, -2, 1]), [0.0, 1.0])
 
 
+def test_certificate_drops_points_outside_the_interval():
+    # T = (t - 3)(t^2 + 1) has the roots +-i, so four roots of f lie off
+    # the circle; a point at 3.5, past T's root 3, would count that root
+    # as the change inside (-2, 2) that m = 3 asks for
+    f = IntPoly.from_coeffs(from_trace([-3, 1, -3, 1]))
+    assert f == poly(1, -3, 4, -9, 4, -3, 1)
+    assert not salem_certificate(f, [3.5])
+
+
+@pytest.mark.parametrize(
+    "cyclotomic, point",
+    [pytest.param(poly(1, -1, 1), 1.0, id="Phi_6"), pytest.param(poly(1, 1, 1), -1.0, id="Phi_3")],
+)
+def test_certificate_counts_no_change_at_a_trace_root(cyclotomic, point):
+    # Phi_6 and Phi_3 have the trace roots t = 1 and t = -1; squared, they
+    # give T a double root at the added point, where the sign 0 must not
+    # count as a change on either side
+    arms = (2, 4, 7)
+    salem = factor_coxeter(StarTree(arms)).salem_factor
+    separators = tree_separators(arms) + [point]
+    assert salem_certificate(salem, separators)
+    assert not salem_certificate(salem * cyclotomic * cyclotomic, separators)
+
+
 def test_cyclotomic_polynomials_do_not_certify():
     # every root on the circle: T has all m roots in (-2, 2) and T(2) > 0
     for n in range(3, 60):
@@ -696,7 +720,8 @@ dyadic_in_range = st.one_of(
 @example([10**6] * 600, [(2, 0), (-2, 0), (0, 0), (2**40 - 1, 39)])
 def test_trace_ball_encloses_the_value(lower, points):
     """|v - 2^w T(p/2^k)| <= 2m^2 + 1 for monic T of degree m, checked
-    exactly: v 2^(km) against 2^w times the scaled value."""
+    exactly: v 2^(km) against 2^w times the scaled value; and at w = km,
+    v is the scaled value 2^(km) T(p/2^k) itself."""
     a = lower + [1]
     m = len(a) - 1
     r = 2 * m * m + 1
@@ -704,17 +729,22 @@ def test_trace_ball_encloses_the_value(lower, points):
         for (p, k), v in zip(points, factorize._trace_balls(a, points, w)):
             exact = scaled_trace_value(a, p, k)
             assert abs((v << (k * m)) - (exact << w)) <= r << (k * m), (p, k)
+    for p, k in points:  # w = km, one width per point
+        assert factorize._trace_balls(a, [(p, k)], k * m) == [scaled_trace_value(a, p, k)], (p, k)
 
 
 def count_exact_trace_values(monkeypatch):
+    """The points that ``_trace_signs`` recomputes exactly: its
+    ``_trace_balls`` calls at w = km."""
     calls = []
-    exact = factorize._exact_trace_value
+    balls = factorize._trace_balls
 
-    def counted(shifted, p, k):
-        calls.append((p, k))
-        return exact(shifted, p, k)
+    def counted(a, points, w):
+        m = len(a) - 1
+        calls.extend((p, k) for p, k in points if w == k * m)
+        return balls(a, points, w)
 
-    monkeypatch.setattr(factorize, "_exact_trace_value", counted)
+    monkeypatch.setattr(factorize, "_trace_balls", counted)
     return calls
 
 
@@ -738,7 +768,13 @@ def test_trace_signs_trust_the_ball_only_past_its_radius(monkeypatch):
     # 19, and every other point falls through to the exact sign, here the
     # opposite of the centre's
     calls = count_exact_trace_values(monkeypatch)
-    monkeypatch.setattr(factorize, "_trace_balls", lambda a, points, w: [19, -19, 20, -20])
+    balls = factorize._trace_balls
+    screen = 32 + (19).bit_length()
+    monkeypatch.setattr(
+        factorize,
+        "_trace_balls",
+        lambda a, points, w: [19, -19, 20, -20] if w == screen else balls(a, points, w),
+    )
     a = from_trace([0, -1, -1, 1])[3:]  # T = t (t^2 - t - 1): T(1) < 0 < T(-1/2)
     points = [(1, 0), (-1, 1), (1, 0), (-1, 1)]
     assert factorize._trace_signs(a, points) == [-1, 1, 1, -1]

@@ -16,7 +16,12 @@ from starsalem import (
 )
 from starsalem.cli import main
 from starsalem.cyclotomic import default_table
-from starsalem.scan import _bridge_failure, _check_multiplicity, _check_order
+from starsalem.scan import (
+    _bridge_failure,
+    _check_degree_bound,
+    _check_multiplicity,
+    _check_order,
+)
 
 from oracles import divides_poly
 
@@ -128,6 +133,18 @@ def test_multiplicity_check_adds_r_plus_1_at_order_1():
     trace = replace(multiplicity_bound(2, 1), m=3)
     assert _check_multiplicity(tree, replace(fz, cyclotomic_factors={2: 3}), trace) == "pass"
     assert _check_multiplicity(tree, replace(fz, cyclotomic_factors={1: 1}), trace) == "multiplicity_bound"
+
+
+def test_degree_bound_check_can_fail(monkeypatch):
+    # the bound is vacuous on every tree the grid reaches, so it is patched
+    # here: to 0 (vacuous), to the Salem degree (met) and one past it
+    tree = StarTree((2, 4, 5))
+    fz = factor_coxeter(tree)
+    trace = multiplicity_bound(2, 1)
+    degree = fz.salem_factor.degree()
+    for bound, outcome in ((0, "vacuous"), (degree, "pass"), (degree + 1, "degree_lower_bound")):
+        monkeypatch.setattr(scan, "salem_degree_lower_bound", lambda tree, m, bound=bound: bound)
+        assert _check_degree_bound(tree, fz, trace) == outcome, bound
 
 
 def test_grid_verify_default_cli_grid():
