@@ -13,7 +13,9 @@ its Horner accumulator grows to about deg * bits(q) bits. ``ball_value`` is
 an integer ball around 2^w f(p/q) whose accumulator stays near w bits; it
 only screens. ``sign_at`` takes the sign from the ball when the ball
 excludes 0 and the exact accumulator would be large, and from
-``scaled_value`` otherwise, so every sign it returns is exact.
+``scaled_value`` otherwise, so every sign it returns is exact. At a
+dyadic point, q = 2^k, both kernels shift where they would divide by q or
+multiply by its powers, and return the same integers.
 """
 
 from __future__ import annotations
@@ -201,11 +203,19 @@ class IntPoly:
         """(q^deg * f(p/q), q^deg) for q > 0, by integer Horner steps.
 
         The first entry has the sign of f(p/q), and p/q need not be in
-        lowest terms.
+        lowest terms. For q = 2^k the term c_i q^(deg-i) is the shift
+        c_i << k (deg - i), with no power of q formed.
         """
         if not self.coeffs:
             return 0, 1
         acc = self.coeffs[-1]
+        if q & (q - 1) == 0:  # q = 2^k
+            k = q.bit_length() - 1
+            shift = 0
+            for c in reversed(self.coeffs[:-1]):
+                shift += k
+                acc = acc * p + (c << shift)
+            return acc, 1 << shift
         qq = 1
         for c in reversed(self.coeffs[:-1]):
             qq *= q
@@ -225,12 +235,22 @@ class IntPoly:
         the start). The floor of acc * p / q is that quotient minus some t
         in [0, 1), so e_i = e_{i-1} p / q - t and |e_i| <= |e_{i-1}| |p|/q + 1.
         By induction |e_i| <= r_i, since r_i >= r_{i-1} |p|/q + 1.
+
+        For q = 2^k the floors are shifts, floor(x / 2^k) = x >> k for
+        every integer x (>> floors negative x too), so the pass returns the
+        same (c, r) with no division and the proof holds as it stands.
         """
         if not self.coeffs:
             return 0, 0
         acc = self.coeffs[-1] << w
         r = 0
         ap = abs(p)
+        if q & (q - 1) == 0:  # q = 2^k
+            k = q.bit_length() - 1
+            for c in reversed(self.coeffs[:-1]):
+                acc = (acc * p >> k) + (c << w)
+                r = -(-r * ap >> k) + 1
+            return acc, r
         for c in reversed(self.coeffs[:-1]):
             acc = acc * p // q + (c << w)
             r = -(-r * ap // q) + 1

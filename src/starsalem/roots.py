@@ -5,19 +5,19 @@ at 1 + 2^-20 and height + 2, a float Newton search safeguarded by
 bisection, run on the reversed polynomial so that nothing overflows at
 high degree, picks the first Newton point; the bracket's midpoint takes
 its place when floats cannot find the root. Exact Newton steps follow,
-safeguarded by bisection the same way, with points rounded to place
-counts planned back from digits + 9 (about half of it, a quarter, ...),
-so the rationals stay small; the cell is tried as soon as Newton's
-quadratic convergence predicts the next point inside it, so at high
-precision the last Newton step is taken at about half the width. It
-returns the cell
-[n, n + 1] / 10^(digits+5) of the decimal grid that holds the root,
-proved by exact signs at its two ends, so the answer depends neither on
-the float start nor on the path Newton took. The Newton steps are formed
-from scaled integer values (``IntPoly.scaled_value``) or, past
-``intpoly.BALL_BITS``, from the centres of integer balls around f and f'
-(``IntPoly.ball_value``) where both exclude 0; only the bracket's ends
-and the cell are Fractions.
+safeguarded by bisection the same way, with points rounded to dyadic
+grids 2^-b, for bit counts b planned back from bits(10^(digits + 9))
+(about half of it, a quarter, ...), so the rationals stay small and the
+Horner kernels shift where they would divide; the cell is tried as soon
+as Newton's quadratic convergence predicts the next point inside it, so
+at high precision the last Newton step is taken at about half the width.
+It returns the cell [n, n + 1] / 10^(digits+5) of the decimal grid that
+holds the root, proved by exact signs at its two ends, so the answer
+depends neither on the float start nor on the path Newton took. The
+Newton steps are formed from scaled integer values
+(``IntPoly.scaled_value``) or, past ``intpoly.BALL_BITS``, from the
+centres of integer balls around f and f' (``IntPoly.ball_value``) where
+both exclude 0; only the bracket's ends and the cell are Fractions.
 
 ``lambda_bracket`` maps the enclosure of tau to one of the tree's
 spectral radius lambda = sqrt(tau) + 1/sqrt(tau) in exact integer
@@ -76,24 +76,28 @@ class ConvergenceRecord:
 # take about 52 + log2(tau) of them
 _SEED_STEPS = 100
 
-# dominant_root rounds each Newton point to a place count planned back
-# from digits + 9: every count is half the next one plus _LADDER_PAD, down
-# to _LADDER_FLOOR. A point on count c whose step resolves c - 12 places or
-# more still fills the next count, as 2 (c - 12) + 10 >= 2 c - 15; a
-# smaller pad would cost an extra step, never an answer.
-_LADDER_PAD = 8
-# Below this count a point takes twice its step's places plus 10. A float
-# start holds at most about 17 places, so the first Newton point stays
-# under the ladder or lands on a count of 40 or more, finer than twice
-# those places either way, and the first two steps show K.
-_LADDER_FLOOR = 40
-# Places past the cell's digits + 5 that a predicted error must reach before
-# the cell is tried. Resolved places come from bit lengths (off by up to 1,
-# 2 once doubled), K is read from two steps far from the root, and the
-# point itself is rounded to digits + 9 places. A wrong prediction costs one
-# try that fails (2 or 3 signs) or one more Newton step: the exact signs at
-# the cell's ends decide it either way.
-_CELL_MARGIN = 10
+# dominant_root rounds each Newton point to a multiple of 2^-b, for bit
+# counts b planned back from bits(10^(digits + 9)): every count is half the
+# next one plus _LADDER_PAD, down to _LADDER_FLOOR. A point on count c whose
+# step resolves c - 43 bits or more still fills the next count, as
+# 2 (c - 43) + 34 >= 2 c - 53; a smaller pad would cost an extra step,
+# never an answer.
+_LADDER_PAD = 27
+# Below this count a point takes twice its step's bits plus 34. A float
+# start holds at most about 56 bits of a root above 1, so the first Newton
+# point stays under the ladder or lands on a count of 133 or more, finer
+# than twice those bits either way, and the first two steps show K.
+_LADDER_FLOOR = 133
+# Bits past bits(10^(digits + 5)), the cell's, that a predicted error must
+# reach before the cell is tried. Resolved bits come from bit lengths (off
+# by up to 1, 2 once doubled), K is read from two steps far from the root,
+# and the point itself is rounded to bits(10^(digits + 9)) bits, about 13
+# past the cell's. A wrong prediction costs one try that fails (2 or 3
+# signs) or one more Newton step: the exact signs at the cell's ends decide
+# it either way. 20 bits is about 6 places: from 26 bits up T(2, 50, 998)
+# at 30 digits takes one more Newton step, and 12 to 24 bits take the same
+# steps and signs on every benchmark root.
+_CELL_MARGIN = 20
 
 # 2000 bits is 603 decimal digits, under 640, the lowest int-to-str limit
 # Python accepts (sys.set_int_max_str_digits)
@@ -181,14 +185,15 @@ def _float_seed(f: IntPoly, lo: Fraction, hi: Fraction, s_lo: int) -> Optional[f
     return None
 
 
-def _cell_is_due(resolved: int, log_k: Optional[int], digits: int) -> bool:
+def _cell_is_due(resolved: int, log_k: Optional[int], cell_bits: int) -> bool:
     """Whether ``dominant_root``'s new Newton point is predicted to lie
-    within 10^-(digits + 5 + ``_CELL_MARGIN``) of the root. Newton's error
-    after a step s is about K s^2, so after a step that resolved
-    ``resolved`` places it has about 2 resolved - log10 K; with K not yet
-    known (``log_k`` None) there is no prediction. It only chooses where
-    the cell is tried: exact signs decide it."""
-    return log_k is not None and 2 * resolved - log_k >= digits + 5 + _CELL_MARGIN
+    within 2^-(cell_bits + ``_CELL_MARGIN``) of the root, where cell_bits
+    is bits(10^(digits + 5)). Newton's error after a step s is about
+    K s^2, so after a step that resolved ``resolved`` bits it has about
+    2 resolved - log2 K; with K not yet known (``log_k`` None) there is no
+    prediction. It only chooses where the cell is tried: exact signs
+    decide it."""
+    return log_k is not None and 2 * resolved - log_k >= cell_bits + _CELL_MARGIN
 
 
 def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fraction, Fraction]]:
@@ -211,20 +216,20 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     Strategy: after the exact signs at those two ends, a float search
     (``_float_seed``) finds a float near the root, and exact Newton steps
     start there, or at the bracket's midpoint when floats cannot find it.
-    Each Newton point is rounded to a place count planned back from
-    D = digits + 9: D, D // 2 + 8, and so on down to 40 (Brent and
-    Zimmermann, Modern Computer Arithmetic, 4.2), the largest of them
-    within twice the places the step resolved plus 10, or that bound itself
-    below the ladder, so denominators stay small. The rounding goes towards
-    the point the step started from: Newton points land on the side of the
-    root from which its iterates approach it monotonically, and rounding
-    past them could move them off it, where a rough step may converge only
-    linearly. Newton's error after a
-    step s is about K s^2, K ~ |f''/2f'| near the root; log10 K is read
+    Each Newton point is rounded to a multiple of 2^-b, for a bit count b
+    planned back from B = bits(10^(digits + 9)): B, B // 2 + 27, and so on
+    down to 133 (Brent and Zimmermann, Modern Computer Arithmetic, 4.2),
+    the largest of them within twice the bits the step resolved plus 34, or
+    that bound itself below the ladder, so denominators stay small powers
+    of 2. The rounding goes towards the point the step started from: Newton
+    points land on the side of the root from which its iterates approach
+    it monotonically, and rounding past them could move them off it, where
+    a rough step may converge only linearly. Newton's error after a step s
+    is about K s^2, K ~ |f''/2f'| near the root; log2 K is read
     once, as 2 r0 - r1 from two consecutive steps that resolved r0 and r1
-    places, when the point between them was rounded to at least 2 r0
-    places. The cell is tried when the new point is predicted within
-    10^-(digits + 15) of the root (``_cell_is_due``), or when the step
+    bits, when the point between them was rounded to at least 2 r0 bits.
+    The cell is tried when the new point is predicted within
+    2^-(bits(S) + 20) of the root (``_cell_is_due``), or when the step
     itself is below 1/(16 S), which covers a K that no pair showed: the
     signs at the ends of the point's cell decide it, with one more sign at
     the far end of the neighbouring cell when both ends lie on one side of
@@ -238,13 +243,18 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     either side of the root move the ends before the next one, so each
     bisection at least halves the bracket. There is no step cap: every
     accepted step halves the one before, from points on finitely many
-    decimal grids, and every bisection halves the bracket, so the loop ends
+    dyadic grids, and every bisection halves the bracket, so the loop ends
     on an exact zero, a proved cell, or a bracket one cell wide, where its
     midpoint's cell or a neighbour is proved or the ArithmeticError raised.
-    K and the place counts only choose where to look. With log10 K below
-    about 9, the last Newton evaluation is at D // 2 + 8 places.
+    K and the bit counts only choose where to look. With log2 K below
+    about 30, the last Newton evaluation is at B // 2 + 27 bits, and only
+    the signs at the cell's ends work on the decimal grid.
 
-    Only the bracket's ends and the cell are Fractions. A Newton step
+    Only the bracket's ends and the cell are Fractions. The float start,
+    the first ends 1 + 2^-20 and height + 2 and the Newton points are all
+    dyadic, so the later ends and the bisection midpoints are too: every
+    Newton step is taken at a point x = p/2^k, where both kernels shift
+    instead of dividing. A Newton step
     at x = p/q works on integers A and B with f(x)/f'(x) = A/(qB): the
     Newton point is (pB - A)/(qB) and the step |A|/(q|B|). Where
     deg * max(bits(p), bits(q)) reaches ``BALL_BITS``, A = q * c_f is the
@@ -260,6 +270,7 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     if f.degree() < 1:
         raise NoSignChange(f"no dominant root: {f.describe()} is constant")
     scale = 10 ** (digits + 5)
+    cell_bits = scale.bit_length()
 
     def cell(n: int) -> tuple[Fraction, tuple[Fraction, Fraction]]:
         return Fraction(2 * n + 1, 2 * scale), (Fraction(n, scale), Fraction(n + 1, scale))
@@ -306,15 +317,15 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     # the last points p/q with f of the sign s_lo, and of the other sign
     below = above = None
     mid = None  # p/q when it is the midpoint of a bisection
-    # when p/q is a Newton point: the places its step resolved, and the
-    # places it was rounded to; None after a bisection
-    last = places = None
-    log_k = None  # about log10 |f''/2f'| near the root, once two steps show it
+    # when p/q is a Newton point: the bits its step resolved, and the bits
+    # it was rounded to (q = 2^bits); None after a bisection
+    last = bits = None
+    log_k = None  # about log2 |f''/2f'| near the root, once two steps show it
 
     deg = len(f.coeffs) - 1
     df = f.derivative(1)
     top_bits = (10 ** (digits + 9)).bit_length()
-    ladder = [digits + 9]
+    ladder = [top_bits]
     while ladder[-1] // 2 + _LADDER_PAD >= _LADDER_FLOOR:
         ladder.append(ladder[-1] // 2 + _LADDER_PAD)
     # every accepted Newton step halves the one before, and every bisection
@@ -323,9 +334,9 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     while True:
         a = None
         if deg * max(p.bit_length(), q.bit_length()) >= BALL_BITS:
-            # the new point is rounded to about twice the places of x, but
-            # never past digits + 9: w takes twice bits(q) up to the bits of
-            # those places, plus 64 bits of margin and deg bits per bit of |x| > 1
+            # the new point is rounded to about twice the bits of x, but
+            # never past top_bits: w takes twice bits(q) up to top_bits, plus
+            # 64 bits of margin and deg bits per bit of |x| > 1
             w = min(2 * q.bit_length(), top_bits) + 64
             w += deg * max(0, p.bit_length() - q.bit_length() + 1)
             ca, ra = f.ball_value(p, q, w)
@@ -348,21 +359,23 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
         num, den = (p * b - a, q * b) if b > 0 else (a - p * b, -q * b)
         if b and inside(num, den) and 2 * abs(a) * step_den < step_num * den:
             step_num, step_den = abs(a), den
-            # about the decimal places the step has resolved, from bit lengths
-            resolved = max(0, (den.bit_length() - abs(a).bit_length()) * 30103 // 100_000)
-            if log_k is None and last is not None and places >= 2 * last:
+            # about the bits the step has resolved, from bit lengths
+            resolved = max(0, den.bit_length() - abs(a).bit_length())
+            if log_k is None and last is not None and bits >= 2 * last:
                 # x = p/q is the last Newton point, rounded no coarser than
-                # its error K 10^(-2 last), so this step measures that error
+                # its error K 2^(-2 last), so this step measures that error
                 log_k = max(0, 2 * last - resolved)
             last = resolved
             # the largest planned count this step can fill; below the
-            # ladder, twice the resolved places and a pad of 10
-            places = max((c for c in ladder if c <= 2 * resolved + 10), default=2 * resolved + 10)
-            q = 10**places
+            # ladder, twice the resolved bits and a pad of 34, 10 places
+            # rounded up: a count finer than the point's error only widens
+            # the next evaluation, and a coarser one costs a step at most
+            bits = max((c for c in ladder if c <= 2 * resolved + 34), default=2 * resolved + 34)
+            q = 1 << bits
             # rounded towards x, so that a point on the side of the root from
             # which Newton's iterates approach it monotonically stays there
-            p = -(-num * q // den) if (a > 0) == (b > 0) else num * q // den
-            if 16 * abs(a) * scale < den or _cell_is_due(resolved, log_k, digits):
+            p = -(-(num << bits) // den) if (a > 0) == (b > 0) else (num << bits) // den
+            if 16 * abs(a) * scale < den or _cell_is_due(resolved, log_k, cell_bits):
                 found = proved_cell(p, q)
                 if found:
                     return found

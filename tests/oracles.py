@@ -198,6 +198,20 @@ def eval_exact(cs, x: Fraction) -> Fraction:
     return acc
 
 
+def ball_value(cs, p: int, q: int, w: int):
+    """The fixed-point Horner ball (c, r) around 2^w f(p/q) by the general
+    formula, with a floor division at every step whatever q is:
+    acc <- floor(acc p / q) + c_i 2^w from acc = c_d 2^w, and
+    r <- ceil(r |p| / q) + 1 from r = 0."""
+    if not cs:
+        return 0, 0
+    acc, r = cs[-1] * 2**w, 0
+    for c in reversed(cs[:-1]):
+        acc = acc * p // q + c * 2**w
+        r = -(-r * abs(p) // q) + 1
+    return acc, r
+
+
 def decimal_cell(cs, digits: int):
     """The package's answer for the root of cs above 1, by exact-sign
     bisection on the grid of step 1/S, S = 10^(digits + 5), from x = 1 to

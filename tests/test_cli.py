@@ -426,8 +426,11 @@ def test_format_takes_only_what_the_subcommand_writes(capsys, argv, bad):
 # selected n0 and c in Fraction arithmetic, the 6:19 grid digest while the
 # bridge still compared chi_T with R_T coefficient by coefficient, the
 # converge mbonacci digests for a1 14,36 and 24,26 while dominant_root's
-# Newton ladder still took two full-width steps before trying the cell;
-# every byte must stay the same
+# Newton ladder still took two full-width steps before trying the cell,
+# and the factor 2 30 1018 (degree 1046, four ladder rungs at 200 digits)
+# and factor 3 5 11 (a ladder past 1000 digits) digests while that ladder
+# still rounded its Newton points to decimal place counts; every byte must
+# stay the same
 PINNED_STDOUT = {
     "converge mbonacci --a0 3 --eta 2 --a1 19,31 --digits 1000":
         "d3070fb1e6629a38e6e7bbe74ec74f153c51152b37891da108304b844c27cd5b",
@@ -437,6 +440,10 @@ PINNED_STDOUT = {
         "9ba91a53f2eece68efac1a9646ced7e90e2c4cb23df987ec53662c3d51d3b82b",
     "factor 5 40 1005 --digits 30 --json":
         "25ab455e8e1a5f1d07051787fb90b5b35c1a692b080b124258740095019232a5",
+    "factor 2 30 1018 --digits 200 --json":
+        "0ef1570deb6a4df4d7ef670df0285633fbdf5b12c79b57cfe395919b3c97cb12",
+    "factor 3 5 11 --digits 2000":
+        "950c4462c36c77c617087ec5a66cc277144eae356421d243b2033b5de9a5f47a",
     "grid --a0 2:8 --a1 2:8 --a2 2:8":
         "21ff2e5f9e0cff35b1628c404a7f8d4cf36cecee636ed15ab65e50b31d96eeb0",
     "grid --a0 6:19 --a1 6:19 --a2 6:19":
@@ -506,6 +513,7 @@ NO_NUMPY_COMMANDS = [
     "grid --a0 2:8 --a1 2:8 --a2 2:8",
     "scan --a0 2 --eta 1 --a1 4:10 --full-bound",
     "factor 2 3 7 --digits 1000",
+    "factor 3 5 11 --digits 2000",
 ]
 
 NO_NUMPY_SCRIPT = """

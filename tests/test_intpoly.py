@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from starsalem import IntPoly, NEG_INF, NotDivisible, StarTree, p_polynomial
 from starsalem.intpoly import BALL_BITS
 
-from oracles import eval_exact, eval_sign
+from oracles import ball_value, eval_exact, eval_sign
 
 ONE = IntPoly.one()
 
@@ -135,6 +135,27 @@ def test_ball_value_encloses_the_scaled_value(degree, seed, height, p, q, common
     c, r = IntPoly.from_coeffs(cs).ball_value(p * common, q * common, w)
     assert r >= 0
     assert abs(c - eval_exact(cs, Fraction(p, q)) * 2**w) <= r
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    degree=st.sampled_from([0, 1, 40, 350]),
+    seed=st.integers(0, 2**32),
+    k=st.integers(0, 400),
+    p=st.integers(-(2**402), 2**402),
+    w=st.integers(0, 400),
+)
+@example(degree=1, seed=0, k=1, p=-3, w=0)
+@example(degree=40, seed=1, k=80, p=-(2**81 + 1), w=64)
+def test_power_of_two_denominators_give_the_general_values(degree, seed, k, p, w):
+    # at q = 2^k both kernels shift instead of dividing or multiplying by
+    # powers of q; for odd negative p the shift must floor as // does
+    rng = random.Random(seed)
+    cs = [rng.randint(-(10**30), 10**30) for _ in range(degree)] + [rng.choice((-1, 1))]
+    f = IntPoly.from_coeffs(cs)
+    assert f.ball_value(p, 2**k, w) == ball_value(cs, p, 2**k, w)
+    scale = 2 ** (k * degree)
+    assert f.scaled_value(p, 2**k) == (eval_exact(cs, Fraction(p, 2**k)) * scale, scale)
 
 
 def test_ball_value_examples():

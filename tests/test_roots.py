@@ -379,23 +379,19 @@ def test_the_predicted_error_only_chooses_where_to_look(monkeypatch, f, digits):
     # below 1/(16 S); the exact signs at the cell's ends decide either way
     expected = dominant_root(f, digits)
     for fires in (True, False):
-        monkeypatch.setattr(roots, "_cell_is_due", lambda resolved, log_k, digits, fires=fires: fires)
+        monkeypatch.setattr(
+            roots, "_cell_is_due", lambda resolved, log_k, cell_bits, fires=fires: fires
+        )
         assert dominant_root(f, digits) == expected, fires
 
 
-def test_newton_stays_at_half_width_at_1000_digits(monkeypatch):
-    # T(2, 24, 25) at 1000 digits: the ladder's place counts are 1009, 512,
-    # 264, ..., and from its 512-place point the predicted error sends the
-    # next point to the cell. Newton evaluates f and f' at points of at most
-    # (1000 + 9) // 2 + 8 = 512 places; only the 2 or 3 signs at the ends of
-    # the cell take f at full width. A ladder that doubles from the start
-    # (..., 488, 966, 1009 places) and tries the cell only after a step
-    # below 1/(16 S) fails this
-    f = factor_coxeter(StarTree((2, 24, 25))).salem_factor
-    half = (10**512).bit_length()
+@pytest.fixture
+def evaluations(monkeypatch):
+    """(degree, q, whether sign_at asked for it) for every ball_value and
+    scaled_value call at p/q during the test, and the points of every
+    sign_at call."""
     ball_value, scaled_value, sign_at = IntPoly.ball_value, IntPoly.scaled_value, IntPoly.sign_at
-    signs, inside_sign = [], []
-    evaluations = []  # (degree, bits of q, whether sign_at asked for it)
+    signs, inside_sign, calls = [], [], []
 
     def tracked_sign(self, v):
         signs.append(v)
@@ -407,19 +403,53 @@ def test_newton_stays_at_half_width_at_1000_digits(monkeypatch):
 
     def tracked(method):
         def evaluate(self, p, q, *w):
-            evaluations.append((self.degree(), q.bit_length(), bool(inside_sign)))
+            calls.append((self.degree(), q, bool(inside_sign)))
             return method(self, p, q, *w)
         return evaluate
 
     monkeypatch.setattr(IntPoly, "sign_at", tracked_sign)
     monkeypatch.setattr(IntPoly, "ball_value", tracked(ball_value))
     monkeypatch.setattr(IntPoly, "scaled_value", tracked(scaled_value))
+    return signs, calls
+
+
+def test_newton_stays_at_half_width_at_1000_digits(evaluations):
+    # T(2, 24, 25) at 1000 digits: the ladder's bit counts are
+    # bits(10^1009) = 3352, 1703, 878, ..., and from its 1703-bit point the
+    # predicted error sends the next point to the cell. Newton evaluates f
+    # and f' at points p/2^b with b <= 3352 // 2 + 27 = 1703; only the 2 or
+    # 3 signs at the ends of the cell take f at full width. A ladder that
+    # doubles from the floor up (..., 1318, 2582, 3352 bits) and tries the
+    # cell only after a step below 1/(16 S) fails this
+    f = factor_coxeter(StarTree((2, 24, 25))).salem_factor
+    half = 2**1703
+    signs, calls = evaluations
+    signs.clear()  # factor_coxeter's own evaluations
+    calls.clear()
     check_cell(f, 1000, dominant_root(f, 1000))
     # every evaluation of f and f' that sign_at did not ask for is Newton's
-    newton = [(degree, bits) for degree, bits, signed in evaluations if not signed]
+    newton = [(degree, q) for degree, q, signed in calls if not signed]
     assert {degree for degree, _ in newton} == {f.degree(), f.degree() - 1}
-    assert max(bits for _, bits in newton) <= half
-    assert 2 <= sum(x.denominator.bit_length() > half for x in signs) <= 3
+    assert max(q for _, q in newton) <= half
+    assert 2 <= sum(x.denominator > half for x in signs) <= 3
+
+
+@pytest.mark.parametrize(
+    "arms, digits",
+    [((2, 24, 25), 1000), ((20, 30, 1000), 30), ((11, 17, 19), 15)],
+    ids=["T2-24-25", "T20-30-1000", "T11-17-19"],
+)
+def test_newton_points_are_dyadic(evaluations, arms, digits):
+    # Newton points are rounded to q = 2^b, and the float start, the
+    # bisection midpoints and the bracket's ends 1 + 2^-20 and height + 2
+    # are dyadic already, so every Newton evaluation, ball or exact, runs
+    # the kernels' shift path; only sign_at works on the decimal grid
+    f = factor_coxeter(StarTree(arms)).salem_factor
+    _, calls = evaluations
+    calls.clear()  # factor_coxeter's own evaluations
+    check_cell(f, digits, dominant_root(f, digits))
+    newton = [q for _, q, signed in calls if not signed]
+    assert newton and all(q & (q - 1) == 0 for q in newton)
 
 
 @pytest.mark.parametrize(
