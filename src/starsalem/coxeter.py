@@ -33,6 +33,7 @@ at one point x = 2^s where equal values prove equal coefficients.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -64,7 +65,7 @@ class StarTree:
     arms: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        arms = tuple(int(a) for a in self.arms)
+        arms = tuple(map(operator.index, self.arms))
         if len(arms) < 2:
             raise ValueError("a star-like tree needs at least two arms (r >= 1)")
         if any(a < 2 for a in arms):
@@ -178,7 +179,7 @@ def limit_polynomial(prefix_arms: tuple[int, ...], r: int) -> IntPoly:
     whose dominant root is the limit of the tree's Salem roots. It is
     (z-1)^(k+1) times ``_repunit_rule`` of the prefix with c = 1 - r + k.
     """
-    prefix = tuple(int(a) for a in prefix_arms)
+    prefix = tuple(map(operator.index, prefix_arms))
     k = len(prefix) - 1
     if k < 0:
         raise ValueError("prefix_arms must be nonempty")

@@ -21,6 +21,7 @@ multiply by its powers, and return the same integers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -49,8 +50,9 @@ class IntPoly:
     # ------------------------------------------------------------------
     @staticmethod
     def from_coeffs(coeffs: Iterable[int]) -> "IntPoly":
-        """Build a polynomial from low-to-high coefficients, trimming zeros."""
-        cs = [int(c) for c in coeffs]
+        """Build a polynomial from low-to-high integer coefficients,
+        trimming zeros; a float or Fraction raises TypeError."""
+        cs = list(map(operator.index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         return IntPoly(tuple(cs))
@@ -65,10 +67,13 @@ class IntPoly:
 
     @staticmethod
     def monomial(exponent: int, coeff: int = 1) -> "IntPoly":
-        """coeff * x**exponent"""
+        """coeff * x**exponent, for exponent >= 0"""
+        coeff = operator.index(coeff)
+        if exponent < 0:
+            raise ValueError("negative exponent")
         if coeff == 0:
             return IntPoly(())
-        return IntPoly((0,) * exponent + (int(coeff),))
+        return IntPoly((0,) * exponent + (coeff,))
 
     # ------------------------------------------------------------------
     # basic queries
@@ -152,7 +157,9 @@ class IntPoly:
         return result
 
     def shift(self, k: int) -> "IntPoly":
-        """Multiply by x**k."""
+        """Multiply by x**k, for k >= 0."""
+        if k < 0:
+            raise ValueError("negative exponent")
         if not self.coeffs:
             return self
         return IntPoly((0,) * k + self.coeffs)

@@ -1,23 +1,24 @@
 """High-precision root computations.
 
-``dominant_root`` locates the unique real root above 1. After exact signs
-at 1 + 2^-20 and height + 2, a float Newton search safeguarded by
-bisection, run on the reversed polynomial so that nothing overflows at
-high degree, picks the first Newton point; the bracket's midpoint takes
-its place when floats cannot find the root. Exact Newton steps follow,
-safeguarded by bisection the same way, with points rounded to dyadic
-grids 2^-b, for bit counts b planned back from bits(10^(digits + 9))
-(about half of it, a quarter, ...), so the rationals stay small and the
-Horner kernels shift where they would divide; the cell is tried as soon
-as Newton's quadratic convergence predicts the next point inside it, so
-at high precision the last Newton step is taken at about half the width.
+``dominant_root`` locates the unique real root above 1. After the exact
+sign at 1 + 2^-20 (at height + 2, above every root, f has the sign of its
+leading coefficient), a float Newton search safeguarded by bisection, run
+on the reversed polynomial so that nothing overflows at high degree,
+picks the first Newton point; the bracket's midpoint takes its place
+when floats cannot find the root. Exact Newton steps follow, safeguarded
+by bisection the same way, with points rounded to dyadic grids 2^-b, for
+bit counts b planned back from bits(10^(digits + 9)) (about half of it, a
+quarter, ...), so the rationals stay small and the Horner kernels shift
+where they would divide; the cell is tried as soon as Newton's quadratic
+convergence predicts the next point inside it, so at high precision the
+last Newton step is taken at about half the width.
 It returns the cell [n, n + 1] / 10^(digits+5) of the decimal grid that
 holds the root, proved by exact signs at its two ends, so the answer
 depends neither on the float start nor on the path Newton took. The
 Newton steps are formed from scaled integer values
 (``IntPoly.scaled_value``) or, past ``intpoly.BALL_BITS``, from the
 centres of integer balls around f and f' (``IntPoly.ball_value``) where
-both exclude 0; only the bracket's ends and the cell are Fractions.
+both exclude 0; only the cell is a Fraction.
 
 ``lambda_bracket`` maps the enclosure of tau to one of the tree's
 spectral radius lambda = sqrt(tau) + 1/sqrt(tau) in exact integer
@@ -39,6 +40,7 @@ dominant root of the limit polynomial.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,12 +210,13 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     the path taken to it. On other inputs it is a proved cell of one of
     those roots, or the ArithmeticError below, and which one depends on the
     path. Raises NoSignChange when f does not change sign between
-    1 + 2^-20 and the coefficient bound height + 2, which is how
-    cyclotomic-only inputs announce themselves, and ArithmeticError when
-    no cell next to the root has opposite signs at its ends, which takes
-    more roots of f within a cell or two of it.
+    1 + 2^-20 and the coefficient bound height + 2, where f has the sign of
+    its leading coefficient, which is how cyclotomic-only inputs announce
+    themselves, and ArithmeticError when no cell next to the root has
+    opposite signs at its ends, which takes more roots of f within a cell
+    or two of it.
 
-    Strategy: after the exact signs at those two ends, a float search
+    Strategy: after the exact sign at 1 + 2^-20, a float search
     (``_float_seed``) finds a float near the root, and exact Newton steps
     start there, or at the bracket's midpoint when floats cannot find it.
     Each Newton point is rounded to a multiple of 2^-b, for a bit count b
@@ -238,23 +241,22 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     (the rtsafe rule of ``_float_seed``) whenever the Newton point leaves
     the bracket or the step fails to halve the one before, so a start far
     from the root cannot crawl towards it by about x/deg a step. The value
-    behind each step has the exact sign of f at the point. A bisection's
-    midpoint moves its end of the bracket at once, and the last points on
-    either side of the root move the ends before the next one, so each
-    bisection at least halves the bracket. There is no step cap: every
-    accepted step halves the one before, from points on finitely many
-    dyadic grids, and every bisection halves the bracket, so the loop ends
-    on an exact zero, a proved cell, or a bracket one cell wide, where its
-    midpoint's cell or a neighbour is proved or the ArithmeticError raised.
-    K and the bit counts only choose where to look. With log2 K below
+    behind each step has the exact sign of f at the point, and every point
+    inside the bracket moves the end of its sign at once. There is no step
+    cap: accepted Newton steps halve the step before, from points on
+    finitely many dyadic grids, and each bisection midpoint lies inside the
+    bracket, so its sign halves the bracket; the loop ends on an exact
+    zero, a proved cell, or a bracket one cell wide, where its midpoint's
+    cell or a neighbour is proved or the ArithmeticError raised. K and the
+    bit counts only choose where to look. With log2 K below
     about 30, the last Newton evaluation is at B // 2 + 27 bits, and only
     the signs at the cell's ends work on the decimal grid.
 
-    Only the bracket's ends and the cell are Fractions. The float start,
-    the first ends 1 + 2^-20 and height + 2 and the Newton points are all
-    dyadic, so the later ends and the bisection midpoints are too: every
-    Newton step is taken at a point x = p/2^k, where both kernels shift
-    instead of dividing. A Newton step
+    Only the cell is a Fraction. The float start, the first ends
+    1 + 2^-20 and height + 2 and the Newton points are all dyadic, so the
+    later ends and the bisection midpoints are too: the ends are integer
+    pairs (p, 2^k), and every Newton step is taken at a point x = p/2^k,
+    where both kernels shift instead of dividing. A Newton step
     at x = p/q works on integers A and B with f(x)/f'(x) = A/(qB): the
     Newton point is (pB - A)/(qB) and the step |A|/(q|B|). Where
     deg * max(bits(p), bits(q)) reaches ``BALL_BITS``, A = q * c_f is the
@@ -280,16 +282,16 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
         n, rem = divmod(x.numerator * scale, x.denominator)
         return cell(n) if rem else (x, (x, x))
 
-    lo = Fraction((1 << 20) + 1, 1 << 20)
-    hi = Fraction(f.height() + 2)
-    s_lo = f.sign_at(lo)
+    lo = ((1 << 20) + 1, 1 << 20)
+    s_lo = f.sign_at(Fraction(*lo))
     if s_lo == 0:
-        return root_at(lo)
-    s_hi = f.sign_at(hi)
-    if s_hi == 0:
-        return root_at(hi)
-    if s_lo == s_hi:
-        raise NoSignChange(f"no sign change in (1, {hi}] for {f.describe()}")
+        return root_at(Fraction(*lo))
+    # every root has |z| < 1 + height (Cauchy's bound), so at height + 2 f
+    # has the sign of its leading coefficient
+    top = f.height() + 2
+    if (f.coeffs[-1] > 0) == (s_lo > 0):
+        raise NoSignChange(f"no sign change in (1, {top}] for {f.describe()}")
+    hi = (top, 1)
 
     def proved_cell(p: int, q: int) -> Optional[tuple[Fraction, tuple[Fraction, Fraction]]]:
         """The cell of p/q (q > 0), or the neighbour that the signs at its
@@ -308,15 +310,20 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
 
     def inside(num: int, den: int) -> bool:
         """lo < num/den < hi (den > 0)."""
-        return lo.numerator * den < num * lo.denominator and num * hi.denominator < hi.numerator * den
+        return lo[0] * den < num * lo[1] and num * hi[1] < hi[0] * den
 
-    seed = _float_seed(f, lo, hi, s_lo)
-    p, q = ((lo + hi) / 2 if seed is None else seed).as_integer_ratio()
+    def midpoint() -> tuple[int, int, int, int]:
+        """The bracket's midpoint p/q in lowest terms, and its half-width."""
+        big_q = max(lo[1], hi[1])  # a power of 2, as are lo[1] and hi[1]
+        n_lo, n_hi = lo[0] * (big_q // lo[1]), hi[0] * (big_q // hi[1])
+        p, q = n_lo + n_hi, 2 * big_q
+        g = min(p & -p, q)  # gcd(p, q), as q is a power of 2 and p > 0
+        return p // g, q // g, n_hi - n_lo, q
+
+    seed = _float_seed(f, Fraction(*lo), Fraction(top), s_lo)
+    p, q = midpoint()[:2] if seed is None else seed.as_integer_ratio()
     # the last step as |A|/den; the first one has none to halve (1/0)
     step_num, step_den = 1, 0
-    # the last points p/q with f of the sign s_lo, and of the other sign
-    below = above = None
-    mid = None  # p/q when it is the midpoint of a bisection
     # when p/q is a Newton point: the bits its step resolved, and the bits
     # it was rounded to (q = 2^bits); None after a bisection
     last = bits = None
@@ -328,9 +335,8 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     ladder = [top_bits]
     while ladder[-1] // 2 + _LADDER_PAD >= _LADDER_FLOOR:
         ladder.append(ladder[-1] // 2 + _LADDER_PAD)
-    # every accepted Newton step halves the one before, and every bisection
-    # halves the bracket, so the loop reaches a bracket one cell wide unless
-    # a proved cell or an exact zero ends it first
+    # accepted Newton steps halve the step before, and each bisection
+    # midpoint lies inside the bracket, so its sign halves the bracket
     while True:
         a = None
         if deg * max(p.bit_length(), q.bit_length()) >= BALL_BITS:
@@ -349,12 +355,12 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
             if a == 0:
                 return root_at(Fraction(p, q))
             b, _ = df.scaled_value(p, q)
-        # A has the exact sign of f(x); a midpoint moves its end at once
-        if (a > 0) == (s_lo > 0):
-            below, lo = (p, q), mid or lo
-        else:
-            above, hi = (p, q), mid or hi
-        mid = None
+        # A has the exact sign of f(x): x moves the end of that sign
+        if inside(p, q):
+            if (a > 0) == (s_lo > 0):
+                lo = (p, q)
+            else:
+                hi = (p, q)
         # the Newton point is num/den with den = q|B| > 0, the step |A|/den
         num, den = (p * b - a, q * b) if b > 0 else (a - p * b, -q * b)
         if b and inside(num, den) and 2 * abs(a) * step_den < step_num * den:
@@ -382,23 +388,15 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
             # a cell not proved costs its signs only: Newton goes on
             continue
         # f'(x) = 0, the Newton point left (lo, hi) or the step did not
-        # halve the last one: bisect (the rtsafe rule). The last points move
-        # the ends first; moving them at every step would cost exact
-        # comparisons with ends of digits + 9 places
-        if below and inside(*below):
-            lo = Fraction(*below)
-        if above and inside(*above):
-            hi = Fraction(*above)
-        mid = (lo + hi) / 2
-        p, q = mid.as_integer_ratio()
+        # halve the last one: bisect (the rtsafe rule)
+        p, q, step_num, step_den = midpoint()
         last = None
-        if (hi - lo) * scale <= 1:
+        if 2 * step_num * scale <= step_den:  # (hi - lo) S <= 1
             # the root is within 1/(2S) of the midpoint, so in its cell or a neighbour
             found = proved_cell(p, q)
             if found:
                 return found
             raise ArithmeticError(f"{f.describe()} has roots closer together than 10^-{digits + 5}")
-        step_num, step_den = ((hi - lo) / 2).as_integer_ratio()
 
 
 def lambda_bracket(
@@ -528,10 +526,10 @@ def converge_general(
 ) -> list[ConvergenceRecord]:
     """Salem roots of full trees against the dominant root of the limit
     polynomial of their fixed prefix."""
-    prefix = tuple(int(a) for a in prefix_arms)
+    prefix = tuple(map(operator.index, prefix_arms))
     schedule = []
     for tail in growth_schedule:  # every entry is checked before any root is computed
-        arms = prefix + tuple(int(t) for t in tail)
+        arms = prefix + tuple(map(operator.index, tail))
         if len(arms) != r + 1:
             raise ValueError(f"schedule entry {tail} does not extend to r+1 = {r + 1} arms")
         # StarTree sorts its arms, so the order is checked on the input

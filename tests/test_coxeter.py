@@ -45,6 +45,17 @@ def test_tree_validation():
         StarTree((1, 2, 3))
 
 
+def test_tree_arms_are_exact_integers():
+    # numpy integers are integers; a float is refused, not truncated to
+    # another tree
+    arms = StarTree((np.int64(7), np.int32(3), 2)).arms
+    assert arms == (2, 3, 7) and all(type(a) is int for a in arms)
+    with pytest.raises(TypeError):
+        StarTree((2.9, 3, 7.5))
+    with pytest.raises(TypeError):
+        StarTree((2, 3, Fraction(7)))
+
+
 def test_tree_flags():
     t = StarTree((2, 3, 7))
     assert t.r == 2 and t.strictly_ordered and not t.excluded
@@ -253,6 +264,8 @@ def test_limit_validation():
         limit_polynomial((3, 3), 3)
     with pytest.raises(ValueError):
         limit_polynomial((1, 3), 3)
+    with pytest.raises(TypeError):
+        limit_polynomial((2.2, 4.9), 3)  # not the prefix (2, 4)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -27,6 +28,25 @@ nonzero_polys = polys.filter(lambda f: not f.is_zero())
 # ----------------------------------------------------------------------
 # construction and basic queries
 # ----------------------------------------------------------------------
+
+def test_coefficients_are_exact_integers():
+    # ints, bools and numpy integers are integers; a float or a Fraction is
+    # refused, not truncated to another polynomial
+    f = IntPoly.from_coeffs([np.int64(-2), True, np.int32(1)])
+    assert f == poly(-2, 1, 1) and all(type(c) is int for c in f.coeffs)
+    assert IntPoly.monomial(2, np.int64(3)) == poly(0, 0, 3)
+    for bad in ([1.5, -0.5, 1], [Fraction(1), 2], [np.float64(2.0)]):
+        with pytest.raises(TypeError):
+            IntPoly.from_coeffs(bad)
+    with pytest.raises(TypeError):
+        IntPoly.monomial(2, 1.0)
+
+
+def test_negative_exponents_are_refused():
+    for thunk in (lambda: IntPoly.monomial(-3), lambda: poly(0, 0, 0, 1).shift(-2)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            thunk()
+
 
 def test_trailing_zeros_trimmed():
     assert poly(1, 2, 0, 0).coeffs == (1, 2)
@@ -207,6 +227,26 @@ def test_sign_at_past_the_cutoff(monkeypatch):
         assert tiny.sign_at(x) == sign == eval_sign(list(tiny.coeffs), x)
     assert ball_calls == [330, 314]  # bits(10^80) + 64, bits(10^75) + 64
     assert len(exact_calls) == 3
+
+
+def test_sign_at_trusts_the_ball_only_past_its_radius(monkeypatch):
+    # (2^200 x - 2^200 - 1) x^49 is 0 at 1 + 2^-200, and its exact
+    # accumulator there, 50 * 201 bits, is past the cutoff and 4w, so one
+    # ball is tried. The balls (r, r) and (-r, r), r = 19, hold 0, the
+    # value, and prove no sign: only the exact evaluation may decide
+    f = poly(-(2**200) - 1, 2**200).shift(49)
+    x = Fraction(2**200 + 1, 2**200)
+    assert f.degree() * x.numerator.bit_length() >= BALL_BITS
+    assert eval_sign(list(f.coeffs), x) == 0
+    tried = []
+    for centre in (1, -1):
+        def ball(self, p, q, w, centre=centre):
+            tried.append(w)
+            return centre * 19, 19
+
+        monkeypatch.setattr(IntPoly, "ball_value", ball)
+        assert f.sign_at(x) == 0, centre
+    assert tried == [201 + 64] * 2
 
 
 def test_derivative_examples():

@@ -248,14 +248,17 @@ def test_roots_sharing_a_cell_are_refused(monkeypatch):
 
 def test_several_roots_above_1_give_a_proved_cell_of_one(monkeypatch):
     # outside the contract: (x^2 - 3)(x^2 - 5)(x^2 - 7) has three roots
-    # above 1, and the answer is the cell of the one the path reaches
+    # above 1, and the answer is the cell of the one the path reaches. f is
+    # negative at 1 + 2^-20, and the start's own sign moves its end of the
+    # bracket: f(2.2) > 0 leaves (1, 2.2), which holds sqrt 3 alone, and
+    # f(2.6) < 0 leaves (2.6, 107), which holds sqrt 7 alone
     factors = [poly(-3, 0, 1), poly(-5, 0, 1), poly(-7, 0, 1)]
     f = factors[0] * factors[1] * factors[2]
     cells = [decimal_cell(list(g.coeffs), 20) for g in factors]
     assert dominant_root(f, 20) in cells
-    for seed, cell in zip((1.7, 2.2, 2.6), cells):
+    for seed, cell in ((1.7, cells[0]), (2.2, cells[0]), (2.6, cells[2])):
         force_seed(monkeypatch, seed)
-        assert dominant_root(f, 20) == cell
+        assert dominant_root(f, 20) == cell, seed
 
 
 def test_inputs_past_float_range_take_the_bisection_start():
@@ -486,8 +489,8 @@ def test_a_ball_of_f_alone_moves_the_bracket(monkeypatch):
 def test_newton_steps_away_from_the_root_do_not_slow_bisection(monkeypatch):
     # with f' negated every Newton step heads away from the root. Were the
     # ends moved only before a bisection, such steps could wander on the
-    # midpoint's side and leave the next bracket wider than half; as the
-    # midpoint moves its end at once, they leave the bracket and are refused
+    # midpoint's side and leave the next bracket wider than half; as every
+    # point moves its end at once, they leave the bracket and are refused
     expected = dominant_root(LEHMER, 60)
     derivative = IntPoly.derivative
     values = []
@@ -525,11 +528,11 @@ def test_floats_only_guide(monkeypatch, sign_at_calls, f, start):
     sign_at_calls.clear()
     assert dominant_root(f, 30) == expected
     if start in ("far-end", "mid-bracket"):
-        # the signs at the two ends of (1, h + 2] and at most three around
-        # the cell. Without the halving rule a start at 3 or 5 on
-        # T(20,30,1000) crawls down by about x/deg a step, runs out of
-        # Newton steps and bisects to the cell by signs: 123 of them
-        assert len(sign_at_calls) <= 5
+        # the sign at 1 + 2^-20 and at most three around the cell. Without
+        # the halving rule a start at 3 or 5 on T(20,30,1000) crawls down by
+        # about x/deg a step, runs out of Newton steps and bisects to the
+        # cell by signs: 123 of them
+        assert len(sign_at_calls) <= 4
 
 
 def test_the_float_start_keeps_newton_inside_the_bracket(monkeypatch, sign_at_calls):
@@ -547,10 +550,10 @@ def test_the_float_start_keeps_newton_inside_the_bracket(monkeypatch, sign_at_ca
     _, (lo, hi) = dominant_root(f, 30)
     # 9 passes from the float start; every bisection point costs two more
     assert len(passes) <= 12
-    # the signs at the two ends of (1, h + 2], then only at the ends of the
-    # cell and its neighbours
-    assert sign_at_calls[:2] == [Fraction(2**20 + 1, 2**20), f.height() + 2]
-    assert all(abs(x - lo) <= 2 * (hi - lo) for x in sign_at_calls[2:])
+    # the sign at 1 + 2^-20, then only at the ends of the cell and its
+    # neighbours: the leading coefficient gives the sign at h + 2
+    assert sign_at_calls[0] == Fraction(2**20 + 1, 2**20)
+    assert all(abs(x - lo) <= 2 * (hi - lo) for x in sign_at_calls[1:])
 
 
 def test_fraction_to_decimal():
@@ -879,6 +882,11 @@ def test_general_validation():
         converge_general((2, 4), 3, [(10,)], digits=15)  # wrong tail width
     with pytest.raises(ValueError):
         converge_general((2, 4), 3, [(4, 11)], digits=15)  # not increasing
+    # arms are exact integers, not truncated to other trees
+    with pytest.raises(TypeError):
+        converge_general((2.0, 4), 3, [(10, 11)], digits=15)
+    with pytest.raises(TypeError):
+        converge_general((2, 4), 3, [(10.5, 11)], digits=15)
 
 
 # ----------------------------------------------------------------------
