@@ -13,8 +13,11 @@ where they would divide; the cell is tried as soon as Newton's quadratic
 convergence predicts the next point inside it, so at high precision the
 last Newton step is taken at about half the width.
 It returns the cell [n, n + 1] / 10^(digits+5) of the decimal grid that
-holds the root, proved by exact signs at its two ends, so the answer
-depends neither on the float start nor on the path Newton took. The
+holds the root, so the answer depends neither on the float start nor on
+the path Newton took. The cell is proved by exact signs at the ends of a
+cell of a dyadic grid 256 times finer, which lies inside it, and by at
+most one decimal sign, where a point of the decimal grid falls inside
+that dyadic cell; so these signs shift where they would divide too. The
 Newton steps are formed from scaled integer values
 (``IntPoly.scaled_value``) or, past ``intpoly.BALL_BITS``, from the
 centres of integer balls around f and f' (``IntPoly.ball_value``) where
@@ -90,15 +93,16 @@ _LADDER_PAD = 27
 # point stays under the ladder or lands on a count of 133 or more, finer
 # than twice those bits either way, and the first two steps show K.
 _LADDER_FLOOR = 133
-# Bits past bits(10^(digits + 5)), the cell's, that a predicted error must
-# reach before the cell is tried. Resolved bits come from bit lengths (off
-# by up to 1, 2 once doubled), K is read from two steps far from the root,
-# and the point itself is rounded to bits(10^(digits + 9)) bits, about 13
-# past the cell's. A wrong prediction costs one try that fails (2 or 3
-# signs) or one more Newton step: the exact signs at the cell's ends decide
-# it either way. 20 bits is about 6 places: from 26 bits up T(2, 50, 998)
-# at 30 digits takes one more Newton step, and 12 to 24 bits take the same
-# steps and signs on every benchmark root.
+# Bits past bits(10^(digits + 5)), the decimal cell's, that a predicted
+# error must reach before the cell is tried; the signs that prove it are
+# taken 8 bits finer, on the dyadic cell's ends. Resolved bits come from bit
+# lengths (off by up to 1, 2 once doubled), K is read from two steps far
+# from the root, and the point itself is rounded to bits(10^(digits + 9))
+# bits, about 13 past the decimal cell's. A wrong prediction costs one try
+# that fails (2 or 3 signs) or one more Newton step: the exact signs at the
+# dyadic cell's ends decide it either way. 20 bits is about 6 places: from
+# 26 bits up T(2, 50, 998) at 30 digits takes one more Newton step, and 12
+# to 24 bits take the same steps and signs on every benchmark root.
 _CELL_MARGIN = 20
 
 # 2000 bits is 603 decimal digits, under 640, the lowest int-to-str limit
@@ -203,54 +207,60 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
 
     Returns (root, (lo, hi)): with S = 10^(digits+5), (lo, hi) is the cell
     [n/S, (n+1)/S] of the decimal grid that holds the root, and root is its
-    midpoint. Opposite exact signs of f at lo and hi prove the cell; a root
-    r on the grid is returned as (r, (r, r)), and an exact zero found off
-    the grid proves its own cell. Every caller passes an f with exactly one
-    root above 1, and then the answer depends on f and digits only, not on
-    the path taken to it. On other inputs it is a proved cell of one of
-    those roots, or the ArithmeticError below, and which one depends on the
-    path. Raises NoSignChange when f does not change sign between
-    1 + 2^-20 and the coefficient bound height + 2, where f has the sign of
-    its leading coefficient, which is how cyclotomic-only inputs announce
-    themselves, and ArithmeticError when no cell next to the root has
-    opposite signs at its ends, which takes more roots of f within a cell
-    or two of it.
+    midpoint. Opposite exact signs of f at the ends of a cell of the dyadic
+    grid 2^-(bits(S) + 8), 256 times finer, prove that the root lies in that
+    dyadic cell; when it holds no point of the decimal grid it lies inside
+    [n/S, (n+1)/S], and else the sign at the one grid point m/S inside it
+    decides between the cells either side of m. A root r on the decimal grid
+    is returned as (r, (r, r)), and an exact zero found off it proves its
+    own cell. Every caller passes an f with exactly one root above 1, and
+    then the answer depends on f and digits only, not on the path taken to
+    it. On other inputs it is a proved cell of one of those roots, or the
+    ArithmeticError below, and which one depends on the path. Raises
+    NoSignChange when f does not change sign between 1 + 2^-20 and the
+    coefficient bound height + 2, where f has the sign of its leading
+    coefficient, which is how cyclotomic-only inputs announce themselves,
+    and ArithmeticError when no dyadic cell next to the root has opposite
+    signs at its ends, which takes more roots of f within a dyadic cell or
+    two of it.
 
     Strategy: after the exact sign at 1 + 2^-20, a float search
     (``_float_seed``) finds a float near the root, and exact Newton steps
     start there, or at the bracket's midpoint when floats cannot find it.
     Each Newton point is rounded to a multiple of 2^-b, for a bit count b
     planned back from B = bits(10^(digits + 9)): B, B // 2 + 27, and so on
-    down to 133 (Brent and Zimmermann, Modern Computer Arithmetic, 4.2),
-    the largest of them within twice the bits the step resolved plus 34, or
-    that bound itself below the ladder, so denominators stay small powers
-    of 2. The rounding goes towards the point the step started from: Newton
-    points land on the side of the root from which its iterates approach
-    it monotonically, and rounding past them could move them off it, where
-    a rough step may converge only linearly. Newton's error after a step s
-    is about K s^2, K ~ |f''/2f'| near the root; log2 K is read
-    once, as 2 r0 - r1 from two consecutive steps that resolved r0 and r1
-    bits, when the point between them was rounded to at least 2 r0 bits.
-    The cell is tried when the new point is predicted within
-    2^-(bits(S) + 20) of the root (``_cell_is_due``), or when the step
-    itself is below 1/(16 S), which covers a K that no pair showed: the
-    signs at the ends of the point's cell decide it, with one more sign at
-    the far end of the neighbouring cell when both ends lie on one side of
-    the root. A cell not proved costs those signs only, and Newton goes
-    on. The next point is the midpoint of the bracket (lo, hi) instead
-    (the rtsafe rule of ``_float_seed``) whenever the Newton point leaves
-    the bracket or the step fails to halve the one before, so a start far
-    from the root cannot crawl towards it by about x/deg a step. The value
-    behind each step has the exact sign of f at the point, and every point
-    inside the bracket moves the end of its sign at once. There is no step
-    cap: accepted Newton steps halve the step before, from points on
-    finitely many dyadic grids, and each bisection midpoint lies inside the
-    bracket, so its sign halves the bracket; the loop ends on an exact
-    zero, a proved cell, or a bracket one cell wide, where its midpoint's
-    cell or a neighbour is proved or the ArithmeticError raised. K and the
-    bit counts only choose where to look. With log2 K below
-    about 30, the last Newton evaluation is at B // 2 + 27 bits, and only
-    the signs at the cell's ends work on the decimal grid.
+    down to 133 (Brent and Zimmermann, Modern Computer Arithmetic, 4.2), the
+    largest of them within twice the bits the step resolved plus 34, or that
+    bound itself below the ladder, so denominators stay small powers of 2.
+    The rounding goes towards the point the step started from: Newton points
+    land on the side of the root from which its iterates approach it
+    monotonically, and rounding past them could move them off it, where a
+    rough step may converge only linearly. Newton's error after a step s is
+    about K s^2, K ~ |f''/2f'| near the root; log2 K is read once, as
+    2 r0 - r1 from two consecutive steps that resolved r0 and r1 bits, when
+    the point between them was rounded to at least 2 r0 bits. The cell is tried
+    when the new point is predicted within 2^-(bits(S) + 20) of the root
+    (``_cell_is_due``), or when the step itself is below 1/(16 S), which
+    covers a K that no pair showed: the signs at the ends of the point's
+    dyadic cell decide it, with one more sign at the far end of the
+    neighbouring dyadic cell when both ends lie on one side of the root, and
+    one decimal sign when a grid point lies inside the proved dyadic cell. A
+    cell not proved costs those signs only, and Newton goes on. The next
+    point is the midpoint of the bracket (lo, hi) instead (the rtsafe rule
+    of ``_float_seed``) whenever the Newton point leaves the bracket or the
+    step fails to halve the one before, so a start far from the root cannot
+    crawl towards it by about x/deg a step. The value behind each step has
+    the exact sign of f at the point, and every point inside the bracket
+    moves the end of its sign at once. There is no step cap: accepted Newton
+    steps halve the step before, from points on finitely many dyadic grids,
+    and each bisection midpoint lies inside the bracket, so its sign halves
+    the bracket; the loop ends on an exact zero, a proved cell, or a bracket
+    one dyadic cell wide, where its midpoint's dyadic cell or a neighbour is
+    proved or the ArithmeticError raised. K and the bit counts only choose
+    where to look. With log2 K below about 30, the last Newton evaluation is
+    at B // 2 + 27 bits, and only the 2 or 3 signs at the dyadic cell's ends
+    work at full width, on the kernels' shift path; at most one sign works
+    on the decimal grid.
 
     Only the cell is a Fraction. The float start, the first ends
     1 + 2^-20 and height + 2 and the Newton points are all dyadic, so the
@@ -293,20 +303,37 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
         raise NoSignChange(f"no sign change in (1, {top}] for {f.describe()}")
     hi = (top, 1)
 
+    # the cell is proved on the dyadic grid 2^-fine, 256 times finer than
+    # the decimal one, where sign_at shifts instead of dividing: a dyadic
+    # cell then holds a point of the decimal grid about once in 256
+    fine = cell_bits + 8
+
     def proved_cell(p: int, q: int) -> Optional[tuple[Fraction, tuple[Fraction, Fraction]]]:
-        """The cell of p/q (q > 0), or the neighbour that the signs at its
-        ends point to, where opposite exact signs prove it; else None."""
-        n = p * scale // q
-        signs = {k: f.sign_at(Fraction(k, scale)) for k in (n, n + 1)}
-        if signs[n] == signs[n + 1]:  # both ends below the root, or both above
-            up = signs[n] == s_lo
-            k = n + 2 if up else n - 1
-            signs[k] = f.sign_at(Fraction(k, scale))
-            n += 1 if up else -1
-        for k in (n, n + 1):
+        """The decimal cell of the root near p/q (q > 0), where opposite
+        exact signs at the ends of p/q's dyadic cell, or of the neighbour
+        they point to, prove that the root lies in it; else None."""
+        u = (p << fine) // q
+        signs = {k: f.sign_at(Fraction(k, 1 << fine)) for k in (u, u + 1)}
+        if signs[u] == signs[u + 1]:  # both ends below the root, or both above
+            up = signs[u] == s_lo
+            k = u + 2 if up else u - 1
+            signs[k] = f.sign_at(Fraction(k, 1 << fine))
+            u += 1 if up else -1
+        for k in (u, u + 1):
             if signs[k] == 0:
-                return root_at(Fraction(k, scale))
-        return cell(n) if signs[n] != signs[n + 1] else None
+                return root_at(Fraction(k, 1 << fine))
+        if signs[u] == signs[u + 1]:
+            return None
+        # the root is in (u, u + 1) / 2^fine, which is narrower than 1/S
+        n = u * scale >> fine
+        if (u + 1) * scale <= (n + 1) << fine:
+            return cell(n)
+        # the grid point m = n + 1 lies strictly inside it: one sign there
+        m = n + 1
+        s = f.sign_at(Fraction(m, scale))
+        if s == 0:
+            return root_at(Fraction(m, scale))
+        return cell(m) if s == signs[u] else cell(n)
 
     def inside(num: int, den: int) -> bool:
         """lo < num/den < hi (den > 0)."""
@@ -391,8 +418,9 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
         # halve the last one: bisect (the rtsafe rule)
         p, q, step_num, step_den = midpoint()
         last = None
-        if 2 * step_num * scale <= step_den:  # (hi - lo) S <= 1
-            # the root is within 1/(2S) of the midpoint, so in its cell or a neighbour
+        if step_num << (fine + 1) <= step_den:  # (hi - lo) 2^fine <= 1
+            # the root is within 2^-(fine + 1) of the midpoint, so in its
+            # dyadic cell or a neighbour; 2^-fine < 1/S, so the message holds
             found = proved_cell(p, q)
             if found:
                 return found

@@ -6,10 +6,12 @@ For each a1 one ``cyclotomic_divisors`` call answers all orders up to
 k_max at once (orders with phi(k) > deg R_T are dropped, the exact screen
 Phi_k(2) | R_T(2) discards most others, exact division settles the rest,
 all from the process-wide ``default_table()``), and a record is written
-for every (a1, k). Whether Phi_k divides depends only on a1 mod k within
-such a family; the scan verifies that residue-class law on every record
-and aborts loudly if it ever failed, since that would falsify the
-underlying block-shift identity.
+for every (a1, k). For k >= 2, whether Phi_k divides depends only on
+a1 mod k within such a family; the scan verifies that residue-class law
+on every record with k >= 2 and aborts loudly if it ever failed, since
+that would falsify the underlying block-shift identity. Phi_1 divides
+R_T when R_T(1) = 0, which depends on a1 itself (T(2, 3, 6) is the
+affine tree E8~), so the k = 1 records are written but not compared.
 
 ``grid_verify`` sweeps a triple grid and re-checks every certified
 bound: the paper's cyclotomic order bound (against the orders an uncapped
@@ -68,7 +70,7 @@ def periodicity_scan(
     """Divisibility records for T(a0, a1, a1 + eta), a1 in the given range.
 
     Records are ordered by (a1, k). Raises PeriodicityViolation with both
-    witnesses if two records sharing (k, a1 mod k) ever disagree.
+    witnesses if two records sharing (k, a1 mod k), k >= 2, ever disagree.
     """
     if a0 < 2 or eta < 1 or k_max < 1:
         raise ValueError("need a0 >= 2, eta >= 1, k_max >= 1")
@@ -80,7 +82,10 @@ def periodicity_scan(
     for a1 in range(lo, hi + 1):
         arms = (a0, a1, a1 + eta)
         hits = set(cyclotomic_divisors(coxeter_polynomial(StarTree(arms)), k_max))
-        for k in range(1, k_max + 1):
+        # the law starts at k = 2: modulo Phi_k, z^k = 1 and the repunit
+        # [k] = 0, so R_T mod Phi_k depends on the arms mod k only then
+        records.append(ScanRecord(arms=arms, k=1, divides=1 in hits, a1_mod_k=0))
+        for k in range(2, k_max + 1):
             div = k in hits
             rec = ScanRecord(arms=arms, k=k, divides=div, a1_mod_k=a1 % k)
             key = (k, a1 % k)

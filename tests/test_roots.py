@@ -212,38 +212,88 @@ def force_seed(monkeypatch, seed):
     monkeypatch.setattr(roots, "_float_seed", lambda f, lo, hi, s_lo: seed)
 
 
+def is_dyadic(x):
+    return x.denominator & (x.denominator - 1) == 0
+
+
+def dyadic_cell_bits(digits):
+    """bits(10^(digits + 5)) + 8: dominant_root proves its cell on the
+    dyadic grid of this many bits."""
+    return (10 ** (digits + 5)).bit_length() + 8
+
+
 def test_the_cell_check_takes_two_signs_or_three(monkeypatch, sign_at_calls):
-    # the ends of the last Newton point's cell
+    # the ends of the last Newton point's dyadic cell, inside its decimal cell
     _, (lo, hi) = dominant_root(LEHMER, 30)
-    assert sign_at_calls[-2:] == [lo, hi]
+    unit = Fraction(1, 2 ** dyadic_cell_bits(30))
+    a, b = sign_at_calls[-2:]
+    assert b - a == unit and (a / unit).denominator == 1 and lo <= a < b <= hi
     # the last two FALLBACK_CASES, from a start 2^-45 across 3/2 from the
     # root: f is convex near the root of `below` and concave near that of
     # `above`, so the Newton point lands across 3/2 too, within 1/(16 S) of
-    # the root. Both ends of its cell have one sign, and the far end of the
-    # neighbouring cell proves that one
+    # the root. Both ends of its dyadic cell (2^-45 wide at 6 digits) have
+    # one sign, and the far end of the neighbouring cell proves that one
     below, above = (case.values[0] for case in FALLBACK_CASES[-2:])
-    half, tick = Fraction(3, 2), Fraction(1, 10**11)
+    half, tick, step = Fraction(3, 2), Fraction(1, 10**11), Fraction(1, 2**45)
+    assert dyadic_cell_bits(6) == 45
     force_seed(monkeypatch, 1.5 + 2**-45)
     sign_at_calls.clear()
     assert dominant_root(below, 6)[1] == (half - tick, half)
-    assert sign_at_calls[-3:] == [half, half + tick, half - tick]
+    assert sign_at_calls[-3:] == [half, half + step, half - step]
     force_seed(monkeypatch, 1.5 - 2**-45)
     sign_at_calls.clear()
     assert dominant_root(above, 6)[1] == (half, half + tick)
-    assert sign_at_calls[-3:] == [half - tick, half, half + tick]
+    assert sign_at_calls[-3:] == [half - step, half, half + step]
 
 
 def test_roots_sharing_a_cell_are_refused(monkeypatch):
     # ((10^10 x - c)^2 - 2)(3 10^10 x - 3 c' - 1): roots 2.8e-10 apart in
-    # one cell of width 10^-9 and a third below it. From a start next to
-    # either root of the pair the path isolates that root; no cell around
-    # it has opposite signs at its ends
+    # one cell of width 10^-9 and a third below it. Dyadic cells 2^-38 wide
+    # (3.6e-12) separate the pair, and from a start next to either root the
+    # answer is their one decimal cell, proved by the sign change across a
+    # dyadic cell inside it (its own ends have one sign)
     x = poly(-15000000032, 10**10)
-    f = (x * x - poly(2)) * poly(-(3 * 15000000008 + 1), 3 * 10**10)
+    linear = poly(-(3 * 15000000008 + 1), 3 * 10**10)
+    f = (x * x - poly(2)) * linear
+    cell = (Fraction(1500000003, 10**9), Fraction(1500000004, 10**9))
     for seed in (1.50000000307, 1.50000000333):
+        force_seed(monkeypatch, seed)
+        assert dominant_root(f, 4) == (sum(cell) / 2, cell)
+    # a pair 2.8e-13 apart, closer than 2^-38: from a start next to either
+    # root no cell around it has opposite signs at its ends
+    x = poly(-15000000032000, 10**13)
+    f = (x * x - poly(2)) * linear
+    for seed in (1.5000000032 - 1.4e-13, 1.5000000032 + 1.4e-13):
         force_seed(monkeypatch, seed)
         with pytest.raises(ArithmeticError, match="roots closer together than 10\\^-9"):
             dominant_root(f, 4)
+
+
+@pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+def test_a_grid_point_inside_the_dyadic_cell_takes_one_decimal_sign(sign_at_calls, side):
+    # 2^(K+1) S x - (2^(K+1) n +- 1), K = dyadic_cell_bits(10): the root is
+    # 2^-(K+1)/S above or below the grid point n/S, which is not dyadic, so
+    # the root's dyadic cell holds n/S strictly inside, and one sign there
+    # decides which of the two decimal cells holds the root
+    digits = 10
+    scale = 10 ** (digits + 5)
+    n = scale + scale // 3
+    wide = 2 ** (dyadic_cell_bits(digits) + 1)
+    f = poly(-(wide * n + side), wide * scale)
+    answer = dominant_root(f, digits)
+    assert answer == decimal_cell(list(f.coeffs), digits)
+    assert answer[1][0] == Fraction(n if side > 0 else n - 1, scale)
+    assert [x for x in sign_at_calls if not is_dyadic(x)] == [Fraction(n, scale)]
+
+
+def test_a_root_on_the_grid_is_found_by_its_decimal_sign(sign_at_calls):
+    # 6/5 is on the decimal grid and on no dyadic one, so no Newton point
+    # or dyadic sign lands on it: the one decimal sign inside its dyadic
+    # cell finds f(6/5) = 0, and the answer is the point itself
+    f = poly(-6, 5) * poly(1, 1, 1)
+    r = Fraction(6, 5)
+    assert dominant_root(f, 10) == (r, (r, r))
+    assert [x for x in sign_at_calls if not is_dyadic(x)] == [r]
 
 
 def test_several_roots_above_1_give_a_proved_cell_of_one(monkeypatch):
@@ -421,9 +471,10 @@ def test_newton_stays_at_half_width_at_1000_digits(evaluations):
     # bits(10^1009) = 3352, 1703, 878, ..., and from its 1703-bit point the
     # predicted error sends the next point to the cell. Newton evaluates f
     # and f' at points p/2^b with b <= 3352 // 2 + 27 = 1703; only the 2 or
-    # 3 signs at the ends of the cell take f at full width. A ladder that
-    # doubles from the floor up (..., 1318, 2582, 3352 bits) and tries the
-    # cell only after a step below 1/(16 S) fails this
+    # 3 signs at the ends of the dyadic cell take f at full width, where
+    # the kernels shift. A ladder that doubles from the floor up (..., 1318,
+    # 2582, 3352 bits) and tries the cell only after a step below 1/(16 S)
+    # fails this, and so do signs taken at the ends of the decimal cell
     f = factor_coxeter(StarTree((2, 24, 25))).salem_factor
     half = 2**1703
     signs, calls = evaluations
@@ -434,7 +485,8 @@ def test_newton_stays_at_half_width_at_1000_digits(evaluations):
     newton = [(degree, q) for degree, q, signed in calls if not signed]
     assert {degree for degree, _ in newton} == {f.degree(), f.degree() - 1}
     assert max(q for _, q in newton) <= half
-    assert 2 <= sum(x.denominator > half for x in signs) <= 3
+    wide = [x for x in signs if x.denominator > half]
+    assert 2 <= len(wide) <= 3 and all(map(is_dyadic, wide))
 
 
 @pytest.mark.parametrize(
@@ -446,7 +498,8 @@ def test_newton_points_are_dyadic(evaluations, arms, digits):
     # Newton points are rounded to q = 2^b, and the float start, the
     # bisection midpoints and the bracket's ends 1 + 2^-20 and height + 2
     # are dyadic already, so every Newton evaluation, ball or exact, runs
-    # the kernels' shift path; only sign_at works on the decimal grid
+    # the kernels' shift path; so do the cell's signs, on a dyadic grid 256
+    # times finer than the decimal one, but for at most one decimal sign
     f = factor_coxeter(StarTree(arms)).salem_factor
     _, calls = evaluations
     calls.clear()  # factor_coxeter's own evaluations

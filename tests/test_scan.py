@@ -102,6 +102,20 @@ def test_periodicity_violation_is_a_data_error(capsys, monkeypatch):
     assert err.startswith("error: residue-class law failed for k=2") and err.count("\n") == 1
 
 
+def test_scan_through_an_affine_tree_leaves_order_1_out_of_the_law(capsys):
+    # T(2, 3, 6) is the affine tree E8~: Phi_1 divides R_T at a1 = 3 and
+    # at no other a1, as R_T(1) depends on a1 itself; the law holds from
+    # k = 2, and the k = 1 rows are still printed
+    rc = main("scan --a0 2 --eta 3 --a1 3:8 --full-bound".split())
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    rows = out.splitlines()
+    assert rows[1] == "2,3,3,1,0,1"
+    assert [row for row in rows if row.split(",")[3] == "1"] == [
+        f"2,3,{a1},1,0,{int(a1 == 3)}" for a1 in range(3, 9)
+    ]
+
+
 def test_grid_verify_small():
     summary = grid_verify((2, 8), (2, 8), (2, 8))
     assert summary["triples"] == 32
