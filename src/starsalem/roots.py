@@ -9,9 +9,10 @@ when floats cannot find the root. Exact Newton steps follow, safeguarded
 by bisection the same way, with points rounded to dyadic grids 2^-b, for
 bit counts b planned back from bits(10^(digits + 9)) (about half of it, a
 quarter, ...), so the rationals stay small and the Horner kernels shift
-where they would divide; the cell is tried as soon as Newton's quadratic
-convergence predicts the next point inside it, so at high precision the
-last Newton step is taken at about half the width.
+where they would divide; the cell is tried once twice the bits a step
+resolved pass the cell's, as Newton's quadratic convergence then puts the
+next point inside it, so at high precision the last Newton step is taken
+at about half the width.
 It returns the cell [n, n + 1] / 10^(digits+5) of the decimal grid that
 holds the root, so the answer depends neither on the float start nor on
 the path Newton took. The cell is proved by exact signs at the ends of a
@@ -55,7 +56,8 @@ from .intpoly import BALL_BITS, IntPoly
 
 
 class NoSignChange(ArithmeticError):
-    """No sign change above 1: the input has no dominant real root there."""
+    """No sign change in (1 + 2^-20, height + 2], the interval where
+    ``dominant_root`` looks for the input's root."""
 
 
 @dataclass(frozen=True)
@@ -91,18 +93,19 @@ _LADDER_PAD = 27
 # Below this count a point takes twice its step's bits plus 34. A float
 # start holds at most about 56 bits of a root above 1, so the first Newton
 # point stays under the ladder or lands on a count of 133 or more, finer
-# than twice those bits either way, and the first two steps show K.
+# than twice those bits either way.
 _LADDER_FLOOR = 133
-# Bits past bits(10^(digits + 5)), the decimal cell's, that a predicted
-# error must reach before the cell is tried; the signs that prove it are
-# taken 8 bits finer, on the dyadic cell's ends. Resolved bits come from bit
-# lengths (off by up to 1, 2 once doubled), K is read from two steps far
-# from the root, and the point itself is rounded to bits(10^(digits + 9))
-# bits, about 13 past the decimal cell's. A wrong prediction costs one try
-# that fails (2 or 3 signs) or one more Newton step: the exact signs at the
-# dyadic cell's ends decide it either way. 20 bits is about 6 places: from
-# 26 bits up T(2, 50, 998) at 30 digits takes one more Newton step, and 12
-# to 24 bits take the same steps and signs on every benchmark root.
+# Bits past bits(10^(digits + 5)), the decimal cell's, that twice a Newton
+# step's resolved bits must reach before the cell is tried; the signs that
+# prove it are taken 8 bits finer, on the dyadic cell's ends. Resolved bits
+# come from bit lengths (off by up to 1, 2 once doubled), and the new point
+# is then rounded to bits(10^(digits + 9)) bits, about 13 past the decimal
+# cell's. A try too early costs the 2 or 3 signs that fail to prove the
+# cell, one too late a Newton step: the exact signs at the dyadic cell's
+# ends decide it either way. 20 bits is about 6 places: from 22 bits up the
+# 15-digit grid roots take more Newton steps, from -4 down the degree-1048
+# trees take tries that fail, and -2 to 21 bits take the same steps and
+# signs on every benchmark root.
 _CELL_MARGIN = 20
 
 # 2000 bits is 603 decimal digits, under 640, the lowest int-to-str limit
@@ -191,17 +194,6 @@ def _float_seed(f: IntPoly, lo: Fraction, hi: Fraction, s_lo: int) -> Optional[f
     return None
 
 
-def _cell_is_due(resolved: int, log_k: Optional[int], cell_bits: int) -> bool:
-    """Whether ``dominant_root``'s new Newton point is predicted to lie
-    within 2^-(cell_bits + ``_CELL_MARGIN``) of the root, where cell_bits
-    is bits(10^(digits + 5)). Newton's error after a step s is about
-    K s^2, so after a step that resolved ``resolved`` bits it has about
-    2 resolved - log2 K; with K not yet known (``log_k`` None) there is no
-    prediction. It only chooses where the cell is tried: exact signs
-    decide it."""
-    return log_k is not None and 2 * resolved - log_k >= cell_bits + _CELL_MARGIN
-
-
 def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     """The real root of f in (1, infinity), to ``digits`` decimal places.
 
@@ -236,31 +228,28 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     land on the side of the root from which its iterates approach it
     monotonically, and rounding past them could move them off it, where a
     rough step may converge only linearly. Newton's error after a step s is
-    about K s^2, K ~ |f''/2f'| near the root; log2 K is read once, as
-    2 r0 - r1 from two consecutive steps that resolved r0 and r1 bits, when
-    the point between them was rounded to at least 2 r0 bits. The cell is tried
-    when the new point is predicted within 2^-(bits(S) + 20) of the root
-    (``_cell_is_due``), or when the step itself is below 1/(16 S), which
-    covers a K that no pair showed: the signs at the ends of the point's
-    dyadic cell decide it, with one more sign at the far end of the
-    neighbouring dyadic cell when both ends lie on one side of the root, and
-    one decimal sign when a grid point lies inside the proved dyadic cell. A
-    cell not proved costs those signs only, and Newton goes on. The next
-    point is the midpoint of the bracket (lo, hi) instead (the rtsafe rule
-    of ``_float_seed``) whenever the Newton point leaves the bracket or the
-    step fails to halve the one before, so a start far from the root cannot
-    crawl towards it by about x/deg a step. The value behind each step has
-    the exact sign of f at the point, and every point inside the bracket
-    moves the end of its sign at once. There is no step cap: accepted Newton
-    steps halve the step before, from points on finitely many dyadic grids,
-    and each bisection midpoint lies inside the bracket, so its sign halves
-    the bracket; the loop ends on an exact zero, a proved cell, or a bracket
-    one dyadic cell wide, where its midpoint's dyadic cell or a neighbour is
-    proved or the ArithmeticError raised. K and the bit counts only choose
-    where to look. With log2 K below about 30, the last Newton evaluation is
-    at B // 2 + 27 bits, and only the 2 or 3 signs at the dyadic cell's ends
-    work at full width, on the kernels' shift path; at most one sign works
-    on the decimal grid.
+    about s^2 |f''/2f'| near the root, so the cell is tried once twice the
+    bits the step resolved reach bits(S) + 20, 20 bits of room for that
+    factor and the rounding (``_CELL_MARGIN``): the signs at the ends of
+    the point's dyadic cell decide it, with one more sign at the far end of
+    the neighbouring dyadic cell when both ends lie on one side of the root,
+    and one decimal sign when a grid point lies inside the proved dyadic
+    cell. A cell not proved costs those signs only, and Newton goes on.
+    The next point is the midpoint of the bracket (lo, hi) instead (the
+    rtsafe rule of ``_float_seed``) whenever the Newton point leaves the
+    bracket or the step fails to halve the one before, so a start far from
+    the root cannot crawl towards it by about x/deg a step. The value behind
+    each step has the exact sign of f at the point, and every point inside
+    the bracket moves the end of its sign at once. There is no step cap:
+    accepted Newton steps halve the step before, from points on finitely
+    many dyadic grids, and each bisection midpoint lies inside the bracket,
+    so its sign halves the bracket; the loop ends on an exact zero, a proved
+    cell, or a bracket one dyadic cell wide, where its midpoint's dyadic
+    cell or a neighbour is proved or the ArithmeticError raised. The trigger
+    and the bit counts only choose where to look. On the benchmark's
+    1000-digit roots the last Newton evaluation is at B // 2 + 27 bits, and
+    only the 2 or 3 signs at the dyadic cell's ends work at full width, on
+    the kernels' shift path; at most one sign works on the decimal grid.
 
     Only the cell is a Fraction. The float start, the first ends
     1 + 2^-20 and height + 2 and the Newton points are all dyadic, so the
@@ -300,7 +289,7 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     # has the sign of its leading coefficient
     top = f.height() + 2
     if (f.coeffs[-1] > 0) == (s_lo > 0):
-        raise NoSignChange(f"no sign change in (1, {top}] for {f.describe()}")
+        raise NoSignChange(f"no sign change in (1 + 2^-20, {top}] for {f.describe()}")
     hi = (top, 1)
 
     # the cell is proved on the dyadic grid 2^-fine, 256 times finer than
@@ -351,10 +340,6 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     p, q = midpoint()[:2] if seed is None else seed.as_integer_ratio()
     # the last step as |A|/den; the first one has none to halve (1/0)
     step_num, step_den = 1, 0
-    # when p/q is a Newton point: the bits its step resolved, and the bits
-    # it was rounded to (q = 2^bits); None after a bisection
-    last = bits = None
-    log_k = None  # about log2 |f''/2f'| near the root, once two steps show it
 
     deg = len(f.coeffs) - 1
     df = f.derivative(1)
@@ -394,11 +379,6 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
             step_num, step_den = abs(a), den
             # about the bits the step has resolved, from bit lengths
             resolved = max(0, den.bit_length() - abs(a).bit_length())
-            if log_k is None and last is not None and bits >= 2 * last:
-                # x = p/q is the last Newton point, rounded no coarser than
-                # its error K 2^(-2 last), so this step measures that error
-                log_k = max(0, 2 * last - resolved)
-            last = resolved
             # the largest planned count this step can fill; below the
             # ladder, twice the resolved bits and a pad of 34, 10 places
             # rounded up: a count finer than the point's error only widens
@@ -408,7 +388,8 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
             # rounded towards x, so that a point on the side of the root from
             # which Newton's iterates approach it monotonically stays there
             p = -(-(num << bits) // den) if (a > 0) == (b > 0) else (num << bits) // den
-            if 16 * abs(a) * scale < den or _cell_is_due(resolved, log_k, cell_bits):
+            # the new point's error is about the step squared
+            if 2 * resolved >= cell_bits + _CELL_MARGIN:
                 found = proved_cell(p, q)
                 if found:
                     return found
@@ -417,7 +398,6 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
         # f'(x) = 0, the Newton point left (lo, hi) or the step did not
         # halve the last one: bisect (the rtsafe rule)
         p, q, step_num, step_den = midpoint()
-        last = None
         if step_num << (fine + 1) <= step_den:  # (hi - lo) 2^fine <= 1
             # the root is within 2^-(fine + 1) of the midpoint, so in its
             # dyadic cell or a neighbour; 2^-fine < 1/S, so the message holds

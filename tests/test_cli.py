@@ -378,7 +378,7 @@ def test_no_root_above_one_is_a_data_error(capsys):
     rc, out, err = run(capsys, "converge", "general", "--prefix", "2", "--r", "1", "--tails", "3")
     assert rc == 3
     assert out == ""
-    assert err == "error: no sign change in (1, 3] for a degree-3 polynomial of height 1\n"
+    assert err == "error: no sign change in (1 + 2^-20, 3] for a degree-3 polynomial of height 1\n"
 
 
 @pytest.mark.parametrize(

@@ -103,7 +103,13 @@ def test_determinism():
 
 def test_no_sign_change_messages_are_short():
     for f, message in [
-        (poly(0, 0, -1, 1), "no sign change in (1, 3] for a degree-3 polynomial of height 1"),
+        (poly(0, 0, -1, 1), "no sign change in (1 + 2^-20, 3] for a degree-3 polynomial of height 1"),
+        # the root 1 + 10^-30 lies below 1 + 2^-20, outside the interval searched
+        (
+            poly(-(10**30 + 1), 10**30),
+            f"no sign change in (1 + 2^-20, {10**30 + 3}] for a degree-1 polynomial"
+            f" of height {10**30 + 1}",
+        ),
         (poly(7), "no dominant root: a degree-0 polynomial of height 7 is constant"),
         (poly(), "no dominant root: the zero polynomial is constant"),
     ]:
@@ -230,9 +236,10 @@ def test_the_cell_check_takes_two_signs_or_three(monkeypatch, sign_at_calls):
     assert b - a == unit and (a / unit).denominator == 1 and lo <= a < b <= hi
     # the last two FALLBACK_CASES, from a start 2^-45 across 3/2 from the
     # root: f is convex near the root of `below` and concave near that of
-    # `above`, so the Newton point lands across 3/2 too, within 1/(16 S) of
-    # the root. Both ends of its dyadic cell (2^-45 wide at 6 digits) have
-    # one sign, and the far end of the neighbouring cell proves that one
+    # `above`, so the Newton point lands across 3/2 too, and the step to it,
+    # about 2^-45, tries the cell. Both ends of its dyadic cell (2^-45 wide
+    # at 6 digits) have one sign, and the far end of the neighbouring cell
+    # proves that one
     below, above = (case.values[0] for case in FALLBACK_CASES[-2:])
     half, tick, step = Fraction(3, 2), Fraction(1, 10**11), Fraction(1, 2**45)
     assert dyadic_cell_bits(6) == 45
@@ -427,22 +434,21 @@ def test_a_ball_that_holds_0_does_not_steer_newton(monkeypatch, sign_at_calls, h
 
 @pytest.mark.parametrize("f, digits", ORACLE_CASES + FALLBACK_CASES)
 def test_the_predicted_error_only_chooses_where_to_look(monkeypatch, f, digits):
-    # a prediction that always fires tries the cell after every accepted
-    # Newton step, and one that never fires leaves the tries to a step
-    # below 1/(16 S); the exact signs at the cell's ends decide either way
+    # a margin of -10^9 bits tries the cell after every accepted Newton
+    # step, and one of 200 bits only after a step from a full-width point
+    # at 1000 digits, and at 30 digits and below only at the bisection's
+    # exit; the exact signs at the cell's ends decide either way
     expected = dominant_root(f, digits)
-    for fires in (True, False):
-        monkeypatch.setattr(
-            roots, "_cell_is_due", lambda resolved, log_k, cell_bits, fires=fires: fires
-        )
-        assert dominant_root(f, digits) == expected, fires
+    for margin in (-(10**9), 200):
+        monkeypatch.setattr(roots, "_CELL_MARGIN", margin)
+        assert dominant_root(f, digits) == expected, margin
 
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """(degree, q, whether sign_at asked for it) for every ball_value and
-    scaled_value call at p/q during the test, and the points of every
-    sign_at call."""
+    """(degree, q, whether sign_at asked for it, whether it is exact) for
+    every ball_value and scaled_value call at p/q during the test, and the
+    points of every sign_at call."""
     ball_value, scaled_value, sign_at = IntPoly.ball_value, IntPoly.scaled_value, IntPoly.sign_at
     signs, inside_sign, calls = [], [], []
 
@@ -456,7 +462,7 @@ def evaluations(monkeypatch):
 
     def tracked(method):
         def evaluate(self, p, q, *w):
-            calls.append((self.degree(), q, bool(inside_sign)))
+            calls.append((self.degree(), q, bool(inside_sign), method is scaled_value))
             return method(self, p, q, *w)
         return evaluate
 
@@ -468,13 +474,14 @@ def evaluations(monkeypatch):
 
 def test_newton_stays_at_half_width_at_1000_digits(evaluations):
     # T(2, 24, 25) at 1000 digits: the ladder's bit counts are
-    # bits(10^1009) = 3352, 1703, 878, ..., and from its 1703-bit point the
-    # predicted error sends the next point to the cell. Newton evaluates f
-    # and f' at points p/2^b with b <= 3352 // 2 + 27 = 1703; only the 2 or
-    # 3 signs at the ends of the dyadic cell take f at full width, where
-    # the kernels shift. A ladder that doubles from the floor up (..., 1318,
-    # 2582, 3352 bits) and tries the cell only after a step below 1/(16 S)
-    # fails this, and so do signs taken at the ends of the decimal cell
+    # bits(10^1009) = 3352, 1703, 878, ..., and the step from its 1703-bit
+    # point resolves enough bits to send the next point to the cell. Newton
+    # evaluates f and f' at points p/2^b with b <= 3352 // 2 + 27 = 1703;
+    # only the 2 or 3 signs at the ends of the dyadic cell take f at full
+    # width, where the kernels shift. A ladder that doubles from the floor
+    # up (..., 1318, 2582, 3352 bits) and tries the cell only after a
+    # full-width step fails this, and so do signs taken at the ends of the
+    # decimal cell
     f = factor_coxeter(StarTree((2, 24, 25))).salem_factor
     half = 2**1703
     signs, calls = evaluations
@@ -482,7 +489,7 @@ def test_newton_stays_at_half_width_at_1000_digits(evaluations):
     calls.clear()
     check_cell(f, 1000, dominant_root(f, 1000))
     # every evaluation of f and f' that sign_at did not ask for is Newton's
-    newton = [(degree, q) for degree, q, signed in calls if not signed]
+    newton = [(degree, q) for degree, q, signed, _ in calls if not signed]
     assert {degree for degree, _ in newton} == {f.degree(), f.degree() - 1}
     assert max(q for _, q in newton) <= half
     wide = [x for x in signs if x.denominator > half]
@@ -504,8 +511,33 @@ def test_newton_points_are_dyadic(evaluations, arms, digits):
     _, calls = evaluations
     calls.clear()  # factor_coxeter's own evaluations
     check_cell(f, digits, dominant_root(f, digits))
-    newton = [q for _, q, signed in calls if not signed]
+    newton = [q for _, q, signed, _ in calls if not signed]
     assert newton and all(q & (q - 1) == 0 for q in newton)
+
+
+@pytest.mark.parametrize(
+    "arms, digits, exact, steps",
+    [
+        ((2, 3, 7), 15, True, 1),
+        ((6, 7, 8), 15, True, 1),
+        ((11, 17, 19), 15, True, 1),
+        ((2, 3, 7), 30, True, 2),
+        ((20, 30, 1000), 30, False, 2),
+    ],
+    ids=["T2-3-7-15", "T6-7-8-15", "T11-17-19-15", "T2-3-7-30", "T20-30-1000-30"],
+)
+def test_newton_steps_from_a_float_start(evaluations, arms, digits, exact, steps):
+    # the float start holds about 50 bits of the root, so the step taken
+    # there (f and f') resolves about 50 bits. At 15 digits twice that
+    # passes bits(10^20) + 20 = 87, and the cell is proved at the next
+    # point; at 30 digits (bits(10^35) + 20 = 137) one more step is taken,
+    # exact on T(2, 3, 7) and from integer balls at degree 1020
+    f = factor_coxeter(StarTree(arms)).salem_factor
+    _, calls = evaluations
+    calls.clear()  # factor_coxeter's own evaluations
+    check_cell(f, digits, dominant_root(f, digits))
+    newton = [(degree, is_exact) for degree, _, signed, is_exact in calls if not signed]
+    assert newton == [(f.degree(), exact), (f.degree() - 1, exact)] * steps
 
 
 @pytest.mark.parametrize(
