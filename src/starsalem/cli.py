@@ -116,9 +116,9 @@ def _cmd_poly(args, parser) -> str:
         doc = {
             "arms": list(tree.arms),
             "coxeter_coeffs": rt.json_coeffs(),
-            "coxeter_degree": int(rt.degree()),
+            "coxeter_degree": rt.degree(),
             "p_coeffs": p.json_coeffs(),
-            "p_degree": int(p.degree()),
+            "p_degree": p.degree(),
         }
         if tree.r == 2 and tree.strictly_ordered:
             blocks = qrs_blocks(tree)

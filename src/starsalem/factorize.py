@@ -100,9 +100,7 @@ class CoxeterFactorization:
                 for k, m in sorted(self.cyclotomic_factors.items())
             ],
             "salem_coeffs": self.salem_factor.json_coeffs(),
-            "salem_degree": int(self.salem_factor.degree())
-            if not self.salem_factor.is_zero()
-            else 0,
+            "salem_degree": max(self.salem_factor.degree(), 0),
             "order_bound": self.proven_order_bound,
             "degree_lower_bound": degree_lower_bound,
             "unramified": self.unramified,
@@ -262,7 +260,7 @@ def salem_certificate(f: IntPoly, separators: Iterable[float]) -> bool:
         return False
     if f.eval_int(1) >= 0:  # T(2) = f(1)
         return False
-    m = int(deg) // 2
+    m = deg // 2
     inner = sorted({x for x in separators if -2 < x < 2}, reverse=True)
     # the points leave len(inner) + 1 intervals for m - 1 changes
     if len(inner) < m - 2:

@@ -2,20 +2,19 @@
 
 Coefficients are arbitrary-precision Python ints, stored from the constant
 term upward with trailing zeros trimmed; the zero polynomial is the empty
-tuple. Values are immutable and all operations are pure functions.
+tuple, of degree -1. Values are immutable and all operations are pure
+functions.
 
-The degree of the zero polynomial is ``NEG_INF`` (``float("-inf")``), a
-real sentinel rather than -1, so degree arithmetic such as
-``deg(f*g) == deg(f) + deg(g)`` stays meaningful for every input.
-
-Values at a rational point p/q come two ways. ``scaled_value`` is exact:
-its Horner accumulator grows to about deg * bits(q) bits. ``ball_value`` is
-an integer ball around 2^w f(p/q) whose accumulator stays near w bits; it
-only screens. ``sign_at`` takes the sign from the ball when the ball
-excludes 0 and the exact accumulator would be large, and from
-``scaled_value`` otherwise, so every sign it returns is exact. At a
-dyadic point, q = 2^k, both kernels shift where they would divide by q or
-multiply by its powers, and return the same integers.
+Every evaluator takes its point p/q as an integer pair (p, q) with q > 0,
+not necessarily in lowest terms. Values there come two ways.
+``scaled_value`` is exact: its Horner accumulator grows to about
+deg * bits(q) bits. ``ball_value`` is an integer ball around 2^w f(p/q)
+whose accumulator stays near w bits; it only screens. ``sign_at`` takes
+the sign from the ball when the ball excludes 0 and the exact accumulator
+would be large, and from ``scaled_value`` otherwise, so every sign it
+returns is exact. At a dyadic point, q = 2^k, both kernels shift where
+they would divide by q or multiply by its powers, and return the same
+integers.
 """
 
 from __future__ import annotations
@@ -23,13 +22,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Union
-
-NEG_INF = float("-inf")
-
-Rational = Union[int, Fraction]
+from typing import Iterable
 
 # Size in bits, deg * max(bits(p), bits(q)), of the exact Horner
 # accumulator at p/q from which a ball screen is tried first. Below it the
@@ -81,8 +75,9 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> Union[int, float]:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+    def degree(self) -> int:
+        """len(coeffs) - 1, which is -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     def height(self) -> int:
         """Largest absolute coefficient (0 for the zero polynomial)."""
@@ -122,39 +117,6 @@ class IntPoly:
 
     def __neg__(self) -> "IntPoly":
         return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: Union["IntPoly", int]) -> "IntPoly":
-        if isinstance(other, int):
-            if other == 0:
-                return IntPoly(())
-            return IntPoly.from_coeffs(c * other for c in self.coeffs)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly(())
-        # schoolbook is the right tradeoff at the degrees seen here
-        # (a few hundred); skip zero coefficients of the sparser factor
-        if a.count(0) < b.count(0):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b):
-                    out[i + j] += c * d
-        return IntPoly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = IntPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by x**k, for k >= 0."""
@@ -263,17 +225,13 @@ class IntPoly:
             r = -(-r * ap // q) + 1
         return acc, r
 
-    def eval_int(self, v: Rational) -> Rational:
-        """Exact value at an integer or Fraction point.
+    def eval_int(self, n: int) -> int:
+        """Exact value at the integer n."""
+        return self.scaled_value(n, 1)[0]
 
-        A Fraction point is evaluated in integers and normalized once at
-        the end, not once per Horner step.
-        """
-        acc, qq = self.scaled_value(v.numerator, v.denominator)
-        return acc if isinstance(v, int) else Fraction(acc, qq)
-
-    def sign_at(self, v: Rational) -> int:
-        """Exact sign of the value at a rational point (-1, 0 or 1).
+    def sign_at(self, p: int, q: int) -> int:
+        """Exact sign of the value at p/q (-1, 0 or 1), for q > 0; p/q need
+        not be in lowest terms.
 
         When the exact accumulator, deg * max(bits(p), bits(q)) bits,
         reaches ``BALL_BITS`` and is more than 4w for w = bits(q) + 64, one
@@ -281,8 +239,6 @@ class IntPoly:
         value. Otherwise the sign is that of ``scaled_value``, the value
         times a positive power of q.
         """
-        x = Fraction(v)
-        p, q = x.numerator, x.denominator
         size = (len(self.coeffs) - 1) * max(p.bit_length(), q.bit_length())
         if size >= BALL_BITS:
             w = q.bit_length() + 64
@@ -308,7 +264,7 @@ class IntPoly:
         """Low-to-high coefficients as decimal strings."""
         return [str(c) for c in self.coeffs]
 
-    def to_text(self, var: str = "x") -> str:
+    def to_text(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -321,7 +277,7 @@ class IntPoly:
             if i == 0:
                 body = str(mag)
             else:
-                xi = var if i == 1 else f"{var}^{i}"
+                xi = "x" if i == 1 else f"x^{i}"
                 body = xi if mag == 1 else f"{mag}*{xi}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")

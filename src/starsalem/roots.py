@@ -18,7 +18,8 @@ holds the root, so the answer depends neither on the float start nor on
 the path Newton took. The cell is proved by exact signs at the ends of a
 cell of a dyadic grid 256 times finer, which lies inside it, and by at
 most one decimal sign, where a point of the decimal grid falls inside
-that dyadic cell; so these signs shift where they would divide too. The
+that dyadic cell; so these signs shift where they would divide too. Every
+sign point reaches ``IntPoly.sign_at`` as an integer pair (p, q). The
 Newton steps are formed from scaled integer values
 (``IntPoly.scaled_value``) or, past ``intpoly.BALL_BITS``, from the
 centres of integer balls around f and f' (``IntPoly.ball_value``) where
@@ -144,11 +145,14 @@ def fraction_to_decimal(x: Fraction, digits: int) -> str:
     return f"{sign}{_int_str(whole)}.{_int_str(frac).zfill(digits)}"
 
 
-def _float_seed(f: IntPoly, lo: Fraction, hi: Fraction, s_lo: int) -> Optional[float]:
+def _float_seed(
+    f: IntPoly, lo: tuple[int, int], hi: tuple[int, int], s_lo: int
+) -> Optional[float]:
     """A float near a root of f in (lo, hi), 1 <= lo, where f has the
-    exact sign s_lo at lo and the opposite sign at hi; None when floats
-    cannot find one: a coefficient or hi past float range, an inf or NaN
-    value, or no convergence in ``_SEED_STEPS`` steps. It only picks
+    exact sign s_lo at lo and the opposite sign at hi; the ends are integer
+    pairs (p, q) for p/q, made floats only here. None when floats cannot
+    find one: a coefficient or hi past float range, an inf or NaN value, or
+    no convergence in ``_SEED_STEPS`` steps. It only picks
     ``dominant_root``'s first Newton point, so no float reaches an answer.
 
     Newton safeguarded by bisection (the rtsafe rule: bisect when a step
@@ -164,7 +168,7 @@ def _float_seed(f: IntPoly, lo: Fraction, hi: Fraction, s_lo: int) -> Optional[f
     """
     try:
         cs = [float(c) for c in f.coeffs]  # g's coefficients, highest power first
-        a, b = 1 / float(hi), 1 / float(lo)  # f has the sign s_lo at 1/b
+        a, b = 1 / (hi[0] / hi[1]), 1 / (lo[0] / lo[1])  # f has the sign s_lo at 1/b
     except OverflowError:
         return None
     noise = 2 * len(cs) * sys.float_info.epsilon
@@ -255,16 +259,19 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     1 + 2^-20 and height + 2 and the Newton points are all dyadic, so the
     later ends and the bisection midpoints are too: the ends are integer
     pairs (p, 2^k), and every Newton step is taken at a point x = p/2^k,
-    where both kernels shift instead of dividing. A Newton step
-    at x = p/q works on integers A and B with f(x)/f'(x) = A/(qB): the
-    Newton point is (pB - A)/(qB) and the step |A|/(q|B|). Where
-    deg * max(bits(p), bits(q)) reaches ``BALL_BITS``, A = q * c_f is the
-    centre of an integer ball around 2^w f(x) (``IntPoly.ball_value``),
-    with w up to twice bits(q), when that ball excludes 0; then B = c_f',
-    the centre of the ball around 2^w f'(x), when it excludes 0 too, and
-    else B = 0, which bisects. Otherwise A = q^d f(x) and B = q^(d-1) f'(x)
-    are exact (``IntPoly.scaled_value``). A rough step costs at most an
-    iteration: no Newton point decides the answer.
+    where both kernels shift instead of dividing. The sign points reach
+    ``IntPoly.sign_at`` as integer pairs too, not reduced: the end lo, the
+    dyadic cell's ends (k, 2^(bits(S) + 8)) and the decimal point (m, S).
+    A Newton step at x = p/q works on integers A and B with
+    f(x)/f'(x) = A/(qB): the Newton point is (pB - A)/(qB) and the step
+    |A|/(q|B|). Where deg * max(bits(p), bits(q)) reaches ``BALL_BITS``,
+    A = q * c_f is the centre of an integer ball around 2^w f(x)
+    (``IntPoly.ball_value``), with w up to twice bits(q), when that ball
+    excludes 0; then B = c_f', the centre of the ball around 2^w f'(x),
+    when it excludes 0 too, and else B = 0, which bisects. Otherwise
+    A = q^d f(x) and B = q^(d-1) f'(x) are exact
+    (``IntPoly.scaled_value``). A rough step costs at most an iteration: no
+    Newton point decides the answer.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -276,15 +283,19 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     def cell(n: int) -> tuple[Fraction, tuple[Fraction, Fraction]]:
         return Fraction(2 * n + 1, 2 * scale), (Fraction(n, scale), Fraction(n + 1, scale))
 
-    def root_at(x: Fraction) -> tuple[Fraction, tuple[Fraction, Fraction]]:
-        """The answer for an exact zero x: x itself on the grid, else its cell."""
-        n, rem = divmod(x.numerator * scale, x.denominator)
-        return cell(n) if rem else (x, (x, x))
+    def root_at(p: int, q: int) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+        """The answer for an exact zero p/q (q > 0): p/q itself on the
+        grid, else its cell."""
+        n, rem = divmod(p * scale, q)
+        if rem:
+            return cell(n)
+        x = Fraction(p, q)
+        return x, (x, x)
 
     lo = ((1 << 20) + 1, 1 << 20)
-    s_lo = f.sign_at(Fraction(*lo))
+    s_lo = f.sign_at(*lo)
     if s_lo == 0:
-        return root_at(Fraction(*lo))
+        return root_at(*lo)
     # every root has |z| < 1 + height (Cauchy's bound), so at height + 2 f
     # has the sign of its leading coefficient
     top = f.height() + 2
@@ -302,15 +313,15 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
         exact signs at the ends of p/q's dyadic cell, or of the neighbour
         they point to, prove that the root lies in it; else None."""
         u = (p << fine) // q
-        signs = {k: f.sign_at(Fraction(k, 1 << fine)) for k in (u, u + 1)}
+        signs = {k: f.sign_at(k, 1 << fine) for k in (u, u + 1)}
         if signs[u] == signs[u + 1]:  # both ends below the root, or both above
             up = signs[u] == s_lo
             k = u + 2 if up else u - 1
-            signs[k] = f.sign_at(Fraction(k, 1 << fine))
+            signs[k] = f.sign_at(k, 1 << fine)
             u += 1 if up else -1
         for k in (u, u + 1):
             if signs[k] == 0:
-                return root_at(Fraction(k, 1 << fine))
+                return root_at(k, 1 << fine)
         if signs[u] == signs[u + 1]:
             return None
         # the root is in (u, u + 1) / 2^fine, which is narrower than 1/S
@@ -319,9 +330,9 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
             return cell(n)
         # the grid point m = n + 1 lies strictly inside it: one sign there
         m = n + 1
-        s = f.sign_at(Fraction(m, scale))
+        s = f.sign_at(m, scale)
         if s == 0:
-            return root_at(Fraction(m, scale))
+            return root_at(m, scale)
         return cell(m) if s == signs[u] else cell(n)
 
     def inside(num: int, den: int) -> bool:
@@ -336,7 +347,7 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
         g = min(p & -p, q)  # gcd(p, q), as q is a power of 2 and p > 0
         return p // g, q // g, n_hi - n_lo, q
 
-    seed = _float_seed(f, Fraction(*lo), Fraction(top), s_lo)
+    seed = _float_seed(f, lo, hi, s_lo)
     p, q = midpoint()[:2] if seed is None else seed.as_integer_ratio()
     # the last step as |A|/den; the first one has none to halve (1/0)
     step_num, step_den = 1, 0
@@ -365,7 +376,7 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
         if a is None:
             a, _ = f.scaled_value(p, q)
             if a == 0:
-                return root_at(Fraction(p, q))
+                return root_at(p, q)
             b, _ = df.scaled_value(p, q)
         # A has the exact sign of f(x): x moves the end of that sign
         if inside(p, q):

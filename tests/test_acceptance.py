@@ -9,6 +9,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from starsalem import (
     CYCLOTOMIC_ONLY,
     QUADRATIC_PISOT,
     SALEM,
+    IntPoly,
     StarTree,
     coxeter_polynomial,
     converge_general,
@@ -35,11 +37,16 @@ from starsalem import (
 )
 from starsalem.scan import _bridge_failure
 
-from oracles import bisect_root, root_moduli, spectral_radius, trace_root_moduli
+from oracles import bisect_root, pmul, root_moduli, spectral_radius, trace_root_moduli
 
 
 def _ok(n: int, message: str) -> None:
     print(f"\nACCEPTANCE {n}: PASS - {message}")
+
+
+def times(*fs):
+    """The product of the IntPolys fs, by the oracle's convolution."""
+    return IntPoly.from_coeffs(reduce(pmul, (f.coeffs for f in fs), [1]))
 
 
 # ----------------------------------------------------------------------
@@ -71,10 +78,8 @@ def test_criterion_02_decomposition_exact(grid_data):
     start = time.perf_counter()
     for arms, fz in grid_data["factorizations"].items():
         rt = coxeter_polynomial(StarTree(arms))
-        prod = fz.salem_factor
-        for k, mult in fz.cyclotomic_factors.items():
-            prod = prod * table.cyclotomic(k) ** mult
-        assert prod == rt, f"reassembly failed for {arms}"
+        phis = [table.cyclotomic(k) for k, m in fz.cyclotomic_factors.items() for _ in range(m)]
+        assert times(fz.salem_factor, *phis) == rt, f"reassembly failed for {arms}"
         assert (
             cyclotomic_divisors(fz.salem_factor) == []
         ), f"remainder of {arms} still has a cyclotomic factor"

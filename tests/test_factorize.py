@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -47,6 +48,17 @@ from oracles import (
 
 def poly(*cs):
     return IntPoly.from_coeffs(cs)
+
+
+def times(*fs):
+    """The product of the IntPolys fs, by the oracle's convolution."""
+    return IntPoly.from_coeffs(reduce(pmul, (f.coeffs for f in fs), [1]))
+
+
+def reassemble(mults, rem):
+    """rem times Phi_k^m for every order k of multiplicity m in mults."""
+    table = default_table()
+    return times(rem, *[table.cyclotomic(k) for k, m in mults.items() for _ in range(m)])
 
 
 LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
@@ -96,24 +108,19 @@ def test_extract_excluded_triples():
 
 
 def test_extract_respects_multiplicity():
-    table = default_table()
-    f = table.cyclotomic(4) ** 3 * table.cyclotomic(5) * poly(-2, 0, 1)
+    f = reassemble({4: 3, 5: 1}, poly(-2, 0, 1))
     mults, rem = extract_cyclotomic(f)
     assert mults == {4: 3, 5: 1}
     assert rem == poly(-2, 0, 1)
 
 
 def test_extract_reassembles_exactly():
-    table = default_table()
     rng = random.Random(31)
     for _ in range(15):
         arms = sorted(rng.sample(range(2, 20), 3))
         f = coxeter_polynomial(StarTree(tuple(arms)))
         mults, rem = extract_cyclotomic(f)
-        prod = rem
-        for k, m in mults.items():
-            prod = prod * table.cyclotomic(k) ** m
-        assert prod == f, arms
+        assert reassemble(mults, rem) == f, arms
 
 
 def test_remainder_purity():
@@ -185,7 +192,7 @@ def test_cyclotomic_divisors_small_edges():
 @pytest.mark.parametrize("g", [poly(1), poly(-3), poly(2, 1), poly(1, 0, 0, 2)])
 def test_cyclotomic_divisors_planted_factor_at_phi_edge(g):
     table = default_table()
-    f = table.cyclotomic(240) * g  # phi(240) = 64
+    f = times(table.cyclotomic(240), g)  # phi(240) = 64
     cap = 480
     found = cyclotomic_divisors(f, cap)
     assert 240 in found
@@ -222,7 +229,7 @@ def test_cyclotomic_divisors_screen_discards_most_orders(counting_table):
 def test_cyclotomic_divisors_tall_input_is_settled_exactly(counting_table):
     table, settled = counting_table
     tall = poly(1, 1 << 45, 0, 1)  # height 2^45: the screen is exact at any height
-    f = table.cyclotomic(7) * table.cyclotomic(12) ** 2 * tall
+    f = reassemble({7: 1, 12: 2}, tall)
     cap = full_cap(f)
     assert cyclotomic_divisors(f) == [7, 12]
     phis = table.phi_values(cap)
@@ -239,7 +246,7 @@ def test_cyclotomic_divisors_settles_every_candidate_when_f_vanishes_at_2(counti
     # f(2) = 0 is divisible by every Phi_k(2), so the screen discards
     # nothing and exact division alone decides
     table, settled = counting_table
-    f = poly(-2, 1) * table.cyclotomic(7) * table.cyclotomic(12) ** 2
+    f = reassemble({7: 1, 12: 2}, poly(-2, 1))
     assert f.eval_int(2) == 0
     assert cyclotomic_divisors(f) == [7, 12]
     phis = table.phi_values(full_cap(f))
@@ -254,7 +261,7 @@ def test_cyclotomic_divisors_near_the_height_limit():
     for k in (7, 60, 105, 210):
         bound = (1 << 40) // table.cyclotomic(k).l1()
         g = IntPoly.from_coeffs([rng.randint(-bound, bound) for _ in range(40)] + [1])
-        f = table.cyclotomic(k) * g
+        f = times(table.cyclotomic(k), g)
         assert f.height() <= 1 << 40
         assert cyclotomic_divisors(f, 250) == brute_divisors(f, 250, table) == [k]
 
@@ -268,9 +275,7 @@ def test_cyclotomic_divisors_near_the_height_limit():
 )
 def test_cyclotomic_divisors_random_products_match_brute_force(planted, g):
     table = default_table()
-    f = IntPoly.from_coeffs(g)
-    for k, m in planted:
-        f = f * table.cyclotomic(k) ** m
+    f = reassemble(dict(planted), IntPoly.from_coeffs(g))
     cap = min(full_cap(f), 400)
     found = cyclotomic_divisors(f, cap)
     assert found == brute_divisors(f, cap, table)
@@ -278,10 +283,7 @@ def test_cyclotomic_divisors_random_products_match_brute_force(planted, g):
     mults, rem = extract_cyclotomic(f)
     assert sorted(mults) == cyclotomic_divisors(f)
     assert [k for k in mults if k <= cap] == found
-    prod = rem
-    for k, m in mults.items():
-        prod = prod * table.cyclotomic(k) ** m
-    assert prod == f
+    assert reassemble(mults, rem) == f
 
 
 # ----------------------------------------------------------------------
@@ -514,7 +516,7 @@ def test_circle_bound_ignores_the_float_start(monkeypatch, start):
     [
         pytest.param(poly(1, 1), id="root-at-minus-1"),
         pytest.param(poly(1, 1, 1), id="phi-3"),
-        pytest.param(poly(1, 1, 1, 1, 1) * poly(2, 1), id="phi-5-times-2-plus-z"),
+        pytest.param(times(poly(1, 1, 1, 1, 1), poly(2, 1)), id="phi-5-times-2-plus-z"),
     ],
 )
 def test_circle_bound_fails_on_a_root_on_the_circle(f):

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -33,8 +34,10 @@ from starsalem.intpoly import BALL_BITS
 from oracles import (
     bisect_root,
     decimal_cell,
+    eval_exact,
     eval_sign,
     from_trace,
+    pmul,
     root_moduli,
     spectral_radius,
 )
@@ -47,6 +50,11 @@ GOLDEN_30 = "1.618033988749894848204586834366"
 
 def poly(*cs):
     return IntPoly.from_coeffs(cs)
+
+
+def times(*fs):
+    """The product of the IntPolys fs, by the oracle's convolution."""
+    return IntPoly.from_coeffs(reduce(pmul, (f.coeffs for f in fs), [1]))
 
 
 # ----------------------------------------------------------------------
@@ -78,9 +86,9 @@ def test_bracket_signs_are_opposite():
     for f in (LEHMER, poly(-1, -1, 1), mbonacci_poly(5)):
         tau, (lo, hi) = dominant_root(f, 25)
         if lo == hi:
-            assert f.sign_at(lo) == 0
+            assert f.sign_at(*lo.as_integer_ratio()) == 0
         else:
-            assert f.sign_at(lo) * f.sign_at(hi) < 0
+            assert f.sign_at(*lo.as_integer_ratio()) * f.sign_at(*hi.as_integer_ratio()) < 0
             assert lo <= tau <= hi
 
 
@@ -91,7 +99,7 @@ def test_no_sign_change_on_cyclotomic():
 
 def test_reciprocity_at_working_precision():
     tau, _ = dominant_root(LEHMER, 30)
-    assert abs(LEHMER.eval_int(1 / tau)) < Fraction(1, 10**25)
+    assert abs(eval_exact(list(LEHMER.coeffs), 1 / tau)) < Fraction(1, 10**25)
 
 
 def test_determinism():
@@ -201,13 +209,14 @@ def test_dominant_root_matches_fraction_oracle(f, digits):
 
 @pytest.fixture
 def sign_at_calls(monkeypatch):
-    """Points at which IntPoly.sign_at is called during the test."""
+    """Points p/q at which IntPoly.sign_at is called during the test, as
+    Fractions."""
     calls = []
     sign_at = IntPoly.sign_at
 
-    def counted(self, v):
-        calls.append(v)
-        return sign_at(self, v)
+    def counted(self, p, q):
+        calls.append(Fraction(p, q))
+        return sign_at(self, p, q)
 
     monkeypatch.setattr(IntPoly, "sign_at", counted)
     return calls
@@ -261,7 +270,7 @@ def test_roots_sharing_a_cell_are_refused(monkeypatch):
     # dyadic cell inside it (its own ends have one sign)
     x = poly(-15000000032, 10**10)
     linear = poly(-(3 * 15000000008 + 1), 3 * 10**10)
-    f = (x * x - poly(2)) * linear
+    f = times(times(x, x) - poly(2), linear)
     cell = (Fraction(1500000003, 10**9), Fraction(1500000004, 10**9))
     for seed in (1.50000000307, 1.50000000333):
         force_seed(monkeypatch, seed)
@@ -269,7 +278,7 @@ def test_roots_sharing_a_cell_are_refused(monkeypatch):
     # a pair 2.8e-13 apart, closer than 2^-38: from a start next to either
     # root no cell around it has opposite signs at its ends
     x = poly(-15000000032000, 10**13)
-    f = (x * x - poly(2)) * linear
+    f = times(times(x, x) - poly(2), linear)
     for seed in (1.5000000032 - 1.4e-13, 1.5000000032 + 1.4e-13):
         force_seed(monkeypatch, seed)
         with pytest.raises(ArithmeticError, match="roots closer together than 10\\^-9"):
@@ -297,7 +306,7 @@ def test_a_root_on_the_grid_is_found_by_its_decimal_sign(sign_at_calls):
     # 6/5 is on the decimal grid and on no dyadic one, so no Newton point
     # or dyadic sign lands on it: the one decimal sign inside its dyadic
     # cell finds f(6/5) = 0, and the answer is the point itself
-    f = poly(-6, 5) * poly(1, 1, 1)
+    f = times(poly(-6, 5), poly(1, 1, 1))
     r = Fraction(6, 5)
     assert dominant_root(f, 10) == (r, (r, r))
     assert [x for x in sign_at_calls if not is_dyadic(x)] == [r]
@@ -310,7 +319,7 @@ def test_several_roots_above_1_give_a_proved_cell_of_one(monkeypatch):
     # bracket: f(2.2) > 0 leaves (1, 2.2), which holds sqrt 3 alone, and
     # f(2.6) < 0 leaves (2.6, 107), which holds sqrt 7 alone
     factors = [poly(-3, 0, 1), poly(-5, 0, 1), poly(-7, 0, 1)]
-    f = factors[0] * factors[1] * factors[2]
+    f = times(*factors)
     cells = [decimal_cell(list(g.coeffs), 20) for g in factors]
     assert dominant_root(f, 20) in cells
     for seed, cell in ((1.7, cells[0]), (2.2, cells[0]), (2.6, cells[2])):
@@ -325,9 +334,9 @@ def test_inputs_past_float_range_take_the_bisection_start():
     # y^4 f(1/y) passes -1.8e308 on its way to its value near y = 1/2
     wide = IntPoly.from_coeffs(c * 10**308 for c in (-1, -1, -1, -1, 1))
     assert all(math.isfinite(float(c)) for c in wide.coeffs)
-    lo = Fraction(2**20 + 1, 2**20)
+    lo = (2**20 + 1, 2**20)
     for f in (tall, wide):
-        assert roots._float_seed(f, lo, Fraction(f.height() + 2), f.sign_at(lo)) is None
+        assert roots._float_seed(f, lo, (f.height() + 2, 1), f.sign_at(*lo)) is None
         assert dominant_root(f, 12) == decimal_cell(list(f.coeffs), 12)
 
 
@@ -344,7 +353,7 @@ def one_root_above_1(draw):
         st.integers(1, 9).map(lambda k: poly(k, 1)),
     )
     for g in draw(st.lists(others, max_size=5)):
-        f = f * g
+        f = times(f, g)
     return f
 
 
@@ -448,15 +457,15 @@ def test_the_predicted_error_only_chooses_where_to_look(monkeypatch, f, digits):
 def evaluations(monkeypatch):
     """(degree, q, whether sign_at asked for it, whether it is exact) for
     every ball_value and scaled_value call at p/q during the test, and the
-    points of every sign_at call."""
+    points p/q of every sign_at call, as Fractions."""
     ball_value, scaled_value, sign_at = IntPoly.ball_value, IntPoly.scaled_value, IntPoly.sign_at
     signs, inside_sign, calls = [], [], []
 
-    def tracked_sign(self, v):
-        signs.append(v)
+    def tracked_sign(self, p, q):
+        signs.append(Fraction(p, q))
         inside_sign.append(True)
         try:
-            return sign_at(self, v)
+            return sign_at(self, p, q)
         finally:
             inside_sign.pop()
 
@@ -597,8 +606,8 @@ def test_newton_steps_away_from_the_root_do_not_slow_bisection(monkeypatch):
 FLOAT_STARTS = {
     "none": lambda lo, hi: None,
     "below-the-bracket": lambda lo, hi: 0.5,
-    "far-end": lambda lo, hi: float(hi),
-    "mid-bracket": lambda lo, hi: float(lo + hi) / 2,
+    "far-end": lambda lo, hi: float(Fraction(*hi)),
+    "mid-bracket": lambda lo, hi: float(Fraction(*lo) + Fraction(*hi)) / 2,
 }
 
 
@@ -688,16 +697,16 @@ def test_salem_factor_has_exactly_one_root_outside():
     "f",
     [
         # T = (t - 3)(t - 4): two roots above 2
-        pytest.param(poly(1, -3, 1) * poly(1, -4, 1), id="two-roots-above-2"),
+        pytest.param(times(poly(1, -3, 1), poly(1, -4, 1)), id="two-roots-above-2"),
         # T = T_Lehmer (t^2 + 1): the roots +-i of t^2 + 1 put a pair off the circle
-        pytest.param(LEHMER * poly(1, 0, 3, 0, 1), id="pair-off-the-circle"),
+        pytest.param(times(LEHMER, poly(1, 0, 3, 0, 1)), id="pair-off-the-circle"),
         # the double roots of Phi_10^2 give T no sign change
-        pytest.param(LEHMER * PHI_10 * PHI_10, id="squared-cyclotomic"),
+        pytest.param(times(LEHMER, PHI_10, PHI_10), id="squared-cyclotomic"),
         # T = (t + 3)(t^2 - t - 1): m - 1 changes in (-2, 2), but T(2) > 0
-        pytest.param(poly(1, 3, 1) * PHI_10, id="root-below-minus-2"),
+        pytest.param(times(poly(1, 3, 1), PHI_10), id="root-below-minus-2"),
         pytest.param(poly(-1, -1, 1), id="not-reciprocal"),
         pytest.param(poly(1, 0, 1, 0, 0, 1), id="not-reciprocal-odd"),
-        pytest.param(LEHMER * poly(1, 1), id="reciprocal-odd-degree"),
+        pytest.param(times(LEHMER, poly(1, 1)), id="reciprocal-odd-degree"),
         pytest.param(poly(2, -5, 2), id="not-monic"),
         pytest.param(IntPoly.one(), id="constant"),
         pytest.param(IntPoly.zero(), id="zero"),
@@ -734,7 +743,7 @@ def test_certificate_counts_no_change_at_a_trace_root(cyclotomic, point):
     salem = factor_coxeter(StarTree(arms)).salem_factor
     separators = tree_separators(arms) + [point]
     assert salem_certificate(salem, separators)
-    assert not salem_certificate(salem * cyclotomic * cyclotomic, separators)
+    assert not salem_certificate(times(salem, cyclotomic, cyclotomic), separators)
 
 
 def test_cyclotomic_polynomials_do_not_certify():

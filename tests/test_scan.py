@@ -23,7 +23,7 @@ from starsalem.scan import (
     _check_order,
 )
 
-from oracles import divides_poly
+from oracles import divides_poly, pmul
 
 
 def test_scan_period_one_order():
@@ -251,9 +251,9 @@ def test_bridge_fails_with_two_eigenvalues_above_two(monkeypatch):
     # w^2 - 7w + 1 maps to lambda = 3, so checks 1 and 2 pass. Its values
     # q^4 chi(p/q) stand in for the tree's; the slot widths that the tree
     # T(2, 3, 7) gives are wide enough for this chi too
-    chi = IntPoly.from_coeffs([-9, 0, 1]) * IntPoly.from_coeffs([-5, 0, 1])
+    chi = IntPoly.from_coeffs(pmul([-9, 0, 1], [-5, 0, 1]))
     tau_poly = IntPoly.from_coeffs([1, -7, 1])
-    rt = tau_poly * IntPoly.from_coeffs([1, -3, 1])
+    rt = IntPoly.from_coeffs(pmul(tau_poly.coeffs, [1, -3, 1]))
     real_factor, real_root = scan.factor_coxeter, scan.dominant_root
     monkeypatch.setattr(scan, "_chi_value", lambda tree, p, q: chi.scaled_value(p, q)[0])
     monkeypatch.setattr(scan, "factor_coxeter", lambda tree: replace(real_factor(tree), rt=rt))
