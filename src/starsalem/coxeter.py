@@ -10,8 +10,10 @@ module produces is derived from the arm-length vector:
                          P = prod(z^{a_i}-1)(z+1) - z sum_i (z^{a_i-1}-1) prod_{j!=i}(z^{a_j}-1)
 * ``qrs_blocks``         for r = 2 the split P = z^{a1+a2} Q + z^{a1+1} R + S
 * ``limit_polynomial``   the limit of the leading block when the last
-                         r - k arms grow without bound
-* ``mbonacci_poly``      x^m - x^{m-1} - ... - x - 1
+                         r - k arms grow without bound; for the prefix (a0)
+                         at r = 2 it is the Q block z^{a0+1} - 2z^{a0} + 1,
+                         (z-1) times z^{a0} - z^{a0-1} - ... - z - 1, the
+                         minimal polynomial of the a0-bonacci number
 * ``characteristic_polynomial``  chi_T, the characteristic polynomial of
                          the tree's adjacency matrix, unpacked from one
                          point value of ``_chi_value``
@@ -190,13 +192,6 @@ def limit_polynomial(prefix_arms: tuple[int, ...], r: int) -> IntPoly:
     if any(a >= b for a, b in zip(prefix, prefix[1:])):
         raise OrderError(f"prefix arms must be strictly increasing, got {prefix}")
     return IntPoly.from_coeffs(_times_z_minus_one(_repunit_rule(prefix, 1 - r + k), k + 1))
-
-
-def mbonacci_poly(m: int) -> IntPoly:
-    """x^m - x^(m-1) - ... - x - 1, minimal polynomial of the m-bonacci number."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    return IntPoly.from_coeffs([-1] * m + [1])
 
 
 def _chi_value(tree: StarTree, p: int, q: int, plus: bool = False) -> int:

@@ -5,7 +5,7 @@ times a remainder. The sieve takes no order cap: only orders with
 phi(k) <= deg R_T can divide, and they all lie under the exact bound
 ``phi_inverse_bound(deg R_T)``. So the paper's order bound
 420*(a2 - a1 + a0 - 1) for strictly ordered three-arm trees is checked
-against what the sieve finds (``verify_order_bound``), never used to
+against what the sieve finds (``scan.grid_verify``), never used to
 limit it.
 
 Every question of the form "which orders k have Phi_k | f" goes through
@@ -654,16 +654,3 @@ def verify_mann(
         for j in range(n)
         if math.gcd(j, n) == 1
     ]
-
-
-def verify_order_bound(tree: StarTree) -> bool:
-    """True when every cyclotomic order found in R_T obeys the paper's bound.
-
-    The sieve looks at every order that could divide, so this can fail.
-    """
-    if tree.r != 2 or not tree.strictly_ordered:
-        raise OrderError("order bound is proven only for a2 > a1 > a0 > 1")
-    if tree.excluded:
-        raise OrderError(f"{tree.arms} is outside the classified family")
-    fz = factor_coxeter(tree)
-    return fz.max_observed_order <= order_bound(*tree.arms)

@@ -19,7 +19,6 @@ integers.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
@@ -249,13 +248,9 @@ class IntPoly:
         acc, _ = self.scaled_value(p, q)
         return (acc > 0) - (acc < 0)
 
-    def derivative(self, n: int = 1) -> "IntPoly":
-        """Exact n-th derivative: c_i x^i goes to c_i (i)_n x^(i-n), with
-        the falling factorial (i)_n = ``math.perm(i, n)``."""
-        if n < 0:
-            raise ValueError("derivative order must be >= 0")
-        cs = self.coeffs
-        return IntPoly.from_coeffs([cs[i] * math.perm(i, n) for i in range(n, len(cs))])
+    def derivative(self) -> "IntPoly":
+        """Exact first derivative: c_i x^i goes to i c_i x^(i-1)."""
+        return IntPoly.from_coeffs([i * c for i, c in enumerate(self.coeffs[1:], 1)])
 
     # ------------------------------------------------------------------
     # rendering

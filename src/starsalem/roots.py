@@ -36,10 +36,11 @@ factorization's label, decided by ``factorize.salem_certificate``. The
 float start is the only float in this module, and no float value reaches
 an answer.
 
-The convergence sweeps reproduce the limit behaviour of the Salem roots:
-with two arms growing they approach the m-bonacci number of the fixed
-arm; with the top arms of a larger star growing they approach the
-dominant root of the limit polynomial.
+``converge_general`` reproduces the limit behaviour of the Salem roots:
+with the top arms of a star growing they approach the dominant root of
+the limit polynomial of the fixed prefix. ``converge_mbonacci`` is the
+prefix (a0) at r = 2, whose limit z^(a0+1) - 2z^a0 + 1 is the Q block
+and has the a0-bonacci number as its root above 1.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .coxeter import StarTree, limit_polynomial, mbonacci_poly
+from .coxeter import StarTree, limit_polynomial
 from .factorize import CoxeterFactorization, factor_coxeter
 from .intpoly import BALL_BITS, IntPoly
 
@@ -64,7 +65,6 @@ class NoSignChange(ArithmeticError):
 @dataclass(frozen=True)
 class RootCertificate:
     tau: str  # decimal string
-    tau_value: Fraction
     bracket: tuple[Fraction, Fraction]  # tau's decimal cell, or (tau, tau) on the grid
     lam: str  # decimal string, the midpoint of lam_bracket
     lam_bracket: tuple[Fraction, Fraction]
@@ -353,7 +353,7 @@ def dominant_root(f: IntPoly, digits: int = 30) -> tuple[Fraction, tuple[Fractio
     step_num, step_den = 1, 0
 
     deg = len(f.coeffs) - 1
-    df = f.derivative(1)
+    df = f.derivative()
     top_bits = (10 ** (digits + 9)).bit_length()
     ladder = [top_bits]
     while ladder[-1] // 2 + _LADDER_PAD >= _LADDER_FLOOR:
@@ -473,30 +473,56 @@ def certify_tree(fz: CoxeterFactorization, digits: int = 30) -> Optional[RootCer
     lam_bracket = lambda_bracket(bracket, digits)
     return RootCertificate(
         tau=fraction_to_decimal(tau, digits),
-        tau_value=tau,
         bracket=bracket,
         lam=fraction_to_decimal(sum(lam_bracket) / 2, digits),
         lam_bracket=lam_bracket,
     )
 
 
-def _convergence_sweep(
-    limit_poly: IntPoly, trees: Sequence[StarTree], digits: int
+def converge_mbonacci(
+    a0: int,
+    eta: int,
+    a1_values: Sequence[int],
+    digits: int = 30,
 ) -> list[ConvergenceRecord]:
-    """Salem roots of the trees against the dominant root of limit_poly.
+    """Salem roots of T(a0, a1, a1 + eta) against the a0-bonacci number,
+    the dominant root of the limit of the prefix (a0) at r = 2, which is
+    also the Q block z^(a0+1) - 2z^a0 + 1 = (z - 1)(z^a0 - z^(a0-1) - ... - 1)."""
+    return converge_general((a0,), 2, [(a1, a1 + eta) for a1 in a1_values], digits)
+
+
+def converge_general(
+    prefix_arms: Sequence[int],
+    r: int,
+    growth_schedule: Sequence[Sequence[int]],
+    digits: int = 30,
+) -> list[ConvergenceRecord]:
+    """Salem roots of full trees against the dominant root of the limit
+    polynomial of their fixed prefix.
 
     Each tree is factored and its Salem factor rooted; a tree whose
     remainder is 1 has no root off the unit circle and gets a note.
     """
+    prefix = tuple(map(operator.index, prefix_arms))
+    schedule = []
+    for tail in growth_schedule:  # every entry is checked before any root is computed
+        arms = prefix + tuple(map(operator.index, tail))
+        if len(arms) != r + 1:
+            raise ValueError(f"schedule entry {tail} does not extend to r+1 = {r + 1} arms")
+        # StarTree sorts its arms, so the order is checked on the input
+        if any(a >= b for a, b in zip(arms, arms[1:])):
+            raise ValueError(f"full arm vector must be strictly increasing, got {arms}")
+        schedule.append(arms)
+    limit_poly = limit_polynomial(prefix, r)  # checks the prefix's arms first
     limit, _ = dominant_root(limit_poly, digits)
     limit_str = fraction_to_decimal(limit, digits)
     records = []
-    for tree in trees:
-        fz = factor_coxeter(tree)
+    for arms in schedule:
+        fz = factor_coxeter(StarTree(arms))
         if fz.salem_factor.degree() < 1:
             records.append(
                 ConvergenceRecord(
-                    arms=tree.arms,
+                    arms=arms,
                     tau="",
                     limit_value=limit_str,
                     gap="",
@@ -509,7 +535,7 @@ def _convergence_sweep(
         gap = abs(tau - limit)
         records.append(
             ConvergenceRecord(
-                arms=tree.arms,
+                arms=arms,
                 tau=fraction_to_decimal(tau, digits),
                 limit_value=limit_str,
                 gap=fraction_to_decimal(gap, digits),
@@ -517,43 +543,3 @@ def _convergence_sweep(
             )
         )
     return records
-
-
-def converge_mbonacci(
-    a0: int,
-    eta: int,
-    a1_values: Sequence[int],
-    digits: int = 30,
-) -> list[ConvergenceRecord]:
-    """Salem roots of T(a0, a1, a1 + eta) against the a0-bonacci number."""
-    if a0 < 2:
-        raise ValueError("a0 must be >= 2")
-    if eta < 1:
-        raise ValueError("eta must be >= 1")
-    for a1 in a1_values:
-        if a1 <= a0:
-            raise ValueError(f"a1 must exceed a0, got a1={a1}, a0={a0}")
-    trees = [StarTree((a0, a1, a1 + eta)) for a1 in a1_values]
-    return _convergence_sweep(mbonacci_poly(a0), trees, digits)
-
-
-def converge_general(
-    prefix_arms: Sequence[int],
-    r: int,
-    growth_schedule: Sequence[Sequence[int]],
-    digits: int = 30,
-) -> list[ConvergenceRecord]:
-    """Salem roots of full trees against the dominant root of the limit
-    polynomial of their fixed prefix."""
-    prefix = tuple(map(operator.index, prefix_arms))
-    schedule = []
-    for tail in growth_schedule:  # every entry is checked before any root is computed
-        arms = prefix + tuple(map(operator.index, tail))
-        if len(arms) != r + 1:
-            raise ValueError(f"schedule entry {tail} does not extend to r+1 = {r + 1} arms")
-        # StarTree sorts its arms, so the order is checked on the input
-        if any(a >= b for a, b in zip(arms, arms[1:])):
-            raise ValueError(f"full arm vector must be strictly increasing, got {arms}")
-        schedule.append(arms)
-    limit_poly = limit_polynomial(prefix, r)  # checks the prefix's arms first
-    return _convergence_sweep(limit_poly, [StarTree(arms) for arms in schedule], digits)

@@ -381,18 +381,46 @@ def test_no_root_above_one_is_a_data_error(capsys):
     assert err == "error: no sign change in (1 + 2^-20, 3] for a degree-3 polynomial of height 1\n"
 
 
+def _general(tails):
+    """A converge general argv whose limit polynomial, x^3 - x^2 of the
+    prefix (2,) at r = 1, has no root above 1: an entry must be rejected
+    before it is solved."""
+    return ["general", "--prefix", "2", "--r", "1", "--tails", tails]
+
+
+def _mbonacci(a0, eta, a1):
+    return ["mbonacci", "--a0", a0, "--eta", eta, "--a1", a1]
+
+
 @pytest.mark.parametrize(
-    "tails, message",
+    "argv, message",
     [
-        # the limit polynomial x^3 - x^2 of prefix (2,) has no root above 1,
-        # so these entries must be rejected before it is solved
-        ("3:4:5", "error: schedule entry (3, 4, 5) does not extend to r+1 = 2 arms\n"),
-        ("3,4:5", "error: schedule entry (4, 5) does not extend to r+1 = 2 arms\n"),
-        ("2", "error: full arm vector must be strictly increasing, got (2, 2)\n"),
+        pytest.param(_general(tails), message, id=f"{tails}-{message}")
+        for tails, message in [
+            ("3:4:5", "error: schedule entry (3, 4, 5) does not extend to r+1 = 2 arms\n"),
+            ("3,4:5", "error: schedule entry (4, 5) does not extend to r+1 = 2 arms\n"),
+            ("2", "error: full arm vector must be strictly increasing, got (2, 2)\n"),
+        ]
+    ]
+    + [
+        # converge mbonacci is the prefix (a0) at r = 2, checked the same way
+        pytest.param(
+            _mbonacci("2", "1", "2"),
+            "error: full arm vector must be strictly increasing, got (2, 2, 3)\n",
+            id="mbonacci-a1-not-above-a0",
+        ),
+        pytest.param(
+            _mbonacci("2", "0", "5"),
+            "error: full arm vector must be strictly increasing, got (2, 5, 5)\n",
+            id="mbonacci-eta-0",
+        ),
+        pytest.param(
+            _mbonacci("1", "1", "5"), "error: arm lengths must be >= 2\n", id="mbonacci-a0-1"
+        ),
     ],
 )
-def test_converge_general_checks_tails_first(capsys, tails, message):
-    rc, out, err = run(capsys, "converge", "general", "--prefix", "2", "--r", "1", "--tails", tails)
+def test_converge_general_checks_tails_first(capsys, argv, message):
+    rc, out, err = run(capsys, "converge", *argv)
     assert rc == 2
     assert out == ""
     assert err == message

@@ -17,7 +17,6 @@ from starsalem import (
     coxeter_polynomial,
     factor_coxeter,
     limit_polynomial,
-    mbonacci_poly,
     p_polynomial,
     qrs_blocks,
 )
@@ -216,8 +215,9 @@ def test_limit_polynomial_frozen_vectors():
 
 
 def test_limit_single_arm_equals_q_block():
-    for a0 in range(2, 10):
-        expect = times(poly(-1, 1), mbonacci_poly(a0))
+    # (z - 1) times the a0-bonacci polynomial z^a0 - z^(a0-1) - ... - z - 1
+    for a0 in range(2, 31):
+        expect = times(poly(-1, 1), poly(*[-1] * a0, 1))
         assert limit_polynomial((a0,), 2) == expect
 
 
@@ -278,17 +278,10 @@ def test_limit_validation():
 # m-bonacci
 # ----------------------------------------------------------------------
 
-def test_mbonacci():
-    assert mbonacci_poly(2) == poly(-1, -1, 1)
-    assert mbonacci_poly(3) == poly(-1, -1, -1, 1)
-    with pytest.raises(ValueError):
-        mbonacci_poly(1)
-
-
 def test_mbonacci_times_z_minus_one_is_q_block():
-    for a0 in range(2, 12):
+    for a0 in range(2, 31):
         q = qrs_blocks(StarTree((a0, a0 + 1, a0 + 2))).q
-        assert times(poly(-1, 1), mbonacci_poly(a0)) == q
+        assert times(poly(-1, 1), poly(*[-1] * a0, 1)) == q
 
 
 # ----------------------------------------------------------------------

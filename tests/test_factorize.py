@@ -27,7 +27,6 @@ from starsalem import (
     phi_sum,
     salem_degree_lower_bound,
     verify_mann,
-    verify_order_bound,
 )
 from starsalem.coxeter import block_polys
 from starsalem.cyclotomic import default_table, phi_inverse_bound
@@ -59,6 +58,15 @@ def reassemble(mults, rem):
     """rem times Phi_k^m for every order k of multiplicity m in mults."""
     table = default_table()
     return times(rem, *[table.cyclotomic(k) for k, m in mults.items() for _ in range(m)])
+
+
+def derivatives(f, n):
+    """f', f'', ..., the n-th derivative of f, by repeated first derivatives."""
+    out = []
+    for _ in range(n):
+        f = f.derivative()
+        out.append(f)
+    return out
 
 
 LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
@@ -376,17 +384,6 @@ def test_repeated_arm_trees_are_classified():
     assert labels[(2, 2, 2, 2, 2)] == QUADRATIC_PISOT
 
 
-def test_verify_order_bound():
-    assert verify_order_bound(StarTree((2, 3, 7)))
-    assert verify_order_bound(StarTree((2, 4, 5)))
-    # the one order the uncapped sieve finds for (2,4,5) sits far below 840
-    fz = factor_coxeter(StarTree((2, 4, 5)))
-    assert fz.cyclotomic_factors == {2: 1}
-    assert fz.max_observed_order == 2 <= order_bound(2, 4, 5)
-    with pytest.raises(OrderError):
-        verify_order_bound(StarTree((2, 3, 5)))
-
-
 # ----------------------------------------------------------------------
 # degree lower bound
 # ----------------------------------------------------------------------
@@ -428,9 +425,9 @@ def test_multiplicity_trace_invariants(monkeypatch):
     def check(tr):
         q, r, s = (b.exact_div(poly(-1, 1)) for b in block_polys(tr.a0, tr.delta))
         assert tr.f0_upper == r.l1()
-        assert tr.en_upper == max(q.derivative(k).l1() for k in range(1, tr.n0 + 1))
-        assert tr.fn_upper == max(r.derivative(k).l1() for k in range(1, tr.n0 + 1))
-        assert tr.gn_upper == s.derivative(tr.n0).l1()
+        assert tr.en_upper == max(d.l1() for d in derivatives(q, tr.n0))
+        assert tr.fn_upper == max(d.l1() for d in derivatives(r, tr.n0))
+        assert tr.gn_upper == derivatives(s, tr.n0)[-1].l1()
         assert tr.eta_lower > 0
         assert multiplicity_head(tr.eta_lower, tr.f0_upper, tr.n0) > 0
         assert tr.n0 == 1 or multiplicity_head(tr.eta_lower, tr.f0_upper, tr.n0 - 1) <= 0

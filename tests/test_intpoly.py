@@ -277,10 +277,13 @@ def test_sign_at_trusts_the_ball_only_past_its_radius(monkeypatch):
 
 def test_derivative_examples():
     assert poly(0, 0, 0, 1).derivative() == poly(0, 0, 3)
-    f = poly(4, -2, 7)
-    assert f.derivative(0) == f
-    assert poly(1, 0, -2, 1).derivative(2) == poly(-4, 6)
-    assert poly(1, 1).derivative(5) == IntPoly.zero()
+    assert poly(4, -2, 7).derivative() == poly(-2, 14)
+    assert poly(1, 0, -2, 1).derivative().derivative() == poly(-4, 6)
+    f = poly(1, 1)
+    for _ in range(5):
+        f = f.derivative()
+    assert f == IntPoly.zero()
+    assert poly(5).derivative() == IntPoly.zero() == IntPoly.zero().derivative()
 
 
 def test_power_and_shift():

@@ -23,7 +23,7 @@ from starsalem import (
     factor_coxeter,
     fraction_to_decimal,
     lambda_bracket,
-    mbonacci_poly,
+    limit_polynomial,
     salem_certificate,
     tree_separators,
 )
@@ -83,7 +83,7 @@ def test_lehmer_30_digits():
 
 
 def test_bracket_signs_are_opposite():
-    for f in (LEHMER, poly(-1, -1, 1), mbonacci_poly(5)):
+    for f in (LEHMER, poly(-1, -1, 1), poly(*[-1] * 5, 1)):
         tau, (lo, hi) = dominant_root(f, 25)
         if lo == hi:
             assert f.sign_at(*lo.as_integer_ratio()) == 0
@@ -130,7 +130,7 @@ def test_no_sign_change_messages_are_short():
 # path, the answer is the cell that grid bisection in Fractions finds.
 ORACLE_CASES = (
     [pytest.param(LEHMER, 30, id="lehmer-30")]
-    + [pytest.param(mbonacci_poly(m), 1000, id=f"mbonacci{m}-1000") for m in (2, 3, 4)]
+    + [pytest.param(poly(*[-1] * m, 1), 1000, id=f"mbonacci{m}-1000") for m in (2, 3, 4)]
     + [
         pytest.param(
             factor_coxeter(StarTree(arms)).salem_factor, 15, id="T" + "-".join(map(str, arms)) + "-15"
@@ -558,7 +558,7 @@ def test_bisection_alone_gives_the_same_root(monkeypatch, f, digits):
     # with f' = 0 every Newton step falls back to bisection; at 60 digits
     # the bracket (1, 3] takes 217 halvings to reach one cell
     expected = dominant_root(f, digits)
-    monkeypatch.setattr(IntPoly, "derivative", lambda self, n=1: IntPoly.zero())
+    monkeypatch.setattr(IntPoly, "derivative", lambda self: IntPoly.zero())
     assert dominant_root(f, digits) == expected
 
 
@@ -574,7 +574,7 @@ def test_a_ball_of_f_alone_moves_the_bracket(monkeypatch):
         exact_f.append(self == T_20_30_1000)
         return scaled_value(self, p, q)
 
-    monkeypatch.setattr(IntPoly, "derivative", lambda self, n=1: IntPoly.zero())
+    monkeypatch.setattr(IntPoly, "derivative", lambda self: IntPoly.zero())
     monkeypatch.setattr(IntPoly, "scaled_value", counted)
     assert dominant_root(T_20_30_1000, 30) == expected
     assert exact_f.count(True) <= 1
@@ -594,7 +594,7 @@ def test_newton_steps_away_from_the_root_do_not_slow_bisection(monkeypatch):
             IntPoly, name, lambda self, *args, method=method: values.append(1) or method(self, *args)
         )
     counts = []
-    for guide in (lambda self, n=1: IntPoly.zero(), lambda self, n=1: -derivative(self, n)):
+    for guide in (lambda self: IntPoly.zero(), lambda self: -derivative(self)):
         monkeypatch.setattr(IntPoly, "derivative", guide)
         values.clear()
         assert dominant_root(LEHMER, 60) == expected
@@ -918,7 +918,8 @@ def test_certificate_for_lehmer_tree():
     assert cert.tau == LEHMER_TAU_30
     # lambda = sqrt(tau) + 1/sqrt(tau), mapped by the decimal module
     ctx = decimal.Context(prec=60)
-    t = ctx.divide(decimal.Decimal(cert.tau_value.numerator), cert.tau_value.denominator)
+    tau = sum(cert.bracket) / 2
+    t = ctx.divide(decimal.Decimal(tau.numerator), tau.denominator)
     lam = ctx.add(ctx.sqrt(t), ctx.divide(1, ctx.sqrt(t)))
     assert cert.lam == str(lam.quantize(decimal.Decimal(10) ** -30, context=ctx))
     assert cert.lam == "2.006593618346016732650515917682"
@@ -953,11 +954,22 @@ def test_mbonacci_skips_excluded():
     assert recs[1].note == "" and recs[1].gap_value is not None
 
 
+def test_mbonacci_number_is_the_prefix_limit():
+    # the a0-bonacci polynomial and the limit of the prefix (a0) at r = 2,
+    # (z - 1) times it, have the same root above 1 and the same cell
+    for a0 in range(2, 9):
+        mbonacci, limit = poly(*[-1] * a0, 1), limit_polynomial((a0,), 2)
+        for digits in (30, 1000):
+            assert dominant_root(mbonacci, digits) == dominant_root(limit, digits), (a0, digits)
+
+
 def test_mbonacci_validation():
     with pytest.raises(ValueError):
         converge_mbonacci(2, 1, [2], digits=15)
     with pytest.raises(ValueError):
         converge_mbonacci(2, 0, [5], digits=15)
+    with pytest.raises(ValueError):
+        converge_mbonacci(1, 1, [5], digits=15)  # the limit polynomial's own check
 
 
 def test_general_gaps_decrease():

@@ -133,6 +133,9 @@ def test_grid_verify_small():
 def test_order_check_fails_on_an_order_past_the_bound():
     tree = StarTree((2, 4, 5))  # order bound 840
     fz = factor_coxeter(tree)
+    # the one order the uncapped sieve finds sits far below 840
+    assert fz.cyclotomic_factors == {2: 1}
+    assert fz.max_observed_order == 2
     assert _check_order(tree, fz) == "pass"
     assert _check_order(tree, replace(fz, max_observed_order=840)) == "pass"
     assert _check_order(tree, replace(fz, max_observed_order=841)) == "order_bound"
