@@ -29,9 +29,7 @@ from .factorize import (
     factor_coxeter,
     multiplicity_bound,
     order_bound,
-    salem_certificate,
     salem_degree_lower_bound,
-    tree_separators,
     verify_mann,
 )
 from .roots import (
@@ -78,9 +76,7 @@ __all__ = [
     "factor_coxeter",
     "multiplicity_bound",
     "order_bound",
-    "salem_certificate",
     "salem_degree_lower_bound",
-    "tree_separators",
     "verify_mann",
     "ConvergenceRecord",
     "NoSignChange",

@@ -19,18 +19,20 @@ value used here, by the sieve and by the degree bound alike, comes from
 the one process-wide table, ``cyclotomic.default_table()``.
 
 The remainder's label (Salem, quadratic Pisot or cyclotomic-only) has
-one exact test, ``salem_certificate``, and is computed only when
+one exact test, ``repunit_certificate``, and is computed only when
 ``CoxeterFactorization.classification`` is first read. The certificate
-proves that every root of a reciprocal remainder other than tau and
-1/tau lies on the unit circle, by counting exact sign changes of its
-trace polynomial T, where f(z) = z^m T(z + 1/z), in (-2, 2). The points
-are the tree's own separators 2 cos(2 pi j / a_i) (``tree_separators``),
-each taken as the exact dyadic value of its float; the signs there are
-exact. One fixed-point Clenshaw pass gives them, its rounding error
-bounded through the Chebyshev polynomials U_n: a ball that excludes 0
-has the sign of T, and every other point is recomputed by the same pass
-at a width where it is exact. A remainder other than 1 that it does not
-certify raises ClassificationError, whatever the tree's arms.
+proves that every root of a reciprocal remainder f other than tau and
+1/tau lies on the unit circle, by counting the sign changes of its trace
+polynomial T, f(z) = z^m T(z + 1/z), at t = 2 cos(2 pi p/n) for every
+fraction p/n in (0, 1/2) whose n divides an arm. No polynomial is
+evaluated there: the sign is read off the trace form of the repunit rule
+for R_T, divided by that of the sieve's cyclotomic part, as integer
+parities. At a point where s >= 2 arms are divisible by n both vanish,
+and the sign is the quotient of their leading terms, of order s - 1;
+the certificate checks that the sieve found m_n = s - 1 there, and m_1
+even. One exact tie, at one integer point, proves that the computed R_T
+is the rule and the product of the factorization. A remainder other than
+1 that it does not certify raises ClassificationError.
 
 ``multiplicity_bound`` certifies the effectively computable bound m on
 root multiplicities of P on the unit circle: the lower bound eta for
@@ -48,7 +50,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cyclotomic import default_table, phi_inverse_bound
 from .coxeter import ArityError, OrderError, StarTree, block_polys, coxeter_polynomial
@@ -62,7 +64,7 @@ CYCLOTOMIC_ONLY = "CyclotomicOnly"
 
 class ClassificationError(RuntimeError):
     """The non-cyclotomic remainder is neither 1 nor certified by
-    ``salem_certificate``."""
+    ``repunit_certificate``."""
 
 
 class CertificationError(RuntimeError):
@@ -81,9 +83,9 @@ class CoxeterFactorization:
 
     @cached_property
     def classification(self) -> str:
-        """``classify_remainder`` of the remainder, computed on first read:
+        """``classify_remainder`` of this factorization, computed on first read:
         callers that never read the label never pay for its certificate."""
-        return classify_remainder(self.salem_factor, self.arms)
+        return classify_remainder(self)
 
     @property
     def proven_order_bound(self) -> Optional[int]:
@@ -196,165 +198,154 @@ def extract_cyclotomic(f: IntPoly) -> tuple[dict[int, int], IntPoly]:
 
 
 # ----------------------------------------------------------------------
-# classification: the trace-polynomial certificate
+# classification: the certificate read off the repunit rule
 # ----------------------------------------------------------------------
 
-def tree_separators(arms: Sequence[int]) -> list[float]:
-    """The points 2 cos(2 pi j / a) for every distinct fraction j/a in
-    (0, 1/2) with a among the arms, as floats in no particular order.
-
-    They separate the trace roots of a star-like tree's Salem factor.
-    Deleting the centre leaves paths of a - 1 vertices, with eigenvalues
-    2 cos(pi j / a), and by Cauchy interlacing at most one eigenvalue of
-    the tree lies strictly between two neighbouring path eigenvalues. By
-    A'Campo's identity R_T(z) = z^(n/2) chi_T(z^(1/2) + z^(-1/2)) an
-    eigenvalue lambda >= 0 gives the trace root t = lambda^2 - 2, and
-    t increases with lambda; the positive path eigenvalues become these
-    points (j/a = 1/2 gives lambda = 0 and t = -2). An eigenvalue equal
-    to a path eigenvalue gives a root of unity, which is no root of the
-    Salem factor. ``salem_certificate`` does not rely on this argument:
-    points that fail to separate give a count below m - 1 and False.
-
-    The float j / a is correctly rounded, so equal fractions give one
-    float, and the set keeps each fraction once.
+def separator_signs(
+    arms: Sequence[int], mults: dict[int, int]
+) -> Optional[list[tuple[int, int, int]]]:
+    """(p, n, sign) at every p/n in lowest terms with 0 < p/n < 1/2 and n
+    dividing an arm, ascending in p/n: the sign of the trace polynomial T
+    of the sieve remainder at t = 2 cos(2 pi p/n), for the tree with these
+    arms and cyclotomic multiplicities, by the closed form
+    (-1)^(sum_i floor(a_i p/n) + m_1/2 + sum_(k>=3) m_k c_k(p/n) + s - 1)
+    of ``repunit_certificate``, with s the number of arms that n divides.
+    None when m_n != s - 1 at some point, where that form does not hold.
     """
-    return list({2 * math.cos(2 * math.pi * (j / a)) for a in arms for j in range(1, (a + 1) // 2)})
-
-
-def salem_certificate(f: IntPoly, separators: Iterable[float]) -> bool:
-    """True when f has one real root tau > 1, the root 1/tau, and every
-    other root simple and on the unit circle; proved in exact arithmetic.
-
-    f must be monic, reciprocal and of even degree 2m; any other input
-    gives False. Then f(z) = z^m T(z + 1/z) for the trace polynomial
-    T(t) = a_0 + sum_{j>=1} a_j D_j(t) with a_j = c_{m+j}, the upper half
-    of f's coefficients, in the basis D_j(z + 1/z) = z^j + z^-j
-    (D_1 = t, D_2 = t^2 - 2, D_{j+1} = t D_j - D_{j-1}). T has degree m
-    and leading coefficient 1.
-
-    Proof of the claim. Suppose T(2) = f(1) < 0, and that at points
-    2 = x_0 > x_1 > ... > x_L = -2 the exact signs of T change m - 1
-    times. Each change puts a root of T strictly between two consecutive
-    points, so in (-2, 2), and T(2) < 0 < T(+inf) puts one more in
-    (2, inf). These m roots are distinct, so they are all of T's roots,
-    each simple. A root t in (-2, 2) gives the pair z, 1/z = e^(+-i theta)
-    with 2 cos theta = t, on the unit circle and distinct from the pairs
-    of the other roots; the root t > 2 gives tau > 1 and 1/tau. That is
-    2m distinct roots, all of f's. When no cyclotomic polynomial divides
-    f, Kronecker's theorem then makes f irreducible: a factor without
-    tau has all its roots on the unit circle (1/tau alone would make its
-    constant term a nonzero integer below 1 in modulus).
-
-    The inner points x_1, ..., x_(L-1) are the caller's separators: each
-    float in (-2, 2) is taken as its exact dyadic value p/2^k (for a
-    tree, ``tree_separators``). Only the exact signs of T there decide;
-    ``_trace_signs`` reads each off an integer ball around 2^w T(p/2^k)
-    when the ball excludes 0, and otherwise off the same pass at w = km,
-    which is the exact integer 2^(km) T(p/2^k). Separators that leave two
-    roots of T between neighbours, or too close to a root for the float to
-    land on its side, show fewer than m - 1 changes, and the answer is
-    False.
-    """
-    deg = f.degree()
-    if not (f.is_monic() and f.is_reciprocal() and deg % 2 == 0):
-        return False
-    if f.eval_int(1) >= 0:  # T(2) = f(1)
-        return False
-    m = deg // 2
-    inner = sorted({x for x in separators if -2 < x < 2}, reverse=True)
-    # the points leave len(inner) + 1 intervals for m - 1 changes
-    if len(inner) < m - 2:
-        return False
-    points = [_dyadic(x) for x in inner] + [(-2, 0)]
-    signs = [-1] + _trace_signs(f.coeffs[m:], points)
-    # a sign 0 (a root of T at a point) counts as no change on either
-    # side, so a double root there cannot pass for two simple ones; public
-    # callers need this (T of S Phi_6^2 has the double root t = 1), while
-    # sieve remainders have no cyclotomic factor and so no trace root at
-    # a separator
-    return sum(x * y < 0 for x, y in zip(signs, signs[1:])) == m - 1
-
-
-def _dyadic(x: float) -> tuple[int, int]:
-    """(p, k) with p/2^k equal to the float x exactly."""
-    p, q = x.as_integer_ratio()
-    return p, q.bit_length() - 1
-
-
-def _trace_signs(a: Sequence[int], points: list[tuple[int, int]]) -> list[int]:
-    """Exact signs of T at the dyadic points p/2^k, all in [-2, 2].
-
-    One recurrence decides them all. ``_trace_balls`` runs Clenshaw's
-    recurrence b_j = a_j + t b_{j+1} - b_{j+2} in fixed point on
-    B_j ~ 2^w b_j, flooring p B_{j+1} / 2^k, and returns v ~ 2^w T(t)
-    with |v - 2^w T(t)| <= r = 2m^2 + 1 at any w, and v = 2^w T(t) once
-    w >= km. Every point is screened at w = 32 + bits(r): when |v| > r, v
-    has the sign of T(t). Every other point, and so every root of T, is
-    recomputed at w = km, where v is exact. The screen's w only decides
-    how often that happens: a ball clears r once 2^w |T(t)| > 2r, so
-    wherever |T(t)| > 2^-31. At the separators of the degree-1048 trees
-    T(a0, a1, 1050 - a0 - a1) with a0 in (2, 3, 5, 8, 13, 20) and a1 in
-    (30, 40, 50), every ball clears r by 20 bits or more.
-
-    Proof of the radius. Let e_j = B_j - 2^w b_j. Each floor takes some
-    delta_j in [0, 1) off, so e_j = t e_{j+1} - e_{j+2} - delta_j from
-    e_{m+1} = e_{m+2} = 0, a recurrence whose kernel is U_n(t/2)
-    (U_0 = 1, U_1(x) = 2x, U_{n+1} = 2x U_n - U_{n-1}). Hence
-    e_j = -sum_{i>=j} delta_i U_{i-j}(t/2), and |U_n(x)| <= n + 1 for
-    |x| <= 1 gives |e_1| <= m(m+1)/2 and |e_2| <= m(m-1)/2. The last
-    step v = 2^w a_0 + floor(p B_1 / 2^k) - 2 B_2 then misses 2^w T(t)
-    by t e_1 - delta_0 - 2 e_2, at most 2 |e_1| + 1 + 2 |e_2| = 2m^2 + 1
-    for |t| <= 2.
-
-    Proof of exactness at w >= km. b_j is a polynomial in t of degree
-    m - j, so 2^(k(m-j)) b_j is an integer, and 2^w b_j is an integer
-    divisible by 2^(kj). Suppose B_(j+1) = 2^w b_(j+1) with j + 1 >= 1:
-    then p B_(j+1) is divisible by 2^k, its floor takes nothing off, and
-    B_j = 2^w b_j. So every delta_j is 0, every e_j is 0, and the radius
-    above is 0: v = 2^w T(t), which for w = km is the integer
-    2^(km) T(p/2^k).
-    """
-    m = len(a) - 1
-    r = 2 * m * m + 1
-    signs = []
-    for (p, k), v in zip(points, _trace_balls(a, points, 32 + r.bit_length())):
-        if abs(v) <= r:
-            [v] = _trace_balls(a, [(p, k)], k * m)
-        signs.append((v > 0) - (v < 0))
+    fractions = [(j, a) for a in set(arms) for j in range(1, (a + 1) // 2)]
+    points = {(j // math.gcd(j, a), a // math.gcd(j, a)) for j, a in fractions}
+    divisible = {n: sum(a % n == 0 for a in arms) for _, n in points}  # n -> s
+    if any(mults.get(n, 0) != s - 1 for n, s in divisible.items()):
+        return None
+    # two distinct points differ by at least 1/max(arms)^2 > 2^-bits, so
+    # floor(x 2^bits) orders them exactly
+    bits = 2 * max(arms).bit_length()
+    # only the parity counts, so only the orders k >= 3 of odd m_k; for
+    # each, below[L] counts the i in [1, L] prime to k, and c_k(p/n) counts
+    # those with i n < p k, that is i <= (p k - 1) // n
+    odd = [(k, [0]) for k, mk in mults.items() if k >= 3 and mk % 2]
+    for k, below in odd:
+        for i in range(1, (k + 1) // 2):
+            below.append(below[-1] + (math.gcd(i, k) == 1))
+    half, signs = mults.get(1, 0) // 2, []
+    for p, n in sorted(points, key=lambda x: (x[0] << bits) // x[1]):
+        e = half + divisible[n] - 1
+        for a in arms:
+            e += a * p // n
+        for k, below in odd:
+            e += below[(p * k - 1) // n]
+        signs.append((p, n, -1 if e & 1 else 1))
     return signs
 
 
-def _trace_balls(a: Sequence[int], points: list[tuple[int, int]], w: int) -> list[int]:
-    """Centres v of the integer balls around 2^w T(p/2^k), one per point.
+def _ties_hold(fz: CoxeterFactorization) -> bool:
+    """R_T is the repunit rule (z + 1) prod_i [a_i] - z sum_i [a_i - 1]
+    prod_(j!=i) [a_j] and the product C f = prod_k Phi_k^(m_k) f: the three
+    values at B = 2^(8 size), read off bytes, agree.
 
-    B_j = 2^w a_j + floor(p B_{j+1} / 2^k) - B_{j+2} for j = m, ..., 1,
-    then v = 2^w a_0 + floor(p B_1 / 2^k) - 2 B_2. The integers stay
-    near w + log2(height m^2) bits; ``_trace_signs`` proves the radius
-    2m^2 + 1 at any w, and 0 at w >= km, where the B_j are exact and grow
-    by k bits a step.
+    The rule's coefficients are differences of those of two nonnegative
+    products, whose sums are 2 prod a_i and sum_i (a_i - 1) prod_(j!=i) a_j;
+    those of C f are at most ||f||_1 prod_k ||Phi_k||_1^(m_k). So each
+    side's are at most h, a difference D of two has height 2h < B at most,
+    and D(B) = 0 makes D = 0: its top term d B^e would otherwise exceed
+    the rest, at most 2h (B^e - 1)/(B - 1) < B^e in modulus.
     """
-    *top, low = [c << w for c in reversed(a)]
-    balls = []
-    for p, k in points:
-        b1 = b2 = 0
-        for c in top:
-            b1, b2 = c + (p * b1 >> k) - b2, b1
-        balls.append(low + (p * b1 >> k) - 2 * b2)
-    return balls
+    table, arms, f, mults = default_table(), fz.arms, fz.salem_factor, fz.cyclotomic_factors
+    prod = math.prod(arms)
+    cyclotomic_l1 = math.prod(table.cyclotomic(k).l1() ** m for k, m in mults.items())
+    rule_l1 = 2 * prod + sum((a - 1) * (prod // a) for a in arms)
+    bound = max(fz.rt.height(), rule_l1, f.l1() * cyclotomic_l1)
+    size = (2 * bound).bit_length() // 8 + 1  # so B > 4h
+    base, one = 1 << (8 * size), (1).to_bytes(size, "little")
+    half = base >> 1
+
+    def at_b(g: IntPoly) -> int:
+        # the digits c + B/2 lie in (0, B): their bytes spell g(B) + (B/2) [len](B)
+        packed = b"".join((c + half).to_bytes(size, "little") for c in g.coeffs)
+        tail = half * int.from_bytes(one * len(g.coeffs), "little")
+        return int.from_bytes(packed, "little") - tail
+
+    prod_b, rest_b = 1, 0
+    for a in arms:
+        rep, rep_less = int.from_bytes(one * a, "little"), int.from_bytes(one * (a - 1), "little")
+        rest_b, prod_b = rest_b * rep + prod_b * rep_less, prod_b * rep
+    value = at_b(fz.rt)
+    product = at_b(f) * math.prod(at_b(table.cyclotomic(k)) ** m for k, m in mults.items())
+    return value == (base + 1) * prod_b - base * rest_b == product
 
 
-def classify_remainder(rem: IntPoly, arms: Sequence[int]) -> str:
-    """The label of the sieve remainder of the tree with these arms,
-    decided by ``salem_certificate`` at the tree's separators.
+def repunit_certificate(fz: CoxeterFactorization) -> bool:
+    """True when the sieve remainder f of ``fz`` has one real root tau > 1,
+    the root 1/tau, and every other root simple and on the unit circle;
+    proved in exact integer arithmetic.
+
+    The count. f must be monic, reciprocal and of even degree 2m, so
+    f(z) = z^m T(z + 1/z) for a monic T of degree m. If T(2) = f(1) < 0 and
+    the signs of T from T(2) through points 2 > t_1 > ... > t_L > -2 to
+    T(-2) = (-1)^m f(-1) change m - 1 times, T has m - 1 roots in (-2, 2)
+    and, as T(+inf) > 0, one above 2: all m, each simple. Each root in
+    (-2, 2) gives a pair e^(+-i theta) on the unit circle, the one above 2
+    gives tau and 1/tau, and when no cyclotomic polynomial divides f,
+    Kronecker's theorem makes f irreducible. The points are
+    t = 2 cos(2 pi x) at the x = p/n of ``separator_signs``, in increasing
+    x; by Cauchy interlacing at most one root of T lies between two.
+
+    The signs, from the trace form of the repunit rule. With
+    zeta = e^(2 pi i x), [a](zeta) = e^(i pi (a-1) x) sigma_a(x) for
+    sigma_a(x) = sin(pi a x)/sin(pi x), so e^(-i pi N x) R_T(zeta), N = deg R_T, is
+
+        T_R(x) = 2 cos(pi x) prod_i sigma_(a_i) - sum_i sigma_(a_i - 1) prod_(j!=i) sigma_(a_j).
+
+    The same turn takes R_T = C f, C = prod_k Phi_k^(m_k), to a product of
+    real factors: f to T(2 cos 2 pi x); Phi_1 to 2i sin(pi x); Phi_2 to
+    2 cos(pi x) > 0; Phi_k, k >= 3, to the product of t - 2 cos(2 pi i/k)
+    over the i < k/2 prime to k, of sign (-1)^c_k(x), where c_k(x) counts
+    the i with i/k < x. At x0 = p/n, let s arms be divisible by n. Where
+    n does not divide a, sigma_a(x0) has the sign (-1)^floor(a p/n); where
+    it does, sigma_a vanishes to first order with slope of sign
+    (-1)^(a p/n), and sigma_(a-1)(x0) = -(-1)^(a p/n). So T_R vanishes to
+    order s - 1 at x0, and its terms of that order, one per arm divisible
+    by n, all have the sign (-1)^(sum_i floor(a_i p/n)). C's factor vanishes
+    there through Phi_n alone, to order m_n, and t - 2 cos(2 pi p/n) falls
+    as x grows, so its leading term has the sign
+    (-1)^(m_1/2 + sum_(k>=3) m_k c_k(x0) + m_n) for even m_1. When
+    m_n = s - 1, T(t0) is the quotient of the two leading terms, with the
+    sign of ``separator_signs``; so m_1 even and m_n = s - 1 are checked.
+
+    The tie. The closed form describes the repunit rule and the
+    multiplicities, not the printed coefficients; ``_ties_hold`` proves
+    that R_T is the rule and equals C f. Each sign then costs
+    O(arms + orders) small-integer operations.
+    """
+    f, mults = fz.salem_factor, fz.cyclotomic_factors
+    deg = f.degree()
+    if not (f.is_monic() and f.is_reciprocal() and deg % 2 == 0):
+        return False
+    if f.eval_int(1) >= 0 or mults.get(1, 0) % 2 or not _ties_hold(fz):
+        return False
+    points = separator_signs(fz.arms, mults)
+    if points is None:
+        return False
+    m = deg // 2
+    end = f.eval_int(-1) * (-1) ** m  # T(-2)
+    signs = [-1] + [sign for _, _, sign in points] + [(end > 0) - (end < 0)]
+    # a sign 0 (only T(-2) can be 0) counts as no change on either side
+    return sum(x * y < 0 for x, y in zip(signs, signs[1:])) == m - 1
+
+
+def classify_remainder(fz: CoxeterFactorization) -> str:
+    """The label of the factorization's remainder, decided by
+    ``repunit_certificate``.
 
     A remainder of exactly 1 is CyclotomicOnly. A certified remainder of
     degree 2 (x^2 - a x + 1 with a > 2) is QuadraticPisot, and one of
     larger degree is Salem. Any other remainder raises
     ClassificationError.
     """
+    rem = fz.salem_factor
     if rem.coeffs == (1,):
         return CYCLOTOMIC_ONLY
-    if salem_certificate(rem, tree_separators(arms)):
+    if repunit_certificate(fz):
         return QUADRATIC_PISOT if rem.degree() == 2 else SALEM
     raise ClassificationError(f"no Salem certificate for the remainder, {rem.describe()}")
 
@@ -405,8 +396,8 @@ def _certified_circle_min(f: IntPoly) -> tuple[Fraction, int]:
 
     On the circle z = e^(i theta), t = z + 1/z = 2 cos theta runs over
     [-2, 2] and |f(z)|^2 = f(z) f(1/z) = U(t) with
-    U(t) = u_0 + sum_{j>=1} u_j D_j(t), u_j = sum_i c_i c_(i+j) (the D_j
-    of ``salem_certificate``): an integer polynomial of degree d = deg f.
+    U(t) = u_0 + sum_{j>=1} u_j D_j(t), u_j = sum_i c_i c_(i+j), for
+    D_j(z + 1/z) = z^j + z^-j: an integer polynomial of degree d = deg f.
     eta depends on f alone, so a float may pick where to look but can
     never move eta.
 
@@ -454,6 +445,12 @@ def _certified_circle_min(f: IntPoly) -> tuple[Fraction, int]:
         n = min(n, _grid_below(left[-1] * sq, den))
         todo += [(right, den), (left, den)]
     return Fraction(n, _ETA_SCALE), pieces
+
+
+def _dyadic(x: float) -> tuple[int, int]:
+    """(p, k) with p/2^k equal to the float x exactly."""
+    p, q = x.as_integer_ratio()
+    return p, q.bit_length() - 1
 
 
 def _grid_below(num: int, den: int) -> int:

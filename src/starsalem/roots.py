@@ -32,9 +32,9 @@ arithmetic (``math.isqrt`` on scaled integers, rounded outward).
 ``certify_tree`` puts the two together for the remainder of a
 factorization that the caller already holds (``factor_coxeter``), so the
 tree is factored once. Whether that remainder is Salem is the
-factorization's label, decided by ``factorize.salem_certificate``. The
-float start is the only float in this module, and no float value reaches
-an answer.
+factorization's label, decided in integers by
+``factorize.repunit_certificate``. The float start is the only float in
+this module, and no float value reaches an answer.
 
 ``converge_general`` reproduces the limit behaviour of the Salem roots:
 with the top arms of a star growing they approach the dominant root of
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .coxeter import StarTree, limit_polynomial
+from .coxeter import StarTree, _repunit_rule, limit_polynomial
 from .factorize import CoxeterFactorization, factor_coxeter
 from .intpoly import BALL_BITS, IntPoly
 
@@ -514,7 +514,11 @@ def converge_general(
             raise ValueError(f"full arm vector must be strictly increasing, got {arms}")
         schedule.append(arms)
     limit_poly = limit_polynomial(prefix, r)  # checks the prefix's arms first
-    limit, _ = dominant_root(limit_poly, digits)
+    deflated = IntPoly.from_coeffs(_repunit_rule(prefix, len(prefix) - r))
+    try:  # the same root above 1 without limit_poly's factor (z - 1)^(k+1)
+        limit, _ = dominant_root(deflated, digits)
+    except NoSignChange:  # raised again, naming the limit polynomial
+        limit, _ = dominant_root(limit_poly, digits)
     limit_str = fraction_to_decimal(limit, digits)
     records = []
     for arms in schedule:

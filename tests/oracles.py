@@ -5,9 +5,14 @@ imports from the package under test, so agreement between the two is
 meaningful. Coefficients are ints, low degree first. The float oracles
 are the spectral radius, from a dense symmetric eigensolver, and root
 moduli, from the eigenvalues of the companion matrix (or, for reciprocal
-inputs, of the colleague matrix of the trace polynomial).
+inputs, of the colleague matrix of the trace polynomial). The exact one
+is ``salem_certificate``, the unit-circle certificate for any reciprocal
+polynomial at any separators, with exact signs of its trace polynomial
+at the dyadic values of the floats; the package's own certificate reads
+those signs off the repunit rule instead, for tree remainders only.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -274,3 +279,87 @@ def multiplicity_bracket_holds(eta, f0: int, e: int, f: int, g: int, n0: int, s:
         falling *= s - i
     middle = Fraction(2 ** (n0 - 1) * (e + f), s - n0 + 1)
     return multiplicity_head(eta, f0, n0) - middle - Fraction(g, falling) > 0
+
+
+# ----------------------------------------------------------------------
+# the unit-circle certificate on exact dyadic trace signs
+# ----------------------------------------------------------------------
+
+def tree_separators(arms):
+    """The floats 2 cos(2 pi j / a) for every distinct fraction j/a in
+    (0, 1/2) with a among the arms, in no particular order. The float j / a
+    is correctly rounded, so equal fractions give one float."""
+    return list({2 * math.cos(2 * math.pi * (j / a)) for a in arms for j in range(1, (a + 1) // 2)})
+
+
+def dyadic(x: float):
+    """(p, k) with p/2^k equal to the float x exactly."""
+    p, q = x.as_integer_ratio()
+    return p, q.bit_length() - 1
+
+
+def salem_certificate(cs, separators) -> bool:
+    """True when cs has one real root tau > 1, the root 1/tau, and every
+    other root simple and on the unit circle, proved by exact signs.
+
+    cs must be monic, reciprocal and of even degree 2m; any other input
+    gives False. Then cs(z) = z^m T(z + 1/z) for the trace polynomial
+    T(t) = a_0 + sum_{j>=1} a_j D_j(t), a_j = cs[m + j], in the basis
+    D_j(z + 1/z) = z^j + z^-j. T(2) = cs(1) must be negative, and the exact
+    signs of T from 2 through the separators in (-2, 2), each taken as its
+    float's exact dyadic value, to -2 must change m - 1 times: then T has
+    m - 1 simple roots in (-2, 2) and one above 2. A sign 0 counts as no
+    change on either side, so a double root at a point cannot pass for two
+    simple ones.
+    """
+    cs = trim(list(cs))
+    deg = len(cs) - 1
+    if not (cs and cs[-1] == 1 and cs == cs[::-1] and deg % 2 == 0):
+        return False
+    if sum(cs) >= 0:  # T(2) = cs(1)
+        return False
+    m = deg // 2
+    inner = sorted({x for x in separators if -2 < x < 2}, reverse=True)
+    if len(inner) < m - 2:  # len(inner) + 1 intervals for m - 1 changes
+        return False
+    points = [dyadic(x) for x in inner] + [(-2, 0)]
+    signs = [-1] + trace_signs(cs[m:], points)
+    return sum(x * y < 0 for x, y in zip(signs, signs[1:])) == m - 1
+
+
+def trace_signs(a, points):
+    """Exact signs of T = a_0 + sum a_j D_j at the dyadic points p/2^k in
+    [-2, 2]: the ball of ``trace_balls`` at w = 32 + bits(r) decides where
+    its centre v has |v| > r = 2m^2 + 1, and every other point is
+    recomputed at w = km, where the ball is exact."""
+    m = len(a) - 1
+    r = 2 * m * m + 1
+    signs = []
+    for (p, k), v in zip(points, trace_balls(a, points, 32 + r.bit_length())):
+        if abs(v) <= r:
+            [v] = trace_balls(a, [(p, k)], k * m)
+        signs.append((v > 0) - (v < 0))
+    return signs
+
+
+def trace_balls(a, points, w):
+    """Centres v of integer balls around 2^w T(p/2^k), one per point.
+
+    Clenshaw's recurrence in fixed point: B_j = 2^w a_j + floor(p B_{j+1} / 2^k)
+    - B_{j+2} for j = m, ..., 1, then v = 2^w a_0 + floor(p B_1 / 2^k) - 2 B_2.
+
+    Radius. With e_j = B_j - 2^w b_j for the exact Clenshaw values b_j, each
+    floor takes some delta_j in [0, 1) off, so e_j = t e_{j+1} - e_{j+2} -
+    delta_j, whose kernel is U_n(t/2); |U_n(x)| <= n + 1 on [-1, 1] gives
+    |e_1| <= m(m+1)/2, |e_2| <= m(m-1)/2, and |v - 2^w T(t)| <= 2m^2 + 1
+    for |t| <= 2. At w >= km every 2^w b_j is an integer divisible by
+    2^(kj), so no floor takes anything off and v = 2^w T(p/2^k) exactly.
+    """
+    *top, low = [c << w for c in reversed(a)]
+    balls = []
+    for p, k in points:
+        b1 = b2 = 0
+        for c in top:
+            b1, b2 = c + (p * b1 >> k) - b2, b1
+        balls.append(low + (p * b1 >> k) - 2 * b2)
+    return balls

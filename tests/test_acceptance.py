@@ -31,13 +31,19 @@ from starsalem import (
     p_polynomial,
     periodicity_scan,
     qrs_blocks,
-    salem_certificate,
     salem_degree_lower_bound,
-    tree_separators,
 )
 from starsalem.scan import _bridge_failure
 
-from oracles import bisect_root, pmul, root_moduli, spectral_radius, trace_root_moduli
+from oracles import (
+    bisect_root,
+    pmul,
+    root_moduli,
+    salem_certificate,
+    spectral_radius,
+    trace_root_moduli,
+    tree_separators,
+)
 
 
 def _ok(n: int, message: str) -> None:
@@ -97,9 +103,10 @@ def test_criterion_02_decomposition_exact(grid_data):
 # ----------------------------------------------------------------------
 
 def test_criterion_03_salem_shape(grid_data):
-    """Every remainder is certified exactly by ``salem_certificate``; a
-    sample is cross-checked against companion-matrix root moduli, which
-    also check the cheaper trace-polynomial oracle."""
+    """Every remainder is labelled by the package's certificate and
+    certified again by the oracle's, on exact dyadic trace signs; a sample
+    is cross-checked against companion-matrix root moduli, which also
+    check the cheaper trace-polynomial oracle."""
     salem = []
     quad = 0
     for arms, fz in grid_data["factorizations"].items():
@@ -108,7 +115,7 @@ def test_criterion_03_salem_shape(grid_data):
         assert fz.classification in (SALEM, QUADRATIC_PISOT), (arms, fz.classification)
         s = fz.salem_factor
         assert s.is_reciprocal(), arms
-        assert salem_certificate(s, tree_separators(arms)), arms
+        assert salem_certificate(s.coeffs, tree_separators(arms)), arms
         if fz.classification == QUADRATIC_PISOT:
             assert s.degree() == 2, arms
             quad += 1

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -18,7 +19,7 @@ import starsalem.factorize as factorize
 from starsalem import IntPoly
 from starsalem.cli import main
 
-from oracles import trace_root_moduli
+from oracles import dyadic, trace_root_moduli, trace_signs, tree_separators
 
 
 def run(capsys, *argv):
@@ -287,7 +288,7 @@ def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch):
 def test_a_run_that_fails_later_leaves_the_output_file_as_it_was(
     tmp_path, capsys, monkeypatch, existing
 ):
-    monkeypatch.setattr(factorize, "salem_certificate", lambda f, separators: False)
+    monkeypatch.setattr(factorize, "repunit_certificate", lambda fz: False)
     target = tmp_path / "out.json"
     if existing:
         target.write_text("kept\n")
@@ -297,9 +298,7 @@ def test_a_run_that_fails_later_leaves_the_output_file_as_it_was(
 
 
 def test_failing_certificate_is_a_data_error(capsys, monkeypatch):
-    import starsalem.factorize as factorize
-
-    monkeypatch.setattr(factorize, "salem_certificate", lambda f, separators: False)
+    monkeypatch.setattr(factorize, "repunit_certificate", lambda fz: False)
     for argv in (["factor", "5", "40", "1005"], ["factor", "5", "40", "1005", "--json"]):
         rc, out, err = run(capsys, *argv)
         assert rc == 3 and out == "", argv
@@ -317,12 +316,10 @@ def test_failing_certificate_is_a_data_error(capsys, monkeypatch):
     ],
 )
 def test_salem_certificate_runs_only_for_the_label(capsys, monkeypatch, argv, calls):
-    import starsalem.factorize as factorize
-
     seen = []
-    certificate = factorize.salem_certificate
+    certificate = factorize.repunit_certificate
     monkeypatch.setattr(
-        factorize, "salem_certificate", lambda f, xs: seen.append(f) or certificate(f, xs)
+        factorize, "repunit_certificate", lambda fz: seen.append(fz) or certificate(fz)
     )
     rc, _, _ = run(capsys, *argv)
     assert rc == 0 and len(seen) == calls
@@ -334,23 +331,19 @@ LARGE_TREES = [(a0, a1, 1050 - a0 - a1) for a0 in (2, 3, 5, 8, 13, 20) for a1 in
 
 
 def test_factor_certifies_the_large_trees(capsys, monkeypatch):
-    import starsalem.factorize as factorize
+    # each certificate reads its signs off the repunit rule in one
+    # separator_signs call, and every sign, at the 0/0 points too, is the
+    # oracle's exact sign at the dyadic value of the float separator
+    recorded = []
+    signs = factorize.separator_signs
 
-    # the integer-ball screen settles every trace sign the certificates
-    # need, at the width w = 32 + bits(2m^2 + 1) of _trace_signs: no
-    # point is recomputed exactly, at w = km
-    exact_trace_values = []
-    widths = []
-    balls = factorize._trace_balls
+    def recorded_signs(arms, mults):
+        points = signs(arms, mults)
+        recorded.append((arms, mults, points))
+        return points
 
-    def recorded(a, points, w):
-        m = len(a) - 1
-        exact_trace_values.extend((p, k) for p, k in points if w == k * m)
-        widths.append(w - (2 * m * m + 1).bit_length())
-        return balls(a, points, w)
-
-    monkeypatch.setattr(factorize, "_trace_balls", recorded)
-    checked = 0
+    monkeypatch.setattr(factorize, "separator_signs", recorded_signs)
+    checked = zero_over_zero = 0
     for arms in LARGE_TREES:
         rc, out, err = run(capsys, "factor", *map(str, arms), "--digits", "10", "--json")
         assert rc == 0 and err == "", arms
@@ -358,6 +351,20 @@ def test_factor_certifies_the_large_trees(capsys, monkeypatch):
         cert = doc["certificate"]
         assert doc["classification"] == "Salem", arms
         f = IntPoly.from_coeffs(int(c) for c in doc["salem_coeffs"])
+        [(seen_arms, mults, points)] = recorded
+        recorded.clear()
+        assert seen_arms == arms and points is not None, arms
+        m = f.degree() // 2
+        separators = [2 * math.cos(2 * math.pi * (p / n)) for p, n, _ in points]
+        assert set(separators) == set(tree_separators(arms)), arms
+        assert trace_signs(f.coeffs[m:], [dyadic(x) for x in separators]) == [
+            sign for _, _, sign in points
+        ], arms
+        for p, n, _ in points:
+            s = sum(a % n == 0 for a in arms)
+            if s >= 2:
+                assert mults[n] == s - 1, (arms, n)
+                zero_over_zero += 1
         lo, hi = (Fraction(end) for end in cert["bracket"])
         assert f.sign_at(*lo.as_integer_ratio()) * f.sign_at(*hi.as_integer_ratio()) < 0, arms
         if arms in ((2, 30, 1018), (5, 40, 1005), (20, 50, 980)):
@@ -368,9 +375,7 @@ def test_factor_certifies_the_large_trees(capsys, monkeypatch):
             assert abs(moduli[-1] - float(cert["tau"])) < 1e-9, arms
             assert abs(moduli[0] * float(cert["tau"]) - 1) < 1e-9, arms
             checked += 1
-    assert checked == 3
-    assert widths == [32] * len(LARGE_TREES)
-    assert exact_trace_values == []
+    assert checked == 3 and zero_over_zero > 0
 
 
 def test_no_root_above_one_is_a_data_error(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -31,10 +32,11 @@ from starsalem import (
 from starsalem.coxeter import block_polys
 from starsalem.cyclotomic import default_table, phi_inverse_bound
 import starsalem.factorize as factorize
-from starsalem.factorize import classify_remainder
+from starsalem.factorize import classify_remainder, separator_signs
 
 from oracles import (
     divides_poly,
+    dyadic,
     eval_exact,
     multiplicity_bracket_holds,
     multiplicity_head,
@@ -42,6 +44,8 @@ from oracles import (
     root_moduli,
     scanned_circle_min,
     trace_poly,
+    trace_signs,
+    tree_separators,
 )
 
 
@@ -344,17 +348,144 @@ def test_salem_shape_invariants():
 
 
 def test_classify_remainder_shapes():
-    assert classify_remainder(IntPoly.one(), (2, 3, 7)) == CYCLOTOMIC_ONLY
-    assert classify_remainder(poly(1, -3, 1), (2, 2, 2, 2, 2)) == QUADRATIC_PISOT
-    assert classify_remainder(LEHMER, (2, 3, 7)) == SALEM
+    assert classify_remainder(factor_coxeter(StarTree((2, 3, 6)))) == CYCLOTOMIC_ONLY
+    pisot = factor_coxeter(StarTree((2, 2, 2, 2, 2)))
+    assert pisot.salem_factor == poly(1, -3, 1) and classify_remainder(pisot) == QUADRATIC_PISOT
+    lehmer = factor_coxeter(StarTree((2, 3, 7)))
+    assert lehmer.salem_factor == LEHMER and classify_remainder(lehmer) == SALEM
     with pytest.raises(ClassificationError):
-        classify_remainder(poly(1, 3, 1), (2, 3, 7))  # roots negative, none above 1
+        # roots negative, none above 1
+        classify_remainder(dataclasses.replace(lehmer, salem_factor=poly(1, 3, 1)))
     with pytest.raises(ClassificationError):
-        classify_remainder(poly(2,), (2, 3, 7))
+        classify_remainder(dataclasses.replace(lehmer, salem_factor=poly(2,)))
     with pytest.raises(ClassificationError):
-        classify_remainder(poly(1, 1, 1, 1), (2, 3, 7))  # odd degree, not a Salem shape
+        # odd degree, not a Salem shape
+        classify_remainder(dataclasses.replace(lehmer, salem_factor=poly(1, 1, 1, 1)))
     with pytest.raises(ClassificationError):
-        classify_remainder(LEHMER, (2, 3))  # 2 cos(2 pi / 3) alone cannot separate 4 roots
+        # the separators of T(2, 3) alone cannot separate 4 roots, and its
+        # repunit rule is not this R_T
+        classify_remainder(dataclasses.replace(lehmer, arms=(2, 3)))
+
+
+# ----------------------------------------------------------------------
+# the certificate read off the repunit rule
+# ----------------------------------------------------------------------
+
+def test_separator_signs_match_the_oracle_on_the_grid(grid_data):
+    """At every separator p/n of every grid tree whose remainder is not 1,
+    the closed-form sign equals the oracle's exact sign of the remainder's
+    trace polynomial at the dyadic value of the float 2 cos(2 pi p/n), at
+    the 0/0 points (s >= 2 arms divisible by n) too, and there the sieve
+    found m_n = s - 1. The points are today's float separators, ascending in
+    p/n."""
+    points = zero_over_zero = 0
+    for arms, fz in grid_data["factorizations"].items():
+        f, mults = fz.salem_factor, fz.cyclotomic_factors
+        if f == IntPoly.one():
+            continue
+        assert mults.get(1, 0) % 2 == 0, arms
+        signs = separator_signs(arms, mults)
+        xs = [Fraction(p, n) for p, n, _ in signs]
+        assert [(x.numerator, x.denominator) for x in xs] == [(p, n) for p, n, _ in signs]
+        assert xs == sorted(set(xs)), arms
+        separators = [2 * math.cos(2 * math.pi * (p / n)) for p, n, _ in signs]
+        assert set(separators) == set(tree_separators(arms)), arms
+        m = f.degree() // 2
+        exact = trace_signs(f.coeffs[m:], [dyadic(x) for x in separators])
+        assert exact == [sign for _, _, sign in signs], arms
+        for _, n, _ in signs:
+            s = sum(a % n == 0 for a in arms)
+            if s >= 2:
+                assert mults[n] == s - 1, (arms, n)
+                zero_over_zero += 1
+        points += len(signs)
+    # 2021 trees; the 0/0 points lie in 949 of them
+    assert (points, zero_over_zero) == (34418, 1901)
+
+
+def refused(fz):
+    """True when reading fz's label raises ClassificationError with the
+    message every failed certificate gives."""
+    with pytest.raises(ClassificationError) as exc:
+        fz.classification
+    return str(exc.value) == f"no Salem certificate for the remainder, {fz.salem_factor.describe()}"
+
+
+def flip_signs(monkeypatch, term):
+    """separator_signs with one term of its exponent dropped: each sign
+    times (-1)^term(arms, p, n)."""
+    signs = factorize.separator_signs
+
+    def flipped(arms, mults):
+        return [(p, n, sign * (-1) ** term(arms, p, n)) for p, n, sign in signs(arms, mults)]
+
+    monkeypatch.setattr(factorize, "separator_signs", flipped)
+
+
+@pytest.mark.parametrize("arms", [(2, 3, 7), (20, 50, 980)])
+def test_the_tie_refuses_a_changed_coefficient_of_r_t(arms):
+    # the signs never read R_T's coefficients, so only the tie sees this
+    fz = factor_coxeter(StarTree(arms))
+    assert fz.classification == SALEM
+    for i in (0, len(fz.rt.coeffs) // 2, len(fz.rt.coeffs) - 1):
+        for change in (1, -1):
+            cs = list(fz.rt.coeffs)
+            cs[i] += change
+            assert refused(dataclasses.replace(fz, rt=IntPoly.from_coeffs(cs))), (i, change)
+
+
+@pytest.mark.parametrize("arms", [(2, 3, 9), (2, 3, 12), (20, 50, 980)])
+def test_the_count_refuses_signs_without_the_s_minus_1_term(monkeypatch, arms):
+    assert factor_coxeter(StarTree(arms)).classification == SALEM
+    flip_signs(monkeypatch, lambda arms, p, n: sum(a % n == 0 for a in arms) - 1)
+    assert refused(factor_coxeter(StarTree(arms)))
+
+
+@pytest.mark.parametrize("arms, i", [((2, 3, 7), 1), ((2, 3, 9), 2), ((20, 50, 980), 0)])
+def test_the_count_refuses_signs_without_one_floor_term(monkeypatch, arms, i):
+    assert factor_coxeter(StarTree(arms)).classification == SALEM
+    flip_signs(monkeypatch, lambda arms, p, n: arms[i] * p // n)
+    assert refused(factor_coxeter(StarTree(arms)))
+
+
+@pytest.mark.parametrize(
+    "arms, k, by_signs",
+    [
+        ((2, 3, 10), 8, True),  # the count
+        ((2, 3, 9), 3, True),  # m_3 = 0, not s - 1 = 1
+        ((20, 50, 980), 6, False),  # the flips past 1/6 keep the count
+        ((20, 50, 980), 2, False),  # Phi_2 > 0 takes no part in any sign
+    ],
+)
+def test_a_cyclotomic_order_left_out_is_refused(monkeypatch, arms, k, by_signs):
+    fz = factor_coxeter(StarTree(arms))
+    mults = {j: m for j, m in fz.cyclotomic_factors.items() if j != k}
+    assert mults != fz.cyclotomic_factors
+    left_out = dataclasses.replace(fz, cyclotomic_factors=mults)
+    assert refused(left_out)
+    # without the tie C f = R_T, the signs alone refuse some of them
+    monkeypatch.setattr(factorize, "_ties_hold", lambda fz: True)
+    assert factorize.repunit_certificate(left_out) is not by_signs
+
+
+@pytest.mark.parametrize(
+    "arms, n, m",
+    [((2, 3, 9), 3, 2), ((20, 50, 980), 4, 2), ((20, 50, 980), 20, 0), ((2, 3, 7), 7, 1)],
+)
+def test_a_multiplicity_other_than_s_minus_1_is_refused(monkeypatch, arms, n, m):
+    fz = factor_coxeter(StarTree(arms))
+    mults = fz.cyclotomic_factors | {n: m}
+    assert separator_signs(arms, mults) is None
+    assert refused(dataclasses.replace(fz, cyclotomic_factors=mults))
+    monkeypatch.setattr(factorize, "_ties_hold", lambda fz: True)
+    assert refused(dataclasses.replace(fz, cyclotomic_factors=mults))
+
+
+def test_an_odd_multiplicity_of_phi_1_is_refused(monkeypatch):
+    fz = dataclasses.replace(factor_coxeter(StarTree((2, 3, 7))), cyclotomic_factors={1: 1})
+    assert refused(fz)
+    monkeypatch.setattr(factorize, "_ties_hold", lambda fz: True)
+    assert refused(fz)
 
 
 def test_repeated_arm_trees_are_classified():

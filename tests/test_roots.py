@@ -24,13 +24,11 @@ from starsalem import (
     fraction_to_decimal,
     lambda_bracket,
     limit_polynomial,
-    salem_certificate,
-    tree_separators,
 )
-import starsalem.factorize as factorize
 import starsalem.roots as roots
 from starsalem.intpoly import BALL_BITS
 
+import oracles
 from oracles import (
     bisect_root,
     decimal_cell,
@@ -39,7 +37,11 @@ from oracles import (
     from_trace,
     pmul,
     root_moduli,
+    salem_certificate,
     spectral_radius,
+    trace_balls,
+    trace_signs,
+    tree_separators,
 )
 
 LEHMER = IntPoly.from_coeffs((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
@@ -659,7 +661,7 @@ def test_fraction_to_decimal():
 
 
 # ----------------------------------------------------------------------
-# the unit-circle certificate (factorize.salem_certificate)
+# the unit-circle certificate on exact dyadic trace signs (oracles.salem_certificate)
 # ----------------------------------------------------------------------
 
 PHI_10 = poly(1, -1, 1, -1, 1)
@@ -668,7 +670,7 @@ DENSE = [2 * math.cos(math.pi * i / 512) for i in range(1, 512)]
 
 
 def test_lehmer_unit_residual():
-    assert salem_certificate(LEHMER, tree_separators((2, 3, 7)))
+    assert salem_certificate(LEHMER.coeffs, tree_separators((2, 3, 7)))
     # float oracle: 8 moduli on the circle, and tau and 1/tau
     tau, _ = dominant_root(LEHMER, 20)
     moduli = root_moduli(LEHMER.coeffs)
@@ -678,17 +680,17 @@ def test_lehmer_unit_residual():
 
 def test_quadratic_pisot_certifies_with_m_one():
     # T = t - a: the root a lies above 2 exactly when a > 2; no separator needed
-    assert salem_certificate(poly(1, -3, 1), [])
-    assert salem_certificate(poly(1, -1000, 1), [])
-    assert not salem_certificate(poly(1, -2, 1), DENSE)  # (x - 1)^2
-    assert not salem_certificate(poly(1, -1, 1), DENSE)  # Phi_6
-    assert not salem_certificate(poly(1, 3, 1), DENSE)  # roots below -1
+    assert salem_certificate(poly(1, -3, 1).coeffs, [])
+    assert salem_certificate(poly(1, -1000, 1).coeffs, [])
+    assert not salem_certificate(poly(1, -2, 1).coeffs, DENSE)  # (x - 1)^2
+    assert not salem_certificate(poly(1, -1, 1).coeffs, DENSE)  # Phi_6
+    assert not salem_certificate(poly(1, 3, 1).coeffs, DENSE)  # roots below -1
 
 
 def test_salem_factor_has_exactly_one_root_outside():
     for arms in [(2, 3, 7), (2, 4, 9), (3, 5, 8)]:
         fz = factor_coxeter(StarTree(arms))
-        assert salem_certificate(fz.salem_factor, tree_separators(arms)), arms
+        assert salem_certificate(fz.salem_factor.coeffs, tree_separators(arms)), arms
         moduli = root_moduli(fz.salem_factor.coeffs)
         assert int(np.sum(moduli > 1 + 1e-8)) == 1, arms
 
@@ -713,13 +715,13 @@ def test_salem_factor_has_exactly_one_root_outside():
     ],
 )
 def test_certificate_can_fail(f):
-    assert not salem_certificate(f, DENSE)
+    assert not salem_certificate(f.coeffs, DENSE)
 
 
 def test_certificate_fails_at_a_root_on_1():
     # (z - 1)^2 has T = t - 2, so T(2) = f(1) = 0: with no sign change to
     # find (m - 1 = 0), only the test f(1) < 0 refuses it
-    assert not salem_certificate(IntPoly.from_coeffs([1, -2, 1]), [0.0, 1.0])
+    assert not salem_certificate([1, -2, 1], [0.0, 1.0])
 
 
 def test_certificate_drops_points_outside_the_interval():
@@ -728,7 +730,7 @@ def test_certificate_drops_points_outside_the_interval():
     # as the change inside (-2, 2) that m = 3 asks for
     f = IntPoly.from_coeffs(from_trace([-3, 1, -3, 1]))
     assert f == poly(1, -3, 4, -9, 4, -3, 1)
-    assert not salem_certificate(f, [3.5])
+    assert not salem_certificate(f.coeffs, [3.5])
 
 
 @pytest.mark.parametrize(
@@ -742,14 +744,14 @@ def test_certificate_counts_no_change_at_a_trace_root(cyclotomic, point):
     arms = (2, 4, 7)
     salem = factor_coxeter(StarTree(arms)).salem_factor
     separators = tree_separators(arms) + [point]
-    assert salem_certificate(salem, separators)
-    assert not salem_certificate(times(salem, cyclotomic, cyclotomic), separators)
+    assert salem_certificate(salem.coeffs, separators)
+    assert not salem_certificate(times(salem, cyclotomic, cyclotomic).coeffs, separators)
 
 
 def test_cyclotomic_polynomials_do_not_certify():
     # every root on the circle: T has all m roots in (-2, 2) and T(2) > 0
     for n in range(3, 60):
-        assert not salem_certificate(cyclotomic_poly(n), DENSE), n
+        assert not salem_certificate(cyclotomic_poly(n).coeffs, DENSE), n
 
 
 # T = t^3 - 2 (10 t - 1)^2 has roots 0.0978 and 0.1023, within 0.0045 of
@@ -762,9 +764,9 @@ def test_certificate_separates_close_roots():
     assert f.is_reciprocal() and f.degree() == 6
     moduli = root_moduli(f.coeffs)
     assert np.max(np.abs(moduli[1:-1] - 1)) < 1e-9 and moduli[-1] > 199
-    assert salem_certificate(f, [0.1])
-    assert salem_certificate(f, [1.5, 0.1, -1.0])
-    assert salem_certificate(f, [0.1, 0.1, 2.0, -2.0, 7.0])  # repeats and ends are dropped
+    assert salem_certificate(f.coeffs, [0.1])
+    assert salem_certificate(f.coeffs, [1.5, 0.1, -1.0])
+    assert salem_certificate(f.coeffs, [0.1, 0.1, 2.0, -2.0, 7.0])  # repeats and ends are dropped
 
 
 @pytest.mark.parametrize(
@@ -779,7 +781,7 @@ def test_certificate_separates_close_roots():
     ],
 )
 def test_certificate_fails_at_coarse_or_misplaced_separators(separators):
-    assert not salem_certificate(CLOSE_TRACE_ROOTS, separators)
+    assert not salem_certificate(CLOSE_TRACE_ROOTS.coeffs, separators)
 
 
 def test_tree_separators():
@@ -815,7 +817,7 @@ def test_certificate_matches_the_oracle_on_trace_polynomials():
         xs = sorted(t_roots.real)
         separators = [float(x + y) / 2 for x, y in zip(xs, xs[1:])]
         f = IntPoly.from_coeffs(from_trace(ts))
-        assert salem_certificate(f, separators) == expected, ts
+        assert salem_certificate(f.coeffs, separators) == expected, ts
         seen[expected] += 1
     assert seen[True] >= 20 and seen[False] >= 100
 
@@ -853,25 +855,25 @@ def test_trace_ball_encloses_the_value(lower, points):
     m = len(a) - 1
     r = 2 * m * m + 1
     for w in (0, 64 + r.bit_length()):
-        for (p, k), v in zip(points, factorize._trace_balls(a, points, w)):
+        for (p, k), v in zip(points, trace_balls(a, points, w)):
             exact = scaled_trace_value(a, p, k)
             assert abs((v << (k * m)) - (exact << w)) <= r << (k * m), (p, k)
     for p, k in points:  # w = km, one width per point
-        assert factorize._trace_balls(a, [(p, k)], k * m) == [scaled_trace_value(a, p, k)], (p, k)
+        assert trace_balls(a, [(p, k)], k * m) == [scaled_trace_value(a, p, k)], (p, k)
 
 
 def count_exact_trace_values(monkeypatch):
-    """The points that ``_trace_signs`` recomputes exactly: its
-    ``_trace_balls`` calls at w = km."""
+    """The points that ``trace_signs`` recomputes exactly: its
+    ``trace_balls`` calls at w = km."""
     calls = []
-    balls = factorize._trace_balls
+    balls = oracles.trace_balls
 
     def counted(a, points, w):
         m = len(a) - 1
         calls.extend((p, k) for p, k in points if w == k * m)
         return balls(a, points, w)
 
-    monkeypatch.setattr(factorize, "_trace_balls", counted)
+    monkeypatch.setattr(oracles, "trace_balls", counted)
     return calls
 
 
@@ -880,13 +882,13 @@ def test_trace_signs_fall_through_where_the_ball_holds_0(monkeypatch):
     # T = t (t^2 - t - 1) is 0 at t = 0: the ball is exact there and
     # centred on 0, and the exact recurrence returns 0
     a = from_trace([0, -1, -1, 1])[3:]
-    assert factorize._trace_signs(a, [(0, 0), (1, 0), (-1, 1)]) == [0, -1, 1]
+    assert trace_signs(a, [(0, 0), (1, 0), (-1, 1)]) == [0, -1, 1]
     assert calls == [(0, 0)]
     # T = t^3 is 2^-120 at t = 2^-40, below the ball's resolution: its
     # centre is 0, and only the exact recurrence sees the sign
     a = from_trace([0, 0, 0, 1])[3:]
-    assert factorize._trace_balls(a, [(1, 40)], 32 + (19).bit_length()) == [0]
-    assert factorize._trace_signs(a, [(1, 40), (-1, 40)]) == [1, -1]
+    assert trace_balls(a, [(1, 40)], 32 + (19).bit_length()) == [0]
+    assert trace_signs(a, [(1, 40), (-1, 40)]) == [1, -1]
     assert calls[1:] == [(1, 40), (-1, 40)]
 
 
@@ -895,16 +897,16 @@ def test_trace_signs_trust_the_ball_only_past_its_radius(monkeypatch):
     # 19, and every other point falls through to the exact sign, here the
     # opposite of the centre's
     calls = count_exact_trace_values(monkeypatch)
-    balls = factorize._trace_balls
+    balls = oracles.trace_balls
     screen = 32 + (19).bit_length()
     monkeypatch.setattr(
-        factorize,
-        "_trace_balls",
+        oracles,
+        "trace_balls",
         lambda a, points, w: [19, -19, 20, -20] if w == screen else balls(a, points, w),
     )
     a = from_trace([0, -1, -1, 1])[3:]  # T = t (t^2 - t - 1): T(1) < 0 < T(-1/2)
     points = [(1, 0), (-1, 1), (1, 0), (-1, 1)]
-    assert factorize._trace_signs(a, points) == [-1, 1, 1, -1]
+    assert trace_signs(a, points) == [-1, 1, 1, -1]
     assert calls == [(1, 0), (-1, 1)]
 
 
